@@ -82,8 +82,7 @@ def evaluate(params: MlpParams, dataset: Dataset, S: int,
     yhat = predict_hard(p)
 
     s_eff = min(S, dataset.n)
-    batches = epoch_batches(a, y, s_eff, Rng(seed),
-                            need_groups=True, need_classes=True)
+    batches = epoch_batches(a, y, s_eff, Rng(seed), need_classes=True)
     dp_vals, eo_sum_vals, eo_max_vals, q_vals = [], [], [], []
     for idx in batches:
         b = Batch(p[idx], a[idx], y[idx])
@@ -156,28 +155,20 @@ class BoundInputs:
         return float(self.S) if self.radius_divisor == "S" else 2.0 * self.S
 
 
-def _log_ceil_count(inner: float, D: int) -> float:
-    # D * ln(ceil(inner)); inner may be astronomically large, so stay in logs
+def covering_number(inputs: BoundInputs, mu: float) -> float:
+    """log of the network-class covering count
+    ceil(D*L*div*(2W)^(R+1)/mu)^D, where div is S or 2S as
+    ``radius_divisor`` says (the ball radius is mu / div)."""
+    if mu <= 0:
+        raise ParameterError("mu must be > 0")
+    inner = (inputs.D * inputs.L * inputs.divisor_value
+             * (2.0 * inputs.W) ** (inputs.R + 1) / mu)
+    # inner may be astronomically large, so stay in logs
     if inner <= 1.0:
         return 0.0
     if inner < 1e15:
-        return D * math.log(math.ceil(inner))
-    return D * math.log(inner)
-
-
-def covering_number(inputs: BoundInputs, mu: float) -> float:
-    """log of the network-class covering count ceil(D*L*S*(2W)^(R+1)/mu)^D."""
-    if mu <= 0:
-        raise ParameterError("mu must be > 0")
-    inner = inputs.D * inputs.L * inputs.S * (2.0 * inputs.W) ** (inputs.R + 1) / mu
-    return _log_ceil_count(inner, inputs.D)
-
-
-def _log_covering_at(inputs: BoundInputs, mu: float) -> float:
-    # covering count at ball radius mu / divisor
-    inner = (inputs.D * inputs.L * inputs.divisor_value
-             * (2.0 * inputs.W) ** (inputs.R + 1) / mu)
-    return _log_ceil_count(inner, inputs.D)
+        return inputs.D * math.log(math.ceil(inner))
+    return inputs.D * math.log(inner)
 
 
 @dataclass
@@ -191,7 +182,7 @@ class OmegaResult:
 
 
 def _omega_at(inputs: BoundInputs, mu: float) -> float:
-    return mu + math.sqrt(2.0 * _log_covering_at(inputs, mu) / inputs.B)
+    return mu + math.sqrt(2.0 * covering_number(inputs, mu) / inputs.B)
 
 
 def omega(inputs: BoundInputs, grid_points: int = 400) -> OmegaResult:
@@ -297,23 +288,3 @@ def di_counterexample(mu: float) -> CounterexamplePair:
         const_h=const_h, const_h_hat=const_h_hat,
         gap=abs(const_h - const_h_hat),
     )
-
-
-def di_gap_demo(mu: float, delta: float) -> dict:
-    """Secondary demo on 50/50 groups of 100: the protected group
-    predicts 1, the other predicts delta vs mu; reports the DI values and
-    their gap without asserting any bound on it."""
-    if mu <= 0 or not (0.0 < delta < 1.0):
-        raise ParameterError("need mu > 0 and delta in (0, 1)")
-    a = np.asarray([1] * 50 + [0] * 50)
-    y = np.zeros(100, dtype=np.int64)
-    h = np.asarray([1.0 - 1e-12] * 50 + [delta] * 50)
-    h_hat = np.asarray([1.0 - 1e-12] * 50 + [min(mu, 1.0 - 1e-12)] * 50)
-    const_h = fairloss.const_di(Batch(h, a, y), mean_floor=0.0)
-    const_h_hat = fairloss.const_di(Batch(h_hat, a, y), mean_floor=0.0)
-    return {
-        "mu": mu, "delta": delta,
-        "sup_distance": float(np.max(np.abs(h - h_hat))),
-        "const_h": const_h, "const_h_hat": const_h_hat,
-        "gap": abs(const_h - const_h_hat),
-    }

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,54 +26,32 @@ import numpy as np
 from . import audit, data, lagrange, model
 from .errors import (DataError, DegenerateBatchError, NumericError,
                      ParameterError, SchemaError)
-from .fairloss import ConstraintKind
+from .fairloss import CONSTRAINTS, OBJECTIVES, ConstraintKind
 
 REPORT_FORMAT = "fairmlp-report/1"
 
-CONSTRAINT_FLAGS = {
-    "dp": ConstraintKind.dp,
-    "eo-sum": ConstraintKind.eo_sum,
-    "eo-max": ConstraintKind.eo_max,
-    "di": ConstraintKind.di,
-    "dp-multi": ConstraintKind.dp_multi,
-}
 
-# which MetricsReport field tracks each constraint in the tradeoff CSV
-CONSTRAINT_METRIC = {
-    "dp": "dp_soft",
-    "dp-multi": "dp_soft",
-    "eo-sum": "eo_sum_soft",
-    "eo-max": "eo_max_soft",
-    "di": "p_percent",
-}
+@dataclass(kw_only=True)
+class RunConfig(lagrange.TrainConfig):
+    """One training/evaluation run as described by a config JSON: the
+    TrainConfig hyperparameters, the constraint by its CONSTRAINTS name
+    with its epsilon or p_percent, and the run-level settings."""
 
-
-@dataclass
-class RunConfig:
-    """One training/evaluation run as described by a config JSON."""
-
+    constraint: str = "dp"
+    epsilon: float | None = 0.05
+    p_percent: float | None = None
     data: str
     schema: str
     out_dir: str = "runs/out"
     folds: int = 5
     holdout_fraction: float = 0.2
-    constraint: str = "dp"
-    epsilon: float | None = 0.05
-    p_percent: float | None = None
-    objective: str = "ce"
-    h1: int = 100
-    h2: int = 50
-    lr_theta: float = 0.001
-    lr_lambda: float | None = None
-    batch_size: int = 500
-    max_epochs: int = 5000
-    seed: int = 0
-    lambda_init: float = 0.0
-    lambda_zero: bool = False
-    lambda_optimizer: str = "adam"
-    convergence_window: int = 50
-    convergence_tol: float = 1e-5
     sweep: list = field(default_factory=list)
+
+    def __post_init__(self):
+        # hyperparameters are checked when train_config() builds the
+        # TrainConfig, after command-line overrides
+        if self.constraint not in CONSTRAINTS:
+            raise ParameterError(f"unknown constraint {self.constraint!r}")
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -85,32 +63,20 @@ class RunConfig:
             raise ParameterError(f"bad config {path}: {exc}")
 
     def constraint_kind(self, value: float | None = None) -> ConstraintKind:
-        if self.constraint not in CONSTRAINT_FLAGS:
-            raise ParameterError(f"unknown constraint {self.constraint!r}")
-        if self.constraint == "di":
-            p = self.p_percent if value is None else value
-            if p is None:
-                raise ParameterError("DI constraint requires p_percent")
-            return ConstraintKind.di(p)
-        eps = self.epsilon if value is None else value
-        if eps is None:
-            raise ParameterError(f"{self.constraint} requires epsilon")
-        return CONSTRAINT_FLAGS[self.constraint](eps)
+        """The constraint relaxed by ``value``, or by the config's own
+        epsilon or p_percent when ``value`` is None."""
+        if value is None:
+            value = getattr(self, CONSTRAINTS[self.constraint].param)
+        return ConstraintKind.of(self.constraint, value)
 
     def train_config(self, sweep_value: float | None = None,
                      seed: int | None = None) -> lagrange.TrainConfig:
-        return lagrange.TrainConfig(
-            constraint=self.constraint_kind(sweep_value),
-            h1=self.h1, h2=self.h2,
-            lr_theta=self.lr_theta, lr_lambda=self.lr_lambda,
-            batch_size=self.batch_size, max_epochs=self.max_epochs,
-            objective=self.objective,
-            seed=self.seed if seed is None else seed,
-            lambda_init=self.lambda_init, lambda_zero=self.lambda_zero,
-            lambda_optimizer=self.lambda_optimizer,
-            convergence_window=self.convergence_window,
-            convergence_tol=self.convergence_tol,
-        )
+        hyper = {f.name: getattr(self, f.name)
+                 for f in fields(lagrange.TrainConfig)}
+        hyper["constraint"] = self.constraint_kind(sweep_value)
+        if seed is not None:
+            hyper["seed"] = seed
+        return lagrange.TrainConfig(**hyper)
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -190,9 +156,9 @@ def cmd_train(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     schema = data.resolve_schema(cfg.schema)
     table = data.load_csv(cfg.data, schema)
-    labels = data.extract_labels(table, schema)
-    train_idx, test_idx = data.holdout_split(None, cfg.holdout_fraction,
-                                             cfg.seed, labels=labels)
+    a, y = data.extract_labels(table, schema)
+    train_idx, test_idx = data.holdout_split(a, y, cfg.holdout_fraction,
+                                             cfg.seed)
     train_table = _subset_table(table, train_idx)
     test_table = _subset_table(table, test_idx)
     encoder = data.fit_encoder(train_table, schema)
@@ -255,7 +221,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ParameterError("sweep requires folds >= 2")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    metric = CONSTRAINT_METRIC[cfg.constraint]
+    metric = CONSTRAINTS[cfg.constraint].metric
     rows = []
     for value in cfg.sweep:
         fold_reports, _ = _crossval_reports(cfg, sweep_value=value)
@@ -313,13 +279,20 @@ def cmd_bounds(args) -> int:
                                radius_divisor=args.radius_divisor)
     rows = audit.bound_sweep(inputs, _parse_b_values(args),
                              empirical_mean=args.empirical_mean)
-    writer = csv.writer(sys.stdout if args.out is None
-                        else open(args.out, "w", encoding="utf-8", newline=""))
+    if args.out is None:
+        _write_bounds(sys.stdout, rows)
+    else:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            _write_bounds(fh, rows)
+    return 0
+
+
+def _write_bounds(fh, rows: list[dict]) -> None:
+    writer = csv.writer(fh)
     writer.writerow(["B", "omega_closed", "omega_grid", "full_bound"])
     for row in rows:
         writer.writerow([row["B"], repr(row["omega_closed"]),
                          repr(row["omega_grid"]), repr(row["full_bound"])])
-    return 0
 
 
 def cmd_counterexample(args) -> int:
@@ -343,10 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--lambda-zero", action="store_true", dest="lambda_zero",
                        help="freeze lambda at 0 (unconstrained baseline)")
-        p.add_argument("--constraint", choices=sorted(CONSTRAINT_FLAGS))
+        p.add_argument("--constraint", choices=sorted(CONSTRAINTS))
         p.add_argument("--epsilon", type=float)
         p.add_argument("--p-percent", type=float, dest="p_percent")
-        p.add_argument("--objective", choices=["ce", "qmean"])
+        p.add_argument("--objective", choices=sorted(OBJECTIVES))
         p.add_argument("--batch-size", type=int, dest="batch_size")
         p.add_argument("--max-epochs", type=int, dest="max_epochs")
         p.add_argument("--folds", type=int)

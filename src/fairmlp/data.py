@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ParameterError, SchemaError, ShapeError
-from .fairloss import ConstraintKind
 from .numcore import Rng
 
 
@@ -115,7 +114,11 @@ def load_csv(path, schema: SchemaConfig) -> RawTable:
         for raw in reader:
             if not raw or all(not cell.strip() for cell in raw):
                 continue
-            cells = [raw[j].strip() for j in idx]
+            try:
+                cells = [raw[j].strip() for j in idx]
+            except IndexError:
+                raise DataError(f"{path} line {reader.line_num} has {len(raw)} "
+                                f"cells, the header has {len(header)}")
             if schema.missing_token in cells:
                 n_dropped += 1
                 continue
@@ -149,11 +152,15 @@ class Encoder:
     def from_json(cls, path) -> "Encoder":
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        return cls(
-            numeric_stats={k: tuple(v) for k, v in payload["numeric_stats"].items()},
-            vocabulary=payload["vocabulary"],
-            feature_names=payload["feature_names"],
-        )
+        try:
+            return cls(
+                numeric_stats={k: tuple(v)
+                               for k, v in payload["numeric_stats"].items()},
+                vocabulary=payload["vocabulary"],
+                feature_names=payload["feature_names"],
+            )
+        except KeyError as exc:
+            raise SchemaError(f"bad encoder file {path}: missing key {exc}")
 
 
 @dataclass
@@ -191,16 +198,20 @@ class Dataset:
                        self.feature_names, self.encoder)
 
 
+def _numeric_column(table: RawTable, col: str) -> np.ndarray:
+    try:
+        return np.asarray([float(v) for v in table.column(col)])
+    except ValueError as exc:
+        raise DataError(f"non-numeric value in column {col!r}: {exc}")
+
+
 def fit_encoder(table: RawTable, schema: SchemaConfig) -> Encoder:
     """Learn per-column statistics and vocabularies from a table."""
     if not table.rows:
         raise DataError("cannot fit an encoder on an empty table")
     enc = Encoder()
     for col in schema.numeric:
-        try:
-            values = np.asarray([float(v) for v in table.column(col)])
-        except ValueError as exc:
-            raise DataError(f"non-numeric value in column {col!r}: {exc}")
+        values = _numeric_column(table, col)
         enc.numeric_stats[col] = (float(values.mean()), float(values.std()))
         enc.feature_names.append(col)
     for col in schema.categorical:
@@ -218,11 +229,15 @@ def encode(table: RawTable, schema: SchemaConfig,
         raise DataError("cannot encode an empty table")
     if encoder is None:
         encoder = fit_encoder(table, schema)
+    missing = ([c for c in schema.numeric if c not in encoder.numeric_stats]
+               + [c for c in schema.categorical if c not in encoder.vocabulary])
+    if missing:
+        raise SchemaError(f"encoder does not cover schema columns {missing}")
     n = len(table.rows)
     blocks = []
     for col in schema.numeric:
         mean, std = encoder.numeric_stats[col]
-        values = np.asarray([float(v) for v in table.column(col)])
+        values = _numeric_column(table, col)
         # zero-variance columns encode to all zeros
         z = (values - mean) / std if std > 0 else np.zeros(n)
         blocks.append(z.reshape(n, 1))
@@ -236,10 +251,7 @@ def encode(table: RawTable, schema: SchemaConfig,
                 block[i, j] = 1.0
         blocks.append(block)
     X = np.hstack(blocks) if blocks else np.zeros((n, 0))
-    y = np.asarray([1 if v == schema.positive_label else 0
-                    for v in table.column(schema.label)], dtype=np.int64)
-    a = np.asarray([1 if v == schema.protected_value else 0
-                    for v in table.column(schema.sensitive)], dtype=np.int64)
+    a, y = extract_labels(table, schema)
     return Dataset(X=X, a=a, y=y, feature_names=list(encoder.feature_names),
                    encoder=encoder)
 
@@ -251,36 +263,6 @@ def extract_labels(table: RawTable, schema: SchemaConfig) -> tuple[np.ndarray, n
     y = np.asarray([1 if v == schema.positive_label else 0
                     for v in table.column(schema.label)], dtype=np.int64)
     return a, y
-
-
-def save_dataset_cache(dataset: Dataset, matrix_path, encoder_path) -> None:
-    """Cache an encoded dataset as a plain-text CSV plus encoder JSON.
-
-    The CSV holds one header row (feature names plus 'a' and 'y') and
-    repr-formatted float cells, so reloading is bit-exact.
-    """
-    dataset.encoder.to_json(encoder_path)
-    with open(matrix_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.feature_names) + ["a", "y"])
-        for i in range(dataset.n):
-            writer.writerow([repr(float(v)) for v in dataset.X[i]]
-                            + [int(dataset.a[i]), int(dataset.y[i])])
-
-
-def load_dataset_cache(matrix_path, encoder_path) -> Dataset:
-    """Reload a dataset written by save_dataset_cache."""
-    encoder = Encoder.from_json(encoder_path)
-    with open(matrix_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    if header[-2:] != ["a", "y"]:
-        raise SchemaError(f"{matrix_path} is not a dataset cache")
-    X = np.asarray([[float(v) for v in row[:-2]] for row in rows])
-    a = np.asarray([int(row[-2]) for row in rows], dtype=np.int64)
-    y = np.asarray([int(row[-1]) for row in rows], dtype=np.int64)
-    return Dataset(X=X, a=a, y=y, feature_names=header[:-2], encoder=encoder)
 
 
 def _joint_cells(a: np.ndarray, y: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
@@ -313,19 +295,11 @@ def kfold(dataset: Dataset, k: int, seed: int) -> list[np.ndarray]:
     return [np.asarray(sorted(f), dtype=np.int64) for f in folds]
 
 
-def holdout_split(dataset_or_labels, test_fraction: float, seed: int,
-                  labels: tuple[np.ndarray, np.ndarray] | None = None):
-    """Stratified (train_idx, test_idx) split by joint (a, y) cell.
-
-    Accepts either a Dataset or, via ``labels``, raw (a, y) vectors so a
-    split can be made before encoding.
-    """
-    if labels is not None:
-        a, y = labels
-        n = a.shape[0]
-    else:
-        a, y = dataset_or_labels.a, dataset_or_labels.y
-        n = dataset_or_labels.n
+def holdout_split(a: np.ndarray, y: np.ndarray, test_fraction: float,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified (train_idx, test_idx) split by joint (a, y) cell. Takes
+    the raw attribute and label vectors, so a split can be made before
+    encoding."""
     if not (0.0 < test_fraction < 1.0):
         raise ParameterError("test_fraction must be in (0, 1)")
     if a.sum() < 1 or (1 - a).sum() < 1 or y.sum() < 1 or (1 - y).sum() < 1:
@@ -345,27 +319,17 @@ def holdout_split(dataset_or_labels, test_fraction: float, seed: int,
         n_test = min(n_test, idx.size - 1)  # keep at least one row in train
         test.extend(int(i) for i in order[:n_test])
     test_idx = np.asarray(sorted(test), dtype=np.int64)
-    mask = np.ones(n, dtype=bool)
+    mask = np.ones(a.shape[0], dtype=bool)
     mask[test_idx] = False
     return np.where(mask)[0], test_idx
 
 
-def _required_cells(a: np.ndarray, y: np.ndarray, need_groups: bool,
-                    need_classes: bool) -> list[np.ndarray]:
-    required = []
-    if need_groups:
-        required += [np.where(a == 1)[0], np.where(a == 0)[0]]
-    if need_classes:
-        required += [np.where(y == 1)[0], np.where(y == 0)[0]]
-    return required
-
-
 def epoch_batches(a: np.ndarray, y: np.ndarray, size: int, rng: Rng,
-                  need_groups: bool = True,
                   need_classes: bool = False) -> list[np.ndarray]:
     """One epoch of exactly-``size`` index batches covering all rows.
 
-    Every batch is guaranteed to intersect each required cell. Full
+    Every batch is guaranteed to intersect each required cell: both
+    sensitive groups, and both label classes with ``need_classes``. Full
     batches are seeded with one fresh row per cell and then filled in
     shuffled order; when the row count is not a multiple of ``size``,
     the final batch takes the leftovers and is topped up by resampling
@@ -380,7 +344,9 @@ def epoch_batches(a: np.ndarray, y: np.ndarray, size: int, rng: Rng,
     n_batches = -(-n // size)
     divisible = n % size == 0
     n_seeded = n_batches if divisible else n_batches - 1
-    required = _required_cells(a, y, need_groups, need_classes)
+    required = [np.where(a == 1)[0], np.where(a == 0)[0]]
+    if need_classes:
+        required += [np.where(y == 1)[0], np.where(y == 0)[0]]
     for cell in required:
         if cell.size == 0:
             raise DataError("dataset lacks a group/class the constraint needs")
@@ -442,12 +408,12 @@ def epoch_batches(a: np.ndarray, y: np.ndarray, size: int, rng: Rng,
     return [np.asarray(b, dtype=np.int64) for b in batches]
 
 
-def batch_iter(dataset: Dataset, size: int, seed: int, kind: ConstraintKind,
+def batch_iter(dataset: Dataset, size: int, seed: int,
                require_classes: bool = False):
     """Infinite generator of epochs; each item is one epoch's batch list,
-    reshuffled epoch to epoch. Group stratification follows the
-    constraint; pass ``require_classes`` for class-sensitive objectives."""
+    reshuffled epoch to epoch. Every batch holds both sensitive groups;
+    pass ``require_classes`` for class-sensitive objectives."""
     rng = Rng(seed)
     while True:
         yield epoch_batches(dataset.a, dataset.y, size, rng,
-                            need_groups=True, need_classes=require_classes)
+                            need_classes=require_classes)

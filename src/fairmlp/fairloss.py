@@ -21,6 +21,7 @@ kinks, first branch at min/max ties.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,22 +35,14 @@ PROB_CLAMP = 1e-7
 # ratio; without it the ratio is not Lipschitz and gradients blow up.
 DI_MEAN_FLOOR = 1e-7
 
-DP = "dp"
-EO_SUM = "eo_sum"
-EO_MAX = "eo_max"
-DI = "di"
-DP_MULTI = "dp_multi"
-
-CONSTRAINT_KINDS = (DP, EO_SUM, EO_MAX, DI, DP_MULTI)
-
 
 @dataclass(frozen=True)
 class ConstraintKind:
-    """A fairness constraint family plus its relaxation parameter.
+    """A fairness constraint from CONSTRAINTS plus its relaxation parameter.
 
-    DP/EO/DP_MULTI carry a slack epsilon >= 0; DI carries the p%-rule
+    Most constraints carry a slack epsilon >= 0; DI carries the p%-rule
     threshold p_percent in (0, 100], which enters the constraint loss as
-    epsilon = -p_percent/100.
+    epsilon = -p_percent/100. The table says which one each takes.
     """
 
     kind: str
@@ -57,43 +50,51 @@ class ConstraintKind:
     p_percent: float | None = None
 
     def __post_init__(self):
-        if self.kind not in CONSTRAINT_KINDS:
+        if self.kind not in CONSTRAINTS:
             raise ParameterError(f"unknown constraint kind {self.kind!r}")
-        if self.kind == DI:
-            if self.p_percent is None or not (0.0 < self.p_percent <= 100.0):
-                raise ParameterError("DI requires p_percent in (0, 100]")
-            if self.epsilon is not None:
-                raise ParameterError("DI takes p_percent, not epsilon")
-        else:
-            if self.epsilon is None or self.epsilon < 0.0:
-                raise ParameterError(f"{self.kind} requires epsilon >= 0")
-            if self.p_percent is not None:
-                raise ParameterError(f"{self.kind} takes epsilon, not p_percent")
+        param = CONSTRAINTS[self.kind].param
+        value = getattr(self, param)
+        if param == "p_percent":
+            if value is None or not (0.0 < value <= 100.0):
+                raise ParameterError(f"{self.kind} requires p_percent in (0, 100]")
+        elif value is None or value < 0.0:
+            raise ParameterError(f"{self.kind} requires epsilon >= 0")
+        other = "epsilon" if param == "p_percent" else "p_percent"
+        if getattr(self, other) is not None:
+            raise ParameterError(f"{self.kind} takes {param}, not {other}")
+
+    @classmethod
+    def of(cls, kind: str, value: float) -> "ConstraintKind":
+        """Constraint ``kind`` relaxed by ``value``, which is its epsilon
+        or its p_percent as the table says."""
+        if kind not in CONSTRAINTS:
+            raise ParameterError(f"unknown constraint kind {kind!r}")
+        return cls(kind, **{CONSTRAINTS[kind].param: value})
 
     @classmethod
     def dp(cls, epsilon: float) -> "ConstraintKind":
-        return cls(DP, epsilon=epsilon)
+        return cls.of("dp", epsilon)
 
     @classmethod
     def eo_sum(cls, epsilon: float) -> "ConstraintKind":
-        return cls(EO_SUM, epsilon=epsilon)
+        return cls.of("eo-sum", epsilon)
 
     @classmethod
     def eo_max(cls, epsilon: float) -> "ConstraintKind":
-        return cls(EO_MAX, epsilon=epsilon)
+        return cls.of("eo-max", epsilon)
 
     @classmethod
     def di(cls, p_percent: float) -> "ConstraintKind":
-        return cls(DI, p_percent=p_percent)
+        return cls.of("di", p_percent)
 
     @classmethod
     def dp_multi(cls, epsilon: float) -> "ConstraintKind":
-        return cls(DP_MULTI, epsilon=epsilon)
+        return cls.of("dp-multi", epsilon)
 
     @property
     def slack(self) -> float:
         """The epsilon subtracted in the constraint loss (-p/100 for DI)."""
-        if self.kind == DI:
+        if CONSTRAINTS[self.kind].param == "p_percent":
             return -self.p_percent / 100.0
         return self.epsilon
 
@@ -156,10 +157,20 @@ def _group_means(p: np.ndarray, a: np.ndarray) -> tuple[float, float]:
     return float((p * a).sum() / n1), float((p * (1.0 - a)).sum() / n0)
 
 
+def _dp_direction(a: np.ndarray) -> np.ndarray:
+    # d/dp_i of (mean over a=1 - mean over a=0)
+    return a / a.sum() - (1.0 - a) / (1.0 - a).sum()
+
+
 def const_dp(batch: Batch) -> float:
     """Demographic-parity gap: |mean p over a=1 - mean p over a=0|."""
     m1, m0 = _group_means(batch.p, batch.a)
     return abs(m1 - m0)
+
+
+def _grad_dp(batch: Batch) -> np.ndarray:
+    m1, m0 = _group_means(batch.p, batch.a)
+    return np.sign(m1 - m0) * _dp_direction(batch.a)
 
 
 def fpr_gap(batch: Batch) -> float:
@@ -188,6 +199,27 @@ def const_eo(batch: Batch, variant: str = "sum") -> float:
     raise ParameterError(f"unknown EO variant {variant!r}")
 
 
+def _eo_grads(batch: Batch) -> tuple[np.ndarray, np.ndarray, float, float]:
+    # gradients of the FPR and FNR gaps, then the two gap values
+    p, a, y = batch.p, batch.a, batch.y
+    d = _dp_direction(a)
+    m1f, m0f = _group_means(p * (1.0 - y), a)
+    g_fpr = np.sign(m1f - m0f) * (1.0 - y) * d
+    m1n, m0n = _group_means((1.0 - p) * y, a)
+    g_fnr = np.sign(m1n - m0n) * (-y) * d
+    return g_fpr, g_fnr, abs(m1f - m0f), abs(m1n - m0n)
+
+
+def _grad_eo_sum(batch: Batch) -> np.ndarray:
+    g_fpr, g_fnr, _, _ = _eo_grads(batch)
+    return g_fpr + g_fnr
+
+
+def _grad_eo_max(batch: Batch) -> np.ndarray:
+    g_fpr, g_fnr, fpr, fnr = _eo_grads(batch)
+    return g_fpr if fpr >= fnr else g_fnr
+
+
 def const_di(batch: Batch, mean_floor: float = DI_MEAN_FLOOR) -> float:
     """Disparate-impact constraint -min(r, 1/r) with r the ratio of group
     mean probabilities (a=1 over a=0); equals -1 iff the rates match.
@@ -201,6 +233,23 @@ def const_di(batch: Batch, mean_floor: float = DI_MEAN_FLOOR) -> float:
     return -min(r, r_inv)
 
 
+def _grad_di(batch: Batch) -> np.ndarray:
+    a = batch.a
+    m1, m0 = _group_means(batch.p, a)
+    m1f = max(m1, DI_MEAN_FLOOR)
+    m0f = max(m0, DI_MEAN_FLOOR)
+    dm1 = a / a.sum()
+    dm0 = (1.0 - a) / (1.0 - a).sum()
+    # derivative of a floored denominator is zero where the floor binds
+    dm1f = dm1 if m1 > DI_MEAN_FLOOR else np.zeros_like(dm1)
+    dm0f = dm0 if m0 > DI_MEAN_FLOOR else np.zeros_like(dm0)
+    r = m1 / m0f
+    r_inv = m0 / m1f
+    if r <= r_inv:  # first branch: const = -m1/m0f
+        return -(dm1 * m0f - m1 * dm0f) / (m0f * m0f)
+    return -(dm0 * m1f - m0 * dm1f) / (m1f * m1f)
+
+
 def const_dp_multi(batch: MultiGroupBatch) -> float:
     """Sum over groups j of the one-vs-rest demographic-parity gap."""
     total = 0.0
@@ -211,31 +260,19 @@ def const_dp_multi(batch: MultiGroupBatch) -> float:
     return total
 
 
-def constraint_value(batch: Batch, kind: ConstraintKind) -> float:
-    """Dispatch the raw constraint value for a binary-attribute batch."""
-    if kind.kind == DP:
-        return const_dp(batch)
-    if kind.kind == EO_SUM:
-        return const_eo(batch, "sum")
-    if kind.kind == EO_MAX:
-        return const_eo(batch, "max")
-    if kind.kind == DI:
-        return const_di(batch)
-    if kind.kind == DP_MULTI:
-        mb = MultiGroupBatch(batch.p, batch.a.astype(np.int64), 2)
-        return const_dp_multi(mb)
-    raise ParameterError(f"unknown constraint kind {kind.kind!r}")
+def grad_dp_multi_wrt_p(batch: MultiGroupBatch) -> np.ndarray:
+    """Gradient of the m-group summed one-vs-rest parity constraint."""
+    g = np.zeros_like(batch.p)
+    for j in range(batch.m):
+        aj = (batch.group == j).astype(np.float64)
+        m1, m0 = _group_means(batch.p, aj)
+        g += np.sign(m1 - m0) * _dp_direction(aj)
+    return g
 
 
-def constraint_loss(const_values, kind: ConstraintKind) -> float:
-    """Mean constraint value over batches minus the slack epsilon.
-
-    Negative values mean the constraint is satisfied with room to spare.
-    """
-    values = np.asarray(const_values, dtype=np.float64)
-    if values.size == 0:
-        raise ParameterError("need at least one constraint value")
-    return float(values.mean() - kind.slack)
+def _two_groups(batch: Batch) -> MultiGroupBatch:
+    # the binary attribute as a 2-group index: dp-multi is then exactly 2 x dp
+    return MultiGroupBatch(batch.p, batch.a.astype(np.int64), 2)
 
 
 def cross_entropy(p: np.ndarray, y: np.ndarray) -> float:
@@ -246,6 +283,13 @@ def cross_entropy(p: np.ndarray, y: np.ndarray) -> float:
         raise ShapeError("p and y must have equal length")
     p = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     return float(np.mean(-y * np.log(p) - (1.0 - y) * np.log(1.0 - p)))
+
+
+def _grad_ce(batch: Batch) -> np.ndarray:
+    # p from forward() already lies in the clamp band, where the clip in
+    # cross_entropy is the identity
+    p, y = batch.p, batch.y
+    return (-y / p + (1.0 - y) / (1.0 - p)) / p.shape[0]
 
 
 def q_mean(batch: Batch, include_class_factor: bool = False) -> float:
@@ -272,86 +316,84 @@ def _qmean_terms(batch: Batch) -> tuple[float, float]:
     return u, v
 
 
-# ---------------------------------------------------------------------------
-# Analytic gradients with respect to p
-# ---------------------------------------------------------------------------
+def _grad_qmean(batch: Batch) -> np.ndarray:
+    y = batch.y
+    u, v = _qmean_terms(batch)
+    q = q_mean(batch)
+    if q == 0.0:
+        return np.zeros_like(batch.p)
+    du = -y / y.sum()
+    dv = (1.0 - y) / (1.0 - y).sum()
+    return (u * du + v * dv) / q
 
-def _dp_direction(a: np.ndarray) -> np.ndarray:
-    # d/dp_i of (mean over a=1 - mean over a=0)
-    return a / a.sum() - (1.0 - a) / (1.0 - a).sum()
+
+class Objective(NamedTuple):
+    """A performance loss of one batch, its gradient in p, and whether
+    every training batch must hold both label classes."""
+
+    value: Callable[[Batch], float]
+    grad: Callable[[Batch], np.ndarray]
+    needs_classes: bool
 
 
-def grad_wrt_p(kind, batch: Batch, include_class_factor: bool = False) -> np.ndarray:
+class Constraint(NamedTuple):
+    """A fairness constraint: its value and gradient in p on one batch,
+    the relaxation parameter it takes ('epsilon' or 'p_percent'), and the
+    MetricsReport field a sweep reports for it."""
+
+    value: Callable[[Batch], float]
+    grad: Callable[[Batch], np.ndarray]
+    param: str
+    metric: str
+
+
+# Keyed by the config and CLI name. The lambdas look module functions up
+# when called, so a wrapper installed on e.g. ``fairloss.q_mean`` sees
+# every call.
+CONSTRAINTS = {
+    "dp": Constraint(const_dp, _grad_dp, "epsilon", "dp_soft"),
+    "eo-sum": Constraint(lambda b: const_eo(b, "sum"), _grad_eo_sum,
+                         "epsilon", "eo_sum_soft"),
+    "eo-max": Constraint(lambda b: const_eo(b, "max"), _grad_eo_max,
+                         "epsilon", "eo_max_soft"),
+    "di": Constraint(const_di, _grad_di, "p_percent", "p_percent"),
+    "dp-multi": Constraint(lambda b: const_dp_multi(_two_groups(b)),
+                           lambda b: grad_dp_multi_wrt_p(_two_groups(b)),
+                           "epsilon", "dp_soft"),
+}
+
+OBJECTIVES = {
+    "ce": Objective(lambda b: cross_entropy(b.p, b.y), _grad_ce, False),
+    "qmean": Objective(lambda b: q_mean(b), _grad_qmean, True),
+}
+
+
+def constraint_value(batch: Batch, kind: ConstraintKind) -> float:
+    """The raw constraint value for a binary-attribute batch."""
+    return CONSTRAINTS[kind.kind].value(batch)
+
+
+def constraint_loss(const_values, kind: ConstraintKind) -> float:
+    """Mean constraint value over batches minus the slack epsilon.
+
+    Negative values mean the constraint is satisfied with room to spare.
+    """
+    values = np.asarray(const_values, dtype=np.float64)
+    if values.size == 0:
+        raise ParameterError("need at least one constraint value")
+    return float(values.mean() - kind.slack)
+
+
+def grad_wrt_p(kind, batch: Batch) -> np.ndarray:
     """Exact (sub)gradient of a constraint or loss in the probabilities.
 
-    ``kind`` is one of 'dp', 'eo_sum', 'eo_max', 'di', 'dp_multi', 'ce',
-    'qmean', or a ConstraintKind. At |.| kinks the subgradient 0 is
-    returned; at min/max ties the first branch is differentiated.
+    ``kind`` is a name in CONSTRAINTS or OBJECTIVES, or a ConstraintKind.
+    At |.| kinks the subgradient 0 is returned; at min/max ties the first
+    branch is differentiated.
     """
     if isinstance(kind, ConstraintKind):
         kind = kind.kind
-    p, a, y = batch.p, batch.a, batch.y
-
-    if kind == DP:
-        m1, m0 = _group_means(p, a)
-        return np.sign(m1 - m0) * _dp_direction(a)
-
-    if kind in (EO_SUM, EO_MAX):
-        d = _dp_direction(a)
-        m1f, m0f = _group_means(p * (1.0 - y), a)
-        g_fpr = np.sign(m1f - m0f) * (1.0 - y) * d
-        m1n, m0n = _group_means((1.0 - p) * y, a)
-        g_fnr = np.sign(m1n - m0n) * (-y) * d
-        if kind == EO_SUM:
-            return g_fpr + g_fnr
-        fpr = abs(m1f - m0f)
-        fnr = abs(m1n - m0n)
-        return g_fpr if fpr >= fnr else g_fnr
-
-    if kind == DI:
-        m1, m0 = _group_means(p, a)
-        m1f = max(m1, DI_MEAN_FLOOR)
-        m0f = max(m0, DI_MEAN_FLOOR)
-        dm1 = a / a.sum()
-        dm0 = (1.0 - a) / (1.0 - a).sum()
-        # derivative of a floored denominator is zero where the floor binds
-        dm1f = dm1 if m1 > DI_MEAN_FLOOR else np.zeros_like(dm1)
-        dm0f = dm0 if m0 > DI_MEAN_FLOOR else np.zeros_like(dm0)
-        r = m1 / m0f
-        r_inv = m0 / m1f
-        if r <= r_inv:  # first branch: const = -m1/m0f
-            return -(dm1 * m0f - m1 * dm0f) / (m0f * m0f)
-        return -(dm0 * m1f - m0 * dm1f) / (m1f * m1f)
-
-    if kind == DP_MULTI:
-        mb = MultiGroupBatch(p, a.astype(np.int64), 2)
-        return grad_dp_multi_wrt_p(mb)
-
-    if kind == "ce":
-        pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        g = (-y / pc + (1.0 - y) / (1.0 - pc)) / p.shape[0]
-        # clamped coordinates contribute a constant to the loss
-        g[(p < PROB_CLAMP) | (p > 1.0 - PROB_CLAMP)] = 0.0
-        return g
-
-    if kind == "qmean":
-        u, v = _qmean_terms(batch)
-        q = q_mean(batch, include_class_factor)
-        if q == 0.0:
-            return np.zeros_like(p)
-        du = -y / y.sum()
-        dv = (1.0 - y) / (1.0 - y).sum()
-        scale = 0.5 if include_class_factor else 1.0
-        return scale * (u * du + v * dv) / q
-
-    raise ParameterError(f"unknown gradient kind {kind!r}")
-
-
-def grad_dp_multi_wrt_p(batch: MultiGroupBatch) -> np.ndarray:
-    """Gradient of the m-group summed one-vs-rest parity constraint."""
-    g = np.zeros_like(batch.p)
-    for j in range(batch.m):
-        aj = (batch.group == j).astype(np.float64)
-        m1, m0 = _group_means(batch.p, aj)
-        g += np.sign(m1 - m0) * _dp_direction(aj)
-    return g
+    entry = CONSTRAINTS.get(kind) or OBJECTIVES.get(kind)
+    if entry is None:
+        raise ParameterError(f"unknown gradient kind {kind!r}")
+    return entry.grad(batch)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,12 +24,11 @@ from .fairloss import Batch, ConstraintKind
 from .model import MlpParams, backward, forward, init_params
 from .numcore import AdamState, Rng, adam_step
 
-OBJECTIVES = ("ce", "qmean")
-
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters of one training run."""
+    """Hyperparameters of one training run. ``objective`` is a name in
+    fairloss.OBJECTIVES."""
 
     constraint: ConstraintKind
     h1: int = 100
@@ -45,7 +44,6 @@ class TrainConfig:
     lambda_optimizer: str = "adam"  # 'adam' or plain 'sgd' ascent
     convergence_window: int = 50
     convergence_tol: float = 1e-5
-    threshold: float = 0.5
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -54,8 +52,9 @@ class TrainConfig:
             raise ParameterError("lr_theta must be > 0")
         if self.max_epochs < 1:
             raise ParameterError("max_epochs must be >= 1")
-        if self.objective not in OBJECTIVES:
-            raise ParameterError(f"objective must be one of {OBJECTIVES}")
+        if self.objective not in fairloss.OBJECTIVES:
+            raise ParameterError(
+                f"objective must be one of {tuple(fairloss.OBJECTIVES)}")
         if self.lambda_optimizer not in ("adam", "sgd"):
             raise ParameterError("lambda_optimizer must be 'adam' or 'sgd'")
         if self.lambda_init < 0:
@@ -91,7 +90,6 @@ class TrainState:
     adam_theta: AdamState
     adam_lambda: AdamState
     epoch: int = 0
-    history: list = field(default_factory=list)
 
 
 @dataclass
@@ -124,12 +122,6 @@ def init_state(d: int, cfg: TrainConfig) -> TrainState:
     )
 
 
-def _objective_and_grad(p: np.ndarray, batch: Batch, objective: str):
-    if objective == "ce":
-        return fairloss.cross_entropy(p, batch.y), fairloss.grad_wrt_p("ce", batch)
-    return fairloss.q_mean(batch), fairloss.grad_wrt_p("qmean", batch)
-
-
 def train_step(state: TrainState, batch: TrainBatch, cfg: TrainConfig) -> StepInfo:
     """One descent step on theta, then one projected ascent step on
     lambda using the same batch's pre-update probabilities. Mutates
@@ -137,7 +129,8 @@ def train_step(state: TrainState, batch: TrainBatch, cfg: TrainConfig) -> StepIn
     trace = forward(state.params, batch.x)
     fb = Batch(trace.p, batch.a, batch.y)
 
-    obj_val, dobj_dp = _objective_and_grad(trace.p, fb, cfg.objective)
+    obj_val = fairloss.OBJECTIVES[cfg.objective].value(fb)
+    dobj_dp = fairloss.grad_wrt_p(cfg.objective, fb)
     c_val = fairloss.constraint_value(fb, cfg.constraint)
     l_k = c_val - cfg.constraint.slack
 
@@ -176,9 +169,8 @@ def fit(dataset: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[LogRow]]:
         raise DataError("dataset must contain both label classes")
 
     state = init_state(dataset.d, cfg)
-    need_classes = cfg.objective == "qmean"
     epochs = batch_iter(dataset, cfg.batch_size, cfg.seed + 1,
-                        cfg.constraint, require_classes=need_classes)
+                        fairloss.OBJECTIVES[cfg.objective].needs_classes)
 
     log: list[LogRow] = []
     recent: list[float] = []
@@ -199,9 +191,7 @@ def fit(dataset: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[LogRow]]:
                           constraint_value=float(np.mean(consts)),
                           lam=state.lam, wall_ms=wall_ms))
 
-        epoch_total = float(np.mean(totals))
-        state.history.append(epoch_total)
-        recent.append(epoch_total)
+        recent.append(float(np.mean(totals)))
         w = cfg.convergence_window
         if len(recent) > w:
             prev = float(np.mean(recent[-w - 1:-1]))

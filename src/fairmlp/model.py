@@ -188,10 +188,10 @@ def load_checkpoint(path) -> tuple[MlpParams, dict]:
         payload = json.load(fh)
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise SchemaError(f"not a model checkpoint: {path}")
-    dims = payload["dims"]
-    d, h1, h2 = dims["d"], dims["h1"], dims["h2"]
-    layers = payload["layers"]
     try:
+        dims = payload["dims"]
+        d, h1, h2 = dims["d"], dims["h1"], dims["h2"]
+        layers = payload["layers"]
         params = MlpParams(
             w1=np.asarray(layers["w1"], dtype=np.float64).reshape(d, h1),
             b1=np.asarray(layers["b1"], dtype=np.float64),
@@ -200,6 +200,8 @@ def load_checkpoint(path) -> tuple[MlpParams, dict]:
             w_out=np.asarray(layers["w_out"], dtype=np.float64).reshape(h2, 2),
             b_out=np.asarray(layers["b_out"], dtype=np.float64),
         )
+    except KeyError as exc:
+        raise SchemaError(f"checkpoint {path} lacks key {exc}")
     except ValueError as exc:
         raise SchemaError(f"checkpoint layer shapes inconsistent with dims: {exc}")
     return params, {"dims": (d, h1, h2), "seed": payload.get("seed")}

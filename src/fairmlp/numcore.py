@@ -1,4 +1,4 @@
-"""Dense linear algebra, seeded RNG, and the Adam update rule.
+"""Seeded RNG and the Adam update rule.
 
 Everything here is deterministic: the same seed yields byte-identical
 sequences on every platform (PCG64 has a fixed cross-platform stream),
@@ -12,43 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
-
-
-def matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Validating constructor: a finite, row-major float64 2-D array.
-
-    ``data`` may be nested sequences or a flat sequence combined with
-    explicit ``rows``/``cols``.
-    """
-    if rows is not None or cols is not None:
-        if rows is None or cols is None:
-            raise ParameterError("rows and cols must be given together")
-        flat = np.asarray(data, dtype=np.float64).ravel()
-        if flat.size != rows * cols:
-            raise ShapeError(f"data length {flat.size} != {rows}x{cols}")
-        out = flat.reshape(rows, cols)
-    else:
-        out = np.asarray(data, dtype=np.float64)
-        if out.ndim != 2:
-            raise ShapeError(f"expected a 2-D array, got ndim={out.ndim}")
-    out = np.ascontiguousarray(out)
-    if not np.all(np.isfinite(out)):
-        raise NumericError("matrix contains NaN or Inf")
-    return out
-
-
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit shape checking."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("mat_mul operands must be 2-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise NumericError("mat_mul produced non-finite entries")
-    return out
 
 
 class Rng:
@@ -75,11 +38,6 @@ class Rng:
 
     def choice(self, values, size: int, replace: bool = False) -> np.ndarray:
         return self.gen.choice(np.asarray(values), size=size, replace=replace)
-
-
-def rng_normal(rng: Rng, mean: float, std: float, n: int) -> np.ndarray:
-    """n draws from Normal(mean, std); std == 0 gives a constant sequence."""
-    return rng.normal(mean, std, n)
 
 
 @dataclass

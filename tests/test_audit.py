@@ -6,7 +6,7 @@ import pytest
 import oracles
 from fairmlp import fairloss
 from fairmlp.audit import (BoundInputs, MetricsReport, bound_sweep,
-                           covering_number, di_counterexample, di_gap_demo,
+                           covering_number, di_counterexample,
                            evaluate, full_bound, model_bound_inputs, omega)
 from fairmlp.data import Dataset, Encoder
 from fairmlp.errors import DataError, ParameterError
@@ -102,8 +102,7 @@ class TestEvaluate:
         p = forward(params, ds.X).p
         report = evaluate(params, ds, S=20, seed=3)
         from fairmlp.data import epoch_batches
-        batches = epoch_batches(ds.a, ds.y, 20, Rng(3),
-                                need_groups=True, need_classes=True)
+        batches = epoch_batches(ds.a, ds.y, 20, Rng(3), need_classes=True)
         expect = np.mean([oracles.loop_dp(p[idx].tolist(), ds.a[idx].tolist())
                           for idx in batches])
         assert abs(report.dp_soft - expect) <= 1e-12
@@ -236,11 +235,6 @@ class TestDiCounterexample:
     def test_nonpositive_mu_rejected(self):
         with pytest.raises(ParameterError):
             di_counterexample(0.0)
-
-    def test_secondary_demo_reports_fields(self):
-        out = di_gap_demo(0.01, 0.005)
-        assert out["sup_distance"] <= 0.01
-        assert out["gap"] >= 0.0
 
 
 class TestBoundSanity:

@@ -1,11 +1,16 @@
+import argparse
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairmlp.cli import main
+import gradcheck
+from fairmlp.audit import MetricsReport
+from fairmlp.cli import build_parser, main
+from fairmlp.fairloss import CONSTRAINTS, OBJECTIVES, ConstraintKind
 from conftest import write_csv
 
 
@@ -108,6 +113,69 @@ class TestAuditCommand:
         assert code == 0
         audited = json.loads(capsys.readouterr().out)
         assert audited == report["folds"][0]
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory, biased_csv, biased_schema_json):
+        tmp_path = tmp_path_factory.mktemp("trained")
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json, max_epochs=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+        return tmp_path / "out"
+
+    @staticmethod
+    def _test_split_rows(out):
+        with open(out / "test_split.csv", newline="") as fh:
+            return list(csv.reader(fh))
+
+    @classmethod
+    def _ragged_csv(cls, out):
+        rows = cls._test_split_rows(out)
+        rows[3] = rows[3][:2]
+        write_csv(out / "bad.csv", rows[0], rows[1:])
+        return {"--data": out / "bad.csv"}
+
+    @classmethod
+    def _non_numeric_cell(cls, out):
+        rows = cls._test_split_rows(out)
+        rows[3][rows[0].index("f1")] = "abc"
+        write_csv(out / "bad.csv", rows[0], rows[1:])
+        return {"--data": out / "bad.csv"}
+
+    @staticmethod
+    def _checkpoint_without_layer(out):
+        payload = json.loads((out / "model.json").read_text())
+        del payload["layers"]["w2"]
+        (out / "bad.json").write_text(json.dumps(payload))
+        return {"--model": out / "bad.json"}
+
+    @staticmethod
+    def _encoder_without_key(out):
+        payload = json.loads((out / "encoder.json").read_text())
+        del payload["vocabulary"]
+        (out / "bad.json").write_text(json.dumps(payload))
+        return {"--encoder": out / "bad.json"}
+
+    @staticmethod
+    def _encoder_without_column(out):
+        payload = json.loads((out / "encoder.json").read_text())
+        del payload["numeric_stats"]["f2"]
+        (out / "bad.json").write_text(json.dumps(payload))
+        return {"--encoder": out / "bad.json"}
+
+    @pytest.mark.parametrize("corrupt", [
+        "_ragged_csv", "_non_numeric_cell", "_checkpoint_without_layer",
+        "_encoder_without_key", "_encoder_without_column"])
+    def test_bad_input_exits_three(self, trained, biased_schema_json, corrupt,
+                                   capsys):
+        args = {"--model": trained / "model.json",
+                "--data": trained / "test_split.csv",
+                "--schema": biased_schema_json,
+                "--encoder": trained / "encoder.json"}
+        args.update(getattr(self, corrupt)(trained))
+        argv = ["audit"] + [str(v) for kv in args.items() for v in kv]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_wrong_dims_exits_three(self, tmp_path, biased_csv,
                                     biased_schema_json, capsys):
@@ -230,6 +298,17 @@ class TestBounds:
         omegas = [float(r["omega_closed"]) for r in rows]
         assert all(x > z for x, z in zip(omegas, omegas[1:]))
 
+    def test_out_file_equals_stdout(self, tmp_path, capsys):
+        argv = ["bounds", "--d", "3", "--w", "0.5", "--l", "1", "--s", "10",
+                "--b-values", "100,10000"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "bounds.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8").splitlines() == printed.splitlines()
+
     def test_bad_delta_exits_two(self, capsys):
         code = main(["bounds", "--d", "3", "--w", "0.5", "--l", "1",
                      "--s", "10", "--delta", "1.0"])
@@ -266,3 +345,41 @@ class TestCounterexample:
         assert main(["counterexample", "0.5"]) == 0
         line = capsys.readouterr().out.strip().splitlines()[1]
         assert float(line.split(",")[1]) == 0.25
+
+
+def _flag_choices(command, flag):
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions
+                if flag in a.option_strings)
+
+
+class TestConstraintRegistry:
+    @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
+    def test_flag_choices_follow_tables(self, command):
+        assert _flag_choices(command, "--constraint") == sorted(CONSTRAINTS)
+        assert _flag_choices(command, "--objective") == sorted(OBJECTIVES)
+
+    def test_metrics_are_report_fields(self):
+        report_fields = {f.name for f in fields(MetricsReport)}
+        for name, entry in CONSTRAINTS.items():
+            assert entry.metric in report_fields, name
+
+    def test_params_build_constraint_kinds(self):
+        for name, entry in CONSTRAINTS.items():
+            kind = ConstraintKind(name, **{entry.param: 50.0})
+            assert kind.kind == name
+            assert ConstraintKind.of(name, 50.0) == kind
+
+    def test_gradient_check_covers_every_constraint(self):
+        kinds = {f().kind for f in gradcheck.KIND_FACTORY.values()}
+        assert kinds == set(CONSTRAINTS)
+
+    @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
+    def test_unknown_constraint_exits_two(self, tmp_path, biased_csv,
+                                          biased_schema_json, command, capsys):
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json,
+                         constraint="eo_sum", sweep=[0.1])
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "unknown constraint" in capsys.readouterr().err

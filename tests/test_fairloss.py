@@ -175,7 +175,7 @@ class TestRangeInvariants:
 
 
 class TestGradients:
-    KINDS = ("dp", "eo_sum", "eo_max", "di", "dp_multi", "ce", "qmean")
+    KINDS = ("dp", "eo-sum", "eo-max", "di", "dp-multi", "ce", "qmean")
 
     @staticmethod
     def value_of(kind, batch):
@@ -183,7 +183,7 @@ class TestGradients:
             return cross_entropy(batch.p, batch.y)
         if kind == "qmean":
             return q_mean(batch)
-        if kind == "dp_multi":
+        if kind == "dp-multi":
             return const_dp_multi(
                 MultiGroupBatch(batch.p, batch.a.astype(int), 2))
         return constraint_value(batch, _KIND_OBJ[kind])
@@ -244,10 +244,10 @@ class TestGradients:
 
 _KIND_OBJ = {
     "dp": ConstraintKind.dp(0.0),
-    "eo_sum": ConstraintKind.eo_sum(0.0),
-    "eo_max": ConstraintKind.eo_max(0.0),
+    "eo-sum": ConstraintKind.eo_sum(0.0),
+    "eo-max": ConstraintKind.eo_max(0.0),
     "di": ConstraintKind.di(80.0),
-    "dp_multi": ConstraintKind.dp_multi(0.0),
+    "dp-multi": ConstraintKind.dp_multi(0.0),
 }
 
 
@@ -260,6 +260,15 @@ class TestMultiGroup:
     def test_missing_group_rejected(self):
         with pytest.raises(DegenerateBatchError):
             MultiGroupBatch(np.array([0.5, 0.5]), np.array([0, 0]), 2)
+
+    def test_binary_dp_multi_is_exactly_twice_dp(self):
+        rng = Rng(45)
+        dp, multi = ConstraintKind.dp(0.0), ConstraintKind.dp_multi(0.0)
+        for _ in range(200):
+            b = random_batch(rng, s_min=2, s_max=40)
+            assert constraint_value(b, multi) == 2.0 * constraint_value(b, dp)
+            np.testing.assert_array_equal(grad_wrt_p(multi, b),
+                                          2.0 * grad_wrt_p(dp, b))
 
     def test_three_group_value_matches_oracle(self):
         rng = Rng(44)

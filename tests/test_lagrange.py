@@ -164,7 +164,7 @@ class TestFit:
 
         from fairmlp.data import batch_iter
         state = init_state(ds.d, cfg)
-        epochs = batch_iter(ds, cfg.batch_size, cfg.seed + 1, cfg.constraint,
+        epochs = batch_iter(ds, cfg.batch_size, cfg.seed + 1,
                             require_classes=False)
         for _, batches in zip(range(10), epochs):
             for idx in batches:

@@ -2,56 +2,25 @@ import numpy as np
 import pytest
 
 from fairmlp.errors import ParameterError, ShapeError
-from fairmlp.numcore import AdamState, Rng, adam_step, mat_mul, matrix, rng_normal
-
-
-class TestMatMul:
-    def test_identity(self):
-        a = matrix([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(mat_mul(a, np.eye(2)), a)
-
-    def test_hand_product(self):
-        out = mat_mul(matrix([[1.0, 2.0]]), matrix([[3.0], [4.0]]))
-        np.testing.assert_allclose(out, [[11.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            mat_mul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_associative_with_identity(self):
-        rng = Rng(5)
-        for _ in range(20):
-            a = rng.gen.normal(size=(5, 5))
-            b = rng.gen.normal(size=(5, 5))
-            c = rng.gen.normal(size=(5, 5))
-            left = mat_mul(mat_mul(a, b), c)
-            right = mat_mul(a, mat_mul(b, c))
-            np.testing.assert_allclose(left, right, atol=1e-12)
-            np.testing.assert_allclose(mat_mul(a, np.eye(5)), a, atol=1e-12)
-
-    def test_matrix_validates(self):
-        with pytest.raises(ShapeError):
-            matrix([1.0, 2.0, 3.0], rows=2, cols=2)
-        with pytest.raises(ShapeError):
-            matrix([1.0, 2.0])
+from fairmlp.numcore import AdamState, Rng, adam_step
 
 
 class TestRng:
     def test_same_seed_identical(self):
-        s1 = rng_normal(Rng(42), 0.0, 1.0, 1000)
-        s2 = rng_normal(Rng(42), 0.0, 1.0, 1000)
+        s1 = Rng(42).normal(0.0, 1.0, 1000)
+        s2 = Rng(42).normal(0.0, 1.0, 1000)
         assert s1.tobytes() == s2.tobytes()
 
     def test_zero_std_constant(self):
-        out = rng_normal(Rng(1), 3.5, 0.0, 10)
+        out = Rng(1).normal(3.5, 0.0, 10)
         np.testing.assert_array_equal(out, np.full(10, 3.5))
 
     def test_negative_std_rejected(self):
         with pytest.raises(ParameterError):
-            rng_normal(Rng(1), 0.0, -1.0, 5)
+            Rng(1).normal(0.0, -1.0, 5)
 
     def test_large_sample_mean(self):
-        out = rng_normal(Rng(7), 0.0, 1.0, 10 ** 5)
+        out = Rng(7).normal(0.0, 1.0, 10 ** 5)
         assert abs(out.mean()) < 0.02
 
 
