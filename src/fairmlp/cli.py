@@ -154,6 +154,7 @@ def _subset_table(table: data.RawTable, idx) -> data.RawTable:
 
 def cmd_train(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
+    tc = cfg.train_config()  # a bad hyperparameter fails before ingest
     schema = data.resolve_schema(cfg.schema)
     table = data.load_csv(cfg.data, schema)
     a, y = data.extract_labels(table, schema)
@@ -165,7 +166,6 @@ def cmd_train(cfg: RunConfig) -> int:
     ds_train = data.encode(train_table, schema, encoder)
     ds_test = data.encode(test_table, schema, encoder)
 
-    tc = cfg.train_config()
     params, log = lagrange.fit(ds_train, tc)
     report = audit.evaluate(params, ds_test, tc.batch_size, seed=cfg.seed)
 
@@ -182,11 +182,17 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _crossval_reports(cfg: RunConfig, sweep_value: float | None = None):
+def _load_folds(cfg: RunConfig) -> tuple[data.Dataset, list[np.ndarray]]:
+    """The encoded dataset and its k folds; these depend on the seed but
+    not on the constraint, so a sweep builds them once."""
     schema = data.resolve_schema(cfg.schema)
     table = data.load_csv(cfg.data, schema)
     dataset = data.encode(table, schema)
-    folds = data.kfold(dataset, cfg.folds, cfg.seed)
+    return dataset, data.kfold(dataset, cfg.folds, cfg.seed)
+
+
+def _crossval_reports(cfg: RunConfig, dataset: data.Dataset, folds,
+                      sweep_value: float | None = None):
     fold_reports, logs = [], []
     for i, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(np.arange(dataset.n), test_idx)
@@ -202,7 +208,8 @@ def cmd_crossval(cfg: RunConfig) -> int:
     if cfg.folds < 2:
         raise ParameterError("crossval requires folds >= 2")
     t0 = time.perf_counter()
-    fold_reports, logs = _crossval_reports(cfg)
+    cfg.train_config()  # a bad hyperparameter fails before ingest
+    fold_reports, logs = _crossval_reports(cfg, *_load_folds(cfg))
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for i, log in enumerate(logs):
@@ -219,12 +226,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ParameterError("sweep requires a nonempty 'sweep' list in config")
     if cfg.folds < 2:
         raise ParameterError("sweep requires folds >= 2")
+    for value in cfg.sweep:  # a bad value fails before ingest
+        cfg.train_config(value)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     metric = CONSTRAINTS[cfg.constraint].metric
+    dataset, folds = _load_folds(cfg)
     rows = []
     for value in cfg.sweep:
-        fold_reports, _ = _crossval_reports(cfg, sweep_value=value)
+        fold_reports, _ = _crossval_reports(cfg, dataset, folds,
+                                            sweep_value=value)
         agg = _aggregate(fold_reports)
         rows.append({
             "epsilon_or_p": value,

@@ -355,57 +355,64 @@ def epoch_batches(a: np.ndarray, y: np.ndarray, size: int, rng: Rng,
                 f"a required cell has {cell.size} rows but {n_batches} batches "
                 "are needed; reduce the batch count or rebalance the data")
 
-    batches: list[list[int]] = [[] for _ in range(n_batches)]
-    batch_sets: list[set] = [set() for _ in range(n_batches)]
+    # seeds[b, k]: the row cell k gave full batch b, or -1 where the batch
+    # already held a row of that cell (cells overlap, so a row can cover
+    # several)
+    seeds = np.full((n_seeded, len(required)), -1, dtype=np.int64)
     used = np.zeros(n, dtype=bool)
-    # give each full batch one row from every required cell it does not
-    # already intersect (cells overlap, so a row can cover several)
-    for cell in required:
-        cell_set = {int(r) for r in cell}
-        order = (int(r) for r in rng.shuffled(cell))
-        for b in range(n_seeded):
-            if batch_sets[b] & cell_set:
-                continue
-            row = next((r for r in order if not used[r]), None)
-            if row is None:
-                raise DataError(
-                    "stratification cells overlap too much to seed batches")
-            batches[b].append(row)
-            batch_sets[b].add(row)
-            used[row] = True
-            if len(batches[b]) > size:
-                raise DataError(
-                    f"batch size {size} cannot hold the required cells")
+    in_cell = np.zeros(n, dtype=bool)
+    for k, cell in enumerate(required):
+        order = rng.shuffled(cell)
+        in_cell[:] = False
+        in_cell[cell] = True
+        placed = seeds[:, :k]
+        has = placed >= 0
+        need = np.flatnonzero(~(has & in_cell[placed]).any(axis=1))
+        free = order[~used[order]]
+        # batches are seeded in order, so the first one to fail raises
+        too_full = np.flatnonzero(has.sum(axis=1)[need] + 1 > size)
+        if too_full.size and too_full[0] < min(need.size, free.size):
+            raise DataError(f"batch size {size} cannot hold the required cells")
+        if need.size > free.size:
+            raise DataError("stratification cells overlap too much to seed batches")
+        rows = free[:need.size]
+        seeds[need, k] = rows
+        used[rows] = True
 
+    # each full batch is its seeds in cell order, then the shuffled pool
     pool = rng.shuffled(np.where(~used)[0])
-    at = 0
-    for b in range(n_seeded):
-        take = size - len(batches[b])
-        batches[b].extend(int(r) for r in pool[at:at + take])
-        at += take
+    full = np.empty((n_seeded, size), dtype=np.int64)
+    seeded = seeds >= 0
+    n_seeds = seeded.sum(axis=1)
+    is_seed = np.arange(size) < n_seeds[:, None]
+    full[is_seed] = seeds[seeded]
+    at = n_seeded * size - int(n_seeds.sum())
+    full[~is_seed] = pool[:at]
+    batches = list(full)
 
     if not divisible:
         # leftovers start the final batch; resample the rest from earlier rows
         final = [int(r) for r in pool[at:]]
-        in_final = set(final)
+        in_final = np.zeros(n, dtype=bool)
+        in_final[final] = True
         for cell in required:
-            if not any(int(r) in in_final for r in cell):
-                fill = next(int(r) for r in rng.shuffled(cell)
-                            if int(r) not in in_final)
+            if not in_final[cell].any():
+                # no row of the cell is in the final batch yet
+                fill = int(rng.shuffled(cell)[0])
                 final.append(fill)
-                in_final.add(fill)
+                in_final[fill] = True
         short = size - len(final)
         if short < 0:
             raise DataError("dataset too small to stratify the final batch")
         if short > 0:
-            earlier = {int(r) for b in batches[:-1] for r in b}
-            candidates = np.asarray(sorted(earlier - in_final), dtype=np.int64)
+            # every row not in the final batch sits in an earlier one
+            candidates = np.flatnonzero(~in_final)
             if candidates.size < short:
                 raise DataError("dataset too small to fill the final batch")
             final.extend(int(r) for r in rng.choice(candidates, size=short,
                                                     replace=False))
-        batches[-1] = final
-    return [np.asarray(b, dtype=np.int64) for b in batches]
+        batches.append(np.asarray(final, dtype=np.int64))
+    return batches
 
 
 def batch_iter(dataset: Dataset, size: int, seed: int,

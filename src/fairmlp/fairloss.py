@@ -20,7 +20,8 @@ kinks, first branch at min/max ties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -99,13 +100,40 @@ class ConstraintKind:
         return self.epsilon
 
 
+def _is_binary(x: np.ndarray) -> bool:
+    return bool(((x == 0) | (x == 1)).all())
+
+
+class _Split:
+    """A 0/1 indicator, its complement and the two counts, computed once
+    and shared by every quantity taken on one batch."""
+
+    def __init__(self, ones: np.ndarray):
+        self.ones = ones
+        self.zeros = 1.0 - ones
+        self.n_ones = ones.sum()
+        self.n_zeros = self.zeros.sum()
+
+    def means(self, values: np.ndarray) -> tuple[float, float]:
+        """Means of ``values`` over the 1-rows and over the 0-rows."""
+        return (float((values * self.ones).sum() / self.n_ones),
+                float((values * self.zeros).sum() / self.n_zeros))
+
+    @cached_property
+    def direction(self) -> np.ndarray:
+        # d/dp_i of (mean over the 1-rows - mean over the 0-rows)
+        return self.ones / self.n_ones - self.zeros / self.n_zeros
+
+
 @dataclass
 class Batch:
-    """One fixed-size batch (p, a, y) on which constraints are computed."""
+    """One fixed-size batch (p, a, y) on which constraints are computed.
+    ``groups`` splits it by the attribute a, ``classes`` by the label y."""
 
     p: np.ndarray
     a: np.ndarray
     y: np.ndarray
+    groups: _Split = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=np.float64)
@@ -113,16 +141,21 @@ class Batch:
         self.y = np.asarray(self.y)
         if not (self.p.shape == self.a.shape == self.y.shape) or self.p.ndim != 1:
             raise ShapeError("p, a, y must be 1-D arrays of equal length")
-        if not np.all(np.isfinite(self.p)):
-            raise ShapeError("probabilities must be finite")
-        if np.any(self.p <= 0.0) or np.any(self.p >= 1.0):
+        if not ((self.p > 0.0) & (self.p < 1.0)).all():  # NaN fails too
+            if not np.all(np.isfinite(self.p)):
+                raise ShapeError("probabilities must be finite")
             raise ParameterError("probabilities must lie strictly in (0, 1)")
-        if not np.isin(self.a, (0, 1)).all() or not np.isin(self.y, (0, 1)).all():
+        if not (_is_binary(self.a) and _is_binary(self.y)):
             raise ParameterError("a and y must be binary")
         self.a = self.a.astype(np.float64)
         self.y = self.y.astype(np.float64)
-        if self.a.sum() < 1 or (1.0 - self.a).sum() < 1:
+        self.groups = _Split(self.a)
+        if self.groups.n_ones < 1 or self.groups.n_zeros < 1:
             raise DegenerateBatchError("batch must contain both sensitive groups")
+
+    @cached_property
+    def classes(self) -> _Split:
+        return _Split(self.y)
 
     @property
     def size(self) -> int:
@@ -151,26 +184,15 @@ class MultiGroupBatch:
                 raise DegenerateBatchError(f"group {j} missing from batch")
 
 
-def _group_means(p: np.ndarray, a: np.ndarray) -> tuple[float, float]:
-    n1 = a.sum()
-    n0 = (1.0 - a).sum()
-    return float((p * a).sum() / n1), float((p * (1.0 - a)).sum() / n0)
-
-
-def _dp_direction(a: np.ndarray) -> np.ndarray:
-    # d/dp_i of (mean over a=1 - mean over a=0)
-    return a / a.sum() - (1.0 - a) / (1.0 - a).sum()
-
-
 def const_dp(batch: Batch) -> float:
     """Demographic-parity gap: |mean p over a=1 - mean p over a=0|."""
-    m1, m0 = _group_means(batch.p, batch.a)
+    m1, m0 = batch.groups.means(batch.p)
     return abs(m1 - m0)
 
 
 def _grad_dp(batch: Batch) -> np.ndarray:
-    m1, m0 = _group_means(batch.p, batch.a)
-    return np.sign(m1 - m0) * _dp_direction(batch.a)
+    m1, m0 = batch.groups.means(batch.p)
+    return np.sign(m1 - m0) * batch.groups.direction
 
 
 def fpr_gap(batch: Batch) -> float:
@@ -178,13 +200,13 @@ def fpr_gap(batch: Batch) -> float:
 
     Denominators are full group sizes, not negative-label counts.
     """
-    m1, m0 = _group_means(batch.p * (1.0 - batch.y), batch.a)
+    m1, m0 = batch.groups.means(batch.p * batch.classes.zeros)
     return abs(m1 - m0)
 
 
 def fnr_gap(batch: Batch) -> float:
     """|sum (1-p)y a / sum a  -  sum (1-p)y(1-a) / sum (1-a)|."""
-    m1, m0 = _group_means((1.0 - batch.p) * batch.y, batch.a)
+    m1, m0 = batch.groups.means((1.0 - batch.p) * batch.y)
     return abs(m1 - m0)
 
 
@@ -201,11 +223,11 @@ def const_eo(batch: Batch, variant: str = "sum") -> float:
 
 def _eo_grads(batch: Batch) -> tuple[np.ndarray, np.ndarray, float, float]:
     # gradients of the FPR and FNR gaps, then the two gap values
-    p, a, y = batch.p, batch.a, batch.y
-    d = _dp_direction(a)
-    m1f, m0f = _group_means(p * (1.0 - y), a)
-    g_fpr = np.sign(m1f - m0f) * (1.0 - y) * d
-    m1n, m0n = _group_means((1.0 - p) * y, a)
+    p, y, not_y = batch.p, batch.y, batch.classes.zeros
+    d = batch.groups.direction
+    m1f, m0f = batch.groups.means(p * not_y)
+    g_fpr = np.sign(m1f - m0f) * not_y * d
+    m1n, m0n = batch.groups.means((1.0 - p) * y)
     g_fnr = np.sign(m1n - m0n) * (-y) * d
     return g_fpr, g_fnr, abs(m1f - m0f), abs(m1n - m0n)
 
@@ -227,19 +249,19 @@ def const_di(batch: Batch, mean_floor: float = DI_MEAN_FLOOR) -> float:
     ``mean_floor`` clamps each ratio denominator; pass 0 for the exact
     unclamped ratio (used by the non-coverability counterexample).
     """
-    m1, m0 = _group_means(batch.p, batch.a)
+    m1, m0 = batch.groups.means(batch.p)
     r = m1 / max(m0, mean_floor) if mean_floor > 0 else m1 / m0
     r_inv = m0 / max(m1, mean_floor) if mean_floor > 0 else m0 / m1
     return -min(r, r_inv)
 
 
 def _grad_di(batch: Batch) -> np.ndarray:
-    a = batch.a
-    m1, m0 = _group_means(batch.p, a)
+    g = batch.groups
+    m1, m0 = g.means(batch.p)
     m1f = max(m1, DI_MEAN_FLOOR)
     m0f = max(m0, DI_MEAN_FLOOR)
-    dm1 = a / a.sum()
-    dm0 = (1.0 - a) / (1.0 - a).sum()
+    dm1 = g.ones / g.n_ones
+    dm0 = g.zeros / g.n_zeros
     # derivative of a floored denominator is zero where the floor binds
     dm1f = dm1 if m1 > DI_MEAN_FLOOR else np.zeros_like(dm1)
     dm0f = dm0 if m0 > DI_MEAN_FLOOR else np.zeros_like(dm0)
@@ -254,8 +276,7 @@ def const_dp_multi(batch: MultiGroupBatch) -> float:
     """Sum over groups j of the one-vs-rest demographic-parity gap."""
     total = 0.0
     for j in range(batch.m):
-        aj = (batch.group == j).astype(np.float64)
-        m1, m0 = _group_means(batch.p, aj)
+        m1, m0 = _Split((batch.group == j).astype(np.float64)).means(batch.p)
         total += abs(m1 - m0)
     return total
 
@@ -264,9 +285,9 @@ def grad_dp_multi_wrt_p(batch: MultiGroupBatch) -> np.ndarray:
     """Gradient of the m-group summed one-vs-rest parity constraint."""
     g = np.zeros_like(batch.p)
     for j in range(batch.m):
-        aj = (batch.group == j).astype(np.float64)
-        m1, m0 = _group_means(batch.p, aj)
-        g += np.sign(m1 - m0) * _dp_direction(aj)
+        split = _Split((batch.group == j).astype(np.float64))
+        m1, m0 = split.means(batch.p)
+        g += np.sign(m1 - m0) * split.direction
     return g
 
 
@@ -300,6 +321,11 @@ def q_mean(batch: Batch, include_class_factor: bool = False) -> float:
     normalization), which scales the result by exactly 1/sqrt(2).
     """
     u, v = _qmean_terms(batch)
+    return _qmean_from_terms(u, v, include_class_factor)
+
+
+def _qmean_from_terms(u: float, v: float,
+                      include_class_factor: bool = False) -> float:
     bracket = u * u + v * v
     if include_class_factor:
         bracket /= 2.0
@@ -307,23 +333,22 @@ def q_mean(batch: Batch, include_class_factor: bool = False) -> float:
 
 
 def _qmean_terms(batch: Batch) -> tuple[float, float]:
-    n_pos = batch.y.sum()
-    n_neg = (1.0 - batch.y).sum()
-    if n_pos < 1 or n_neg < 1:
+    c = batch.classes
+    if c.n_ones < 1 or c.n_zeros < 1:
         raise DegenerateBatchError("q-mean needs both classes in the batch")
-    u = 1.0 - float((batch.y * batch.p).sum() / n_pos)
-    v = 1.0 - float(((1.0 - batch.y) * (1.0 - batch.p)).sum() / n_neg)
+    u = 1.0 - float((batch.y * batch.p).sum() / c.n_ones)
+    v = 1.0 - float((c.zeros * (1.0 - batch.p)).sum() / c.n_zeros)
     return u, v
 
 
 def _grad_qmean(batch: Batch) -> np.ndarray:
     y = batch.y
     u, v = _qmean_terms(batch)
-    q = q_mean(batch)
+    q = _qmean_from_terms(u, v)
     if q == 0.0:
         return np.zeros_like(batch.p)
-    du = -y / y.sum()
-    dv = (1.0 - y) / (1.0 - y).sum()
+    du = -y / batch.classes.n_ones
+    dv = batch.classes.zeros / batch.classes.n_zeros
     return (u * du + v * dv) / q
 
 

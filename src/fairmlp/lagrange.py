@@ -59,6 +59,12 @@ class TrainConfig:
             raise ParameterError("lambda_optimizer must be 'adam' or 'sgd'")
         if self.lambda_init < 0:
             raise ParameterError("lambda_init must be >= 0")
+        if self.lr_lambda is not None and self.lr_lambda <= 0:
+            raise ParameterError("lr_lambda must be > 0")
+        if self.convergence_window < 1:
+            raise ParameterError("convergence_window must be >= 1")
+        if self.convergence_tol < 0:
+            raise ParameterError("convergence_tol must be >= 0")
 
     @property
     def effective_lr_lambda(self) -> float:
@@ -83,13 +89,23 @@ class StepInfo:
 
 @dataclass
 class TrainState:
-    """Joint state of the min-max game."""
+    """Joint state of the min-max game.
 
+    ``vec`` is the one flat buffer [w1, b1, w2, b2, w_out, b_out, lambda]
+    that Adam updates in place; ``params`` are views into it. ``grad`` and
+    ``lr`` are laid out the same way.
+    """
+
+    vec: np.ndarray
     params: MlpParams
-    lam: float
-    adam_theta: AdamState
-    adam_lambda: AdamState
+    grad: np.ndarray
+    lr: np.ndarray
+    adam: AdamState
     epoch: int = 0
+
+    @property
+    def lam(self) -> float:
+        return float(self.vec[-1])
 
 
 @dataclass
@@ -113,13 +129,16 @@ def total_loss(objective_value: float, lam: float,
 
 def init_state(d: int, cfg: TrainConfig) -> TrainState:
     rng = Rng(cfg.seed)
-    params = init_params(d, cfg.h1, cfg.h2, rng)
-    return TrainState(
-        params=params,
-        lam=float(cfg.lambda_init),
-        adam_theta=AdamState.zeros(params.n_params),
-        adam_lambda=AdamState.zeros(1),
-    )
+    init = init_params(d, cfg.h1, cfg.h2, rng)
+    n = init.n_params + 1
+    vec = np.empty(n)
+    init.flatten(out=vec[:-1])
+    vec[-1] = cfg.lambda_init
+    lr = np.full(n, float(cfg.lr_theta))
+    lr[-1] = cfg.effective_lr_lambda
+    params = MlpParams.unflatten(vec[:-1], d, cfg.h1, cfg.h2)
+    return TrainState(vec=vec, params=params, grad=np.zeros(n), lr=lr,
+                      adam=AdamState.zeros(n))
 
 
 def train_step(state: TrainState, batch: TrainBatch, cfg: TrainConfig) -> StepInfo:
@@ -138,22 +157,18 @@ def train_step(state: TrainState, batch: TrainBatch, cfg: TrainConfig) -> StepIn
         dL_dp = dobj_dp
     else:
         dL_dp = dobj_dp + state.lam * fairloss.grad_wrt_p(cfg.constraint, fb)
-    grads = backward(state.params, trace, dL_dp)
+    backward(state.params, trace, dL_dp).flatten(out=state.grad[:-1])
 
-    d, h1, h2 = state.params.dims
-    theta = adam_step(state.adam_theta, state.params.flatten(),
-                      grads.flatten(), cfg.lr_theta)
-    state.params = MlpParams.unflatten(theta, d, h1, h2)
-
+    # ascent on l_k == descent on -l_k; with a zero slot Adam leaves
+    # lambda exactly where it is (m = v = 0 gives a step of 0)
+    lambda_adam = not cfg.lambda_zero and cfg.lambda_optimizer == "adam"
+    state.grad[-1] = -l_k if lambda_adam else 0.0
+    adam_step(state.adam, state.vec, state.grad, state.lr)
     if not cfg.lambda_zero:
-        if cfg.lambda_optimizer == "adam":
-            # ascent on l_k == descent on -l_k
-            lam_vec = adam_step(state.adam_lambda, np.asarray([state.lam]),
-                                np.asarray([-l_k]), cfg.effective_lr_lambda)
-            lam = float(lam_vec[0])
-        else:
-            lam = state.lam + cfg.effective_lr_lambda * l_k
-        state.lam = max(lam, 0.0)
+        lam = state.lam
+        if cfg.lambda_optimizer == "sgd":
+            lam += cfg.effective_lr_lambda * l_k
+        state.vec[-1] = max(lam, 0.0)
 
     return StepInfo(objective=obj_val, constraint=c_val,
                     total=total_loss(obj_val, state.lam, l_k))

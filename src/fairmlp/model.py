@@ -44,8 +44,9 @@ class MlpParams:
     def _arrays(self) -> tuple[np.ndarray, ...]:
         return (self.w1, self.b1, self.w2, self.b2, self.w_out, self.b_out)
 
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([arr.ravel() for arr in self._arrays()])
+    def flatten(self, out: np.ndarray | None = None) -> np.ndarray:
+        """All arrays as one vector, written into ``out`` when given."""
+        return np.concatenate([arr.ravel() for arr in self._arrays()], out=out)
 
     @classmethod
     def unflatten(cls, vec: np.ndarray, d: int, h1: int, h2: int) -> "MlpParams":

@@ -42,7 +42,8 @@ class Rng:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for one flat parameter vector."""
+    """First/second moment accumulators for one flat parameter vector,
+    plus two work buffers of the same size for the update."""
 
     m: np.ndarray
     v: np.ndarray
@@ -50,6 +51,9 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps_hat: float = 1e-8
+
+    def __post_init__(self):
+        self.work = np.empty((2,) + self.m.shape)
 
     @classmethod
     def zeros(cls, n: int, beta1: float = 0.9, beta2: float = 0.999,
@@ -59,25 +63,49 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
-              lr: float) -> np.ndarray:
-    """One bias-corrected Adam update; advances ``state`` in place.
+              lr) -> np.ndarray:
+    """One bias-corrected Adam update of ``params`` in place; advances
+    ``state`` and returns ``params``.
 
     params <- params - lr * m_hat / (sqrt(v_hat) + eps_hat)
+
+    ``lr`` is one rate, or an array with one rate per coordinate. The
+    update is checked for finiteness before it is written, so a failing
+    step leaves ``params`` as it was.
     """
-    params = np.asarray(params, dtype=np.float64)
+    if not isinstance(params, np.ndarray) or params.dtype != np.float64:
+        raise ParameterError("params must be a float64 array (updated in place)")
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ShapeError(
             f"params {params.shape}, grads {grads.shape}, state {state.m.shape} "
             "must all match")
-    if lr <= 0:
-        raise ParameterError(f"lr must be > 0, got {lr}")
+    lr_min = np.min(lr)
+    if lr_min <= 0:
+        raise ParameterError(f"lr must be > 0, got {lr_min}")
+    # the operations, and their order, of
+    #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+    #   params - lr * m_hat / (sqrt(v_hat) + eps)
+    # done in place and in the work buffers, so the result is bit-identical
+    # to that form
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    out = params - lr * m_hat / (np.sqrt(v_hat) + state.eps_hat)
-    if not np.all(np.isfinite(out)):
+    m, v = state.m, state.v
+    step, denom = state.work
+    m *= state.beta1
+    np.multiply(grads, 1.0 - state.beta1, out=step)
+    m += step
+    v *= state.beta2
+    np.multiply(grads, 1.0 - state.beta2, out=step)
+    step *= grads
+    v += step
+    np.divide(v, 1.0 - state.beta2 ** state.t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps_hat
+    np.divide(m, 1.0 - state.beta1 ** state.t, out=step)
+    step *= lr
+    step /= denom
+    np.subtract(params, step, out=step)
+    if not np.isfinite(step).all():
         raise NumericError("adam_step produced non-finite parameters")
-    return out
+    params[...] = step
+    return params

@@ -1,6 +1,9 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 
 import gradcheck
+from fairmlp import data
 from fairmlp.audit import MetricsReport
 from fairmlp.cli import build_parser, main
 from fairmlp.fairloss import CONSTRAINTS, OBJECTIVES, ConstraintKind
@@ -94,6 +98,32 @@ class TestCrossval:
         assert main(["crossval", "--config", str(cfg)]) == 0
         second = strip_metadata(report_path)
         assert first == second
+
+
+class TestThreadCountDeterminism:
+    def test_reruns_byte_identical_at_each_thread_count(self, tmp_path,
+                                                         biased_csv,
+                                                         biased_schema_json):
+        # the training step updates its buffers in place; reruns must still
+        # agree byte for byte as long as the BLAS thread count is the same
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json,
+                         h1=32, h2=16, max_epochs=3)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for threads in ("1", "2"):
+            reports = []
+            for rerun in range(2):
+                # the same --out both times: the report records out_dir
+                out = tmp_path / f"threads{threads}"
+                env = dict(os.environ, PYTHONPATH=path,
+                           OPENBLAS_NUM_THREADS=threads)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "fairmlp.cli", "crossval",
+                     "--config", str(cfg), "--out", str(out)],
+                    env=env, capture_output=True, text=True)
+                assert proc.returncode == 0, proc.stderr
+                reports.append(strip_metadata(out / "report.json"))
+            assert reports[0] == reports[1], threads
 
 
 class TestAuditCommand:
@@ -280,10 +310,81 @@ class TestSweep:
         for r in rows:
             assert repr(float(r["mean_accuracy"])) == r["mean_accuracy"]
 
+    def test_ingests_once_and_rows_match_crossval(self, tmp_path, biased_csv,
+                                                  biased_schema_json, capsys,
+                                                  monkeypatch):
+        calls = {"load_csv": 0, "encode": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(data, name), **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+            monkeypatch.setattr(data, name, counted)
+        values = [0.01, 0.05, 0.1]
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json,
+                         max_epochs=4, sweep=values)
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert calls == {"load_csv": 1, "encode": 1}
+        with open(tmp_path / "out" / "tradeoff.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        for value, row in zip(values, rows):
+            cv = run_config(tmp_path, biased_csv, biased_schema_json,
+                            max_epochs=4, epsilon=value,
+                            out_dir=str(tmp_path / f"cv{value}"))
+            assert main(["crossval", "--config", str(cv)]) == 0
+            agg = json.loads((tmp_path / f"cv{value}" / "report.json")
+                             .read_text())["aggregate"]
+            assert float(row["epsilon_or_p"]) == value
+            assert float(row["mean_accuracy"]) == agg["mean"]["accuracy"]
+            assert float(row["stddev_accuracy"]) == agg["stddev"]["accuracy"]
+            assert float(row["mean_constraint_value"]) == agg["mean"]["dp_soft"]
+            assert (float(row["stddev_constraint_value"])
+                    == agg["stddev"]["dp_soft"])
+
     def test_empty_sweep_exits_two(self, tmp_path, biased_csv,
                                    biased_schema_json, capsys):
         cfg = run_config(tmp_path, biased_csv, biased_schema_json, sweep=[])
         assert main(["sweep", "--config", str(cfg)]) == 2
+
+
+class TestBadHyperparameters:
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        calls = []
+        real = data.load_csv
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+        monkeypatch.setattr(data, "load_csv", counted)
+        return calls
+
+    @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
+    @pytest.mark.parametrize("key,value", [
+        ("lr_lambda", 0.0), ("lr_lambda", -0.05),
+        ("convergence_window", 0), ("convergence_tol", -1e-6)])
+    def test_exits_two_before_ingest(self, tmp_path, biased_csv,
+                                     biased_schema_json, loads, command, key,
+                                     value, capsys):
+        # with SGD ascent a negative lr_lambda would silently descend on
+        # lambda instead
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json,
+                         lambda_optimizer="sgd", sweep=[0.05, 0.1],
+                         **{key: value})
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert key in err
+        assert loads == []
+
+    def test_bad_sweep_value_exits_two_before_ingest(self, tmp_path,
+                                                     biased_csv,
+                                                     biased_schema_json,
+                                                     loads, capsys):
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json,
+                         sweep=[0.05, -0.1])
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "epsilon" in capsys.readouterr().err
+        assert loads == []
 
 
 class TestBounds:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+import oracles
 from fairmlp.data import (Encoder, SchemaConfig, adult_schema, batch_iter,
                           encode, epoch_batches, extract_labels, fit_encoder,
                           holdout_split, kfold, load_csv, resolve_schema)
-from fairmlp.errors import DataError, SchemaError
+from fairmlp.errors import DataError, ParameterError, SchemaError
 from fairmlp.fairloss import Batch
 from fairmlp.numcore import Rng
 from conftest import write_csv
@@ -213,6 +215,69 @@ class TestEpochBatches:
         first = [b.tolist() for b in next(it)]
         second = [b.tolist() for b in next(it)]
         assert first != second
+
+
+@st.composite
+def batching_cases(draw):
+    """(a, y, size, need_classes, seed), including sizes and cell counts
+    that epoch_batches must reject."""
+    n = draw(st.integers(1, 60))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    a = np.asarray(draw(bits), dtype=np.int64)
+    y = np.asarray(draw(bits), dtype=np.int64)
+    # tiny sizes reach the errors raised while seeding the batches
+    size = draw(st.one_of(st.integers(1, 4), st.integers(1, n + 2)))
+    return (a, y, size, draw(st.booleans()),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def two_epochs(batching, a, y, size, need_classes, seed):
+    """Two consecutive epochs from one Rng, as index lists, or the error
+    that ended them."""
+    rng = Rng(seed)
+    out = []
+    for _ in range(2):
+        try:
+            batches = batching(a, y, size, rng, need_classes=need_classes)
+        except (DataError, ParameterError) as exc:
+            out.append((type(exc), str(exc)))
+            break
+        out.append([b.tolist() for b in batches])
+    return out
+
+
+def _case(a, y, size, seed):
+    return (np.asarray(a), np.asarray(y), size, True, seed)
+
+
+class TestEpochBatchesProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(batching_cases())
+    # the rare errors, which random cases reach only now and then: the
+    # batch cannot hold the cells, the cells overlap too much to seed, and
+    # the final batch is too small to stratify
+    @example(_case([1, 1, 1, 0, 0], [1, 1, 0, 0, 1], 2, 1))
+    @example(_case([1, 0, 0, 0, 1, 1, 1], [1, 1, 0, 1, 0, 0, 0], 2, 1))
+    @example(_case([1, 1, 1, 1, 0, 0, 1, 0], [0, 1, 0, 1, 1, 1, 0, 1], 3, 3))
+    def test_matches_set_based_reference(self, case):
+        assert (two_epochs(epoch_batches, *case)
+                == two_epochs(oracles.loop_epoch_batches, *case))
+
+    @settings(max_examples=300, deadline=None)
+    @given(batching_cases())
+    def test_invariants(self, case):
+        a, y, size, need_classes, seed = case
+        epochs = two_epochs(epoch_batches, *case)
+        assume(all(isinstance(e, list) for e in epochs))
+        cells = [a == 1, a == 0] + ([y == 1, y == 0] if need_classes else [])
+        for batches in epochs:
+            assert len(batches) == -(-a.size // size)
+            for idx in batches:
+                assert len(idx) == size
+                assert len(set(idx)) == size
+                for cell in cells:
+                    assert cell[idx].any()
+            assert set().union(*batches) == set(range(a.size))
 
 
 class TestSchema:

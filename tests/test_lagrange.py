@@ -9,7 +9,7 @@ from fairmlp.lagrange import (LogRow, TrainBatch, TrainConfig, fit,
                               init_state, total_loss, train_step,
                               write_training_log)
 from fairmlp.model import MlpParams, backward, forward, predict_hard
-from fairmlp.numcore import adam_step
+from fairmlp.numcore import AdamState, adam_step
 from fairmlp import fairloss
 
 
@@ -160,22 +160,23 @@ class TestFit:
         ds = biased_dataset(n=300)
         cfg = toy_config(lambda_zero=True, max_epochs=10,
                          constraint=ConstraintKind.dp(0.01))
-        params, _ = fit(ds, cfg)
+        fitted, _ = fit(ds, cfg)
 
         from fairmlp.data import batch_iter
-        state = init_state(ds.d, cfg)
+        params = init_state(ds.d, cfg).params.copy()
+        adam = AdamState.zeros(params.n_params)
         epochs = batch_iter(ds, cfg.batch_size, cfg.seed + 1,
                             require_classes=False)
         for _, batches in zip(range(10), epochs):
             for idx in batches:
-                trace = forward(state.params, ds.X[idx])
+                trace = forward(params, ds.X[idx])
                 b = fairloss.Batch(trace.p, ds.a[idx], ds.y[idx])
-                grads = backward(state.params, trace,
+                grads = backward(params, trace,
                                  fairloss.grad_wrt_p("ce", b))
-                theta = adam_step(state.adam_theta, state.params.flatten(),
+                theta = adam_step(adam, params.flatten(),
                                   grads.flatten(), cfg.lr_theta)
-                state.params = MlpParams.unflatten(theta, *state.params.dims)
-        assert params.flatten().tobytes() == state.params.flatten().tobytes()
+                params = MlpParams.unflatten(theta, *params.dims)
+        assert fitted.flatten().tobytes() == params.flatten().tobytes()
 
     def test_missing_group_rejected(self):
         gen = np.random.default_rng(0)
