@@ -124,32 +124,23 @@ def _write_report(path, payload: dict) -> None:
 def _report_payload(cfg: RunConfig, mode: str,
                     fold_reports: list[audit.MetricsReport],
                     training_logs: list, wall_ms: float) -> dict:
+    config = asdict(cfg)
+    # where the report is written does not change what it reports
+    out_dir = config.pop("out_dir")
     return {
         "format": REPORT_FORMAT,
         "mode": mode,
         "baseline": bool(cfg.lambda_zero),
-        "config": asdict(cfg),
+        "config": config,
         "folds": [r.to_dict() for r in fold_reports],
         "aggregate": _aggregate(fold_reports),
         "training": [_log_rows(log) for log in training_logs],
         "metadata": {
             "created_utc": datetime.now(timezone.utc).isoformat(),
+            "out_dir": out_dir,
             "wall_ms_total": wall_ms,
         },
     }
-
-
-def _write_raw_table(path, table: data.RawTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.header)
-        writer.writerows(table.rows)
-
-
-def _subset_table(table: data.RawTable, idx) -> data.RawTable:
-    return data.RawTable(header=table.header,
-                         rows=[table.rows[int(i)] for i in idx],
-                         n_dropped=0)
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -160,11 +151,9 @@ def cmd_train(cfg: RunConfig) -> int:
     a, y = data.extract_labels(table, schema)
     train_idx, test_idx = data.holdout_split(a, y, cfg.holdout_fraction,
                                              cfg.seed)
-    train_table = _subset_table(table, train_idx)
-    test_table = _subset_table(table, test_idx)
-    encoder = data.fit_encoder(train_table, schema)
-    ds_train = data.encode(train_table, schema, encoder)
-    ds_test = data.encode(test_table, schema, encoder)
+    test_table = table.take(test_idx)
+    ds_train = data.encode(table.take(train_idx), schema)
+    ds_test = data.encode(test_table, schema, ds_train.encoder)
 
     params, log = lagrange.fit(ds_train, tc)
     report = audit.evaluate(params, ds_test, tc.batch_size, seed=cfg.seed)
@@ -173,8 +162,8 @@ def cmd_train(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     model.save_checkpoint(out / "model.json", params, cfg.seed)
     lagrange.write_training_log(out / "training_log.csv", log)
-    encoder.to_json(out / "encoder.json")
-    _write_raw_table(out / "test_split.csv", test_table)
+    ds_train.encoder.to_json(out / "encoder.json")
+    test_table.to_csv(out / "test_split.csv")
     wall = (time.perf_counter() - t0) * 1000.0
     payload = _report_payload(cfg, "train", [report], [log], wall)
     _write_report(out / "report.json", payload)
@@ -262,9 +251,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def cmd_audit(args) -> int:
     params, meta = model.load_checkpoint(args.model)
     schema = data.resolve_schema(args.schema)
-    table = data.load_csv(args.data, schema)
     encoder = data.Encoder.from_json(args.encoder) if args.encoder else None
-    dataset = data.encode(table, schema, encoder)
+    # no reference to the raw table outlives encode, so it is freed
+    # before the evaluation
+    dataset = data.encode(data.load_csv(args.data, schema), schema, encoder)
     d = meta["dims"][0]
     if dataset.d != d:
         raise SchemaError(

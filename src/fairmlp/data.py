@@ -86,20 +86,33 @@ def resolve_schema(name_or_path: str) -> SchemaConfig:
 
 @dataclass
 class RawTable:
-    """Parsed CSV restricted to the schema's columns, missing rows dropped."""
+    """Parsed CSV restricted to the schema's columns, missing rows dropped:
+    one list of cell strings per column, keyed by column name in
+    ``SchemaConfig.used_columns`` order."""
 
-    header: list[str]
-    rows: list[list[str]]
-    n_dropped: int
+    columns: dict[str, list[str]]
+    n_dropped: int = 0
 
-    def column(self, name: str) -> list[str]:
-        j = self.header.index(name)
-        return [row[j] for row in self.rows]
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def take(self, idx) -> "RawTable":
+        """The rows at ``idx``, in that order."""
+        idx = np.asarray(idx).tolist()
+        return RawTable({name: [cells[i] for i in idx]
+                         for name, cells in self.columns.items()})
+
+    def to_csv(self, path) -> None:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(list(self.columns))
+            writer.writerows(zip(*self.columns.values()))
 
 
 def load_csv(path, schema: SchemaConfig) -> RawTable:
     """Read a header CSV, keeping schema columns and dropping any row that
     has the missing-value token in a used column."""
+    names = list(dict.fromkeys(schema.used_columns))
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -109,8 +122,8 @@ def load_csv(path, schema: SchemaConfig) -> RawTable:
         missing = [c for c in schema.used_columns if c not in header]
         if missing:
             raise SchemaError(f"{path} lacks required columns: {missing}")
-        idx = [header.index(c) for c in schema.used_columns]
-        rows, n_dropped = [], 0
+        idx = [header.index(c) for c in names]
+        columns, n_dropped = [[] for _ in names], 0
         for raw in reader:
             if not raw or all(not cell.strip() for cell in raw):
                 continue
@@ -122,8 +135,9 @@ def load_csv(path, schema: SchemaConfig) -> RawTable:
             if schema.missing_token in cells:
                 n_dropped += 1
                 continue
-            rows.append(cells)
-    return RawTable(header=list(schema.used_columns), rows=rows, n_dropped=n_dropped)
+            for column, cell in zip(columns, cells):
+                column.append(cell)
+    return RawTable(dict(zip(names, columns)), n_dropped)
 
 
 @dataclass
@@ -198,59 +212,48 @@ class Dataset:
                        self.feature_names, self.encoder)
 
 
-def _numeric_column(table: RawTable, col: str) -> np.ndarray:
-    try:
-        return np.asarray([float(v) for v in table.column(col)])
-    except ValueError as exc:
-        raise DataError(f"non-numeric value in column {col!r}: {exc}")
-
-
-def fit_encoder(table: RawTable, schema: SchemaConfig) -> Encoder:
-    """Learn per-column statistics and vocabularies from a table."""
-    if not table.rows:
-        raise DataError("cannot fit an encoder on an empty table")
-    enc = Encoder()
-    for col in schema.numeric:
-        values = _numeric_column(table, col)
-        enc.numeric_stats[col] = (float(values.mean()), float(values.std()))
-        enc.feature_names.append(col)
-    for col in schema.categorical:
-        vocab = sorted(set(table.column(col)))
-        enc.vocabulary[col] = vocab
-        enc.feature_names.extend(f"{col}={v}" for v in vocab)
-    return enc
-
-
 def encode(table: RawTable, schema: SchemaConfig,
            encoder: Encoder | None = None) -> Dataset:
-    """Encode a table; fits an encoder from the table itself unless one
-    (from the training split) is supplied."""
-    if not table.rows:
+    """Encode a table into one float64 matrix: the z-scored numeric
+    columns, then one one-hot block per categorical column. Fits the
+    encoder on the table itself unless one (from the training split) is
+    supplied."""
+    n = len(table)
+    if n == 0:
         raise DataError("cannot encode an empty table")
-    if encoder is None:
-        encoder = fit_encoder(table, schema)
-    missing = ([c for c in schema.numeric if c not in encoder.numeric_stats]
-               + [c for c in schema.categorical if c not in encoder.vocabulary])
-    if missing:
-        raise SchemaError(f"encoder does not cover schema columns {missing}")
-    n = len(table.rows)
-    blocks = []
-    for col in schema.numeric:
+    fit = encoder is None
+    if fit:
+        # numeric_stats are filled in below, as each column is parsed
+        vocabulary = {col: sorted(set(table.columns[col]))
+                      for col in schema.categorical}
+        names = list(schema.numeric) + [f"{col}={v}" for col, vocab
+                                        in vocabulary.items() for v in vocab]
+        encoder = Encoder(vocabulary=vocabulary, feature_names=names)
+    else:
+        missing = ([c for c in schema.numeric if c not in encoder.numeric_stats]
+                   + [c for c in schema.categorical if c not in encoder.vocabulary])
+        if missing:
+            raise SchemaError(f"encoder does not cover schema columns {missing}")
+    vocabs = [encoder.vocabulary[col] for col in schema.categorical]
+    X = np.zeros((n, len(schema.numeric) + sum(map(len, vocabs))))
+    for j, col in enumerate(schema.numeric):
+        try:
+            values = np.fromiter(map(float, table.columns[col]), np.float64, n)
+        except ValueError as exc:
+            raise DataError(f"non-numeric value in column {col!r}: {exc}")
+        if fit:
+            encoder.numeric_stats[col] = (float(values.mean()), float(values.std()))
         mean, std = encoder.numeric_stats[col]
-        values = _numeric_column(table, col)
-        # zero-variance columns encode to all zeros
-        z = (values - mean) / std if std > 0 else np.zeros(n)
-        blocks.append(z.reshape(n, 1))
-    for col in schema.categorical:
-        vocab = encoder.vocabulary[col]
-        pos = {v: j for j, v in enumerate(vocab)}
-        block = np.zeros((n, len(vocab)))
-        for i, v in enumerate(table.column(col)):
-            j = pos.get(v)
-            if j is not None:  # unseen category -> all-zero row
-                block[i, j] = 1.0
-        blocks.append(block)
-    X = np.hstack(blocks) if blocks else np.zeros((n, 0))
+        if std > 0:  # zero-variance columns encode to all zeros
+            X[:, j] = (values - mean) / std
+    j = len(schema.numeric)
+    for col, vocab in zip(schema.categorical, vocabs):
+        pos = {v: k for k, v in enumerate(vocab)}
+        codes = np.fromiter((pos.get(v, -1) for v in table.columns[col]),
+                            np.int64, n)
+        rows = np.flatnonzero(codes >= 0)  # unseen category -> all-zero row
+        X[rows, j + codes[rows]] = 1.0
+        j += len(vocab)
     a, y = extract_labels(table, schema)
     return Dataset(X=X, a=a, y=y, feature_names=list(encoder.feature_names),
                    encoder=encoder)
@@ -259,15 +262,21 @@ def encode(table: RawTable, schema: SchemaConfig,
 def extract_labels(table: RawTable, schema: SchemaConfig) -> tuple[np.ndarray, np.ndarray]:
     """(a, y) binary vectors straight from the raw cells, no encoding."""
     a = np.asarray([1 if v == schema.protected_value else 0
-                    for v in table.column(schema.sensitive)], dtype=np.int64)
+                    for v in table.columns[schema.sensitive]], dtype=np.int64)
     y = np.asarray([1 if v == schema.positive_label else 0
-                    for v in table.column(schema.label)], dtype=np.int64)
+                    for v in table.columns[schema.label]], dtype=np.int64)
     return a, y
 
 
-def _joint_cells(a: np.ndarray, y: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    return {(ga, gy): np.where((a == ga) & (y == gy))[0]
-            for ga in (0, 1) for gy in (0, 1)}
+def _shuffled_cells(a: np.ndarray, y: np.ndarray, seed: int):
+    """Yield each joint (a, y) cell in sorted order with its rows shuffled
+    by one Rng(seed); the rows must hold both groups and both classes."""
+    if a.sum() < 1 or (1 - a).sum() < 1 or y.sum() < 1 or (1 - y).sum() < 1:
+        raise DataError("dataset must contain both groups and both classes")
+    rng = Rng(seed)
+    for ga in (0, 1):
+        for gy in (0, 1):
+            yield (ga, gy), rng.shuffled(np.flatnonzero((a == ga) & (y == gy)))
 
 
 def kfold(dataset: Dataset, k: int, seed: int) -> list[np.ndarray]:
@@ -278,21 +287,14 @@ def kfold(dataset: Dataset, k: int, seed: int) -> list[np.ndarray]:
     """
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
-    a, y = dataset.a, dataset.y
-    if a.sum() < 1 or (1 - a).sum() < 1 or y.sum() < 1 or (1 - y).sum() < 1:
-        raise DataError("dataset must contain both groups and both classes")
-    cells = _joint_cells(a, y)
-    for cell, idx in cells.items():
-        if 0 < idx.size < k:
+    fold_of = np.full(dataset.n, -1)
+    for (ga, gy), order in _shuffled_cells(dataset.a, dataset.y, seed):
+        if 0 < order.size < k:
             raise DataError(
-                f"cell (a={cell[0]}, y={cell[1]}) has {idx.size} rows, needs >= {k}")
-    rng = Rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for cell in sorted(cells):
-        order = rng.shuffled(cells[cell])
-        for pos, row in enumerate(order):
-            folds[pos % k].append(int(row))
-    return [np.asarray(sorted(f), dtype=np.int64) for f in folds]
+                f"cell (a={ga}, y={gy}) has {order.size} rows, needs >= {k}")
+        # the shuffled rows of each cell are dealt to the folds in turn
+        fold_of[order] = np.arange(order.size) % k
+    return [np.flatnonzero(fold_of == f) for f in range(k)]
 
 
 def holdout_split(a: np.ndarray, y: np.ndarray, test_fraction: float,
@@ -302,26 +304,16 @@ def holdout_split(a: np.ndarray, y: np.ndarray, test_fraction: float,
     encoding."""
     if not (0.0 < test_fraction < 1.0):
         raise ParameterError("test_fraction must be in (0, 1)")
-    if a.sum() < 1 or (1 - a).sum() < 1 or y.sum() < 1 or (1 - y).sum() < 1:
-        raise DataError("dataset must contain both groups and both classes")
-    rng = Rng(seed)
-    test: list[int] = []
-    cells = _joint_cells(a, y)
-    for cell in sorted(cells):
-        idx = cells[cell]
-        if idx.size == 0:
+    test = np.zeros(a.shape[0], dtype=bool)
+    for (ga, gy), order in _shuffled_cells(a, y, seed):
+        if order.size == 0:
             continue
-        if idx.size < 2:
-            raise DataError(
-                f"cell (a={cell[0]}, y={cell[1]}) needs >= 2 rows to split")
-        order = rng.shuffled(idx)
-        n_test = max(1, int(round(idx.size * test_fraction)))
-        n_test = min(n_test, idx.size - 1)  # keep at least one row in train
-        test.extend(int(i) for i in order[:n_test])
-    test_idx = np.asarray(sorted(test), dtype=np.int64)
-    mask = np.ones(a.shape[0], dtype=bool)
-    mask[test_idx] = False
-    return np.where(mask)[0], test_idx
+        if order.size < 2:
+            raise DataError(f"cell (a={ga}, y={gy}) needs >= 2 rows to split")
+        n_test = max(1, int(round(order.size * test_fraction)))
+        n_test = min(n_test, order.size - 1)  # keep at least one row in train
+        test[order[:n_test]] = True
+    return np.flatnonzero(~test), np.flatnonzero(test)
 
 
 def epoch_batches(a: np.ndarray, y: np.ndarray, size: int, rng: Rng,

@@ -1,15 +1,19 @@
-"""Naive per-element loop implementations of every batch quantity.
+"""Naive per-element loop implementations of every batch quantity, and
+the loop versions of the ingest, splits and batching that the package
+replaced.
 
 These are intentionally written with plain Python loops and no shared
-code with the package: they are the independent reference the vectorized
-implementations are checked against.
+code with the package beyond its containers and errors: they are the
+independent reference the vectorized implementations are checked against.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from fairmlp.errors import DataError, ParameterError
+from fairmlp.data import Dataset, Encoder, SchemaConfig
+from fairmlp.errors import DataError, ParameterError, SchemaError
 from fairmlp.numcore import Rng
 
 
@@ -204,3 +208,149 @@ def loop_epoch_batches(a: np.ndarray, y: np.ndarray, size: int, rng: Rng,
                                                     replace=False))
         batches[-1] = final
     return [np.asarray(b, dtype=np.int64) for b in batches]
+
+
+# The row-based ingest that data.RawTable and data.encode replaced, kept
+# verbatim but for the names: the columnar encode must give the same
+# bytes, the same encoder and the same errors.
+@dataclass
+class RowTable:
+    """Parsed CSV restricted to the schema's columns, missing rows dropped."""
+
+    header: list[str]
+    rows: list[list[str]]
+    n_dropped: int
+
+    def column(self, name: str) -> list[str]:
+        j = self.header.index(name)
+        return [row[j] for row in self.rows]
+
+
+def _loop_numeric_column(table: RowTable, col: str) -> np.ndarray:
+    try:
+        return np.asarray([float(v) for v in table.column(col)])
+    except ValueError as exc:
+        raise DataError(f"non-numeric value in column {col!r}: {exc}")
+
+
+def loop_fit_encoder(table: RowTable, schema: SchemaConfig) -> Encoder:
+    """Learn per-column statistics and vocabularies from a table."""
+    if not table.rows:
+        raise DataError("cannot fit an encoder on an empty table")
+    enc = Encoder()
+    for col in schema.numeric:
+        values = _loop_numeric_column(table, col)
+        enc.numeric_stats[col] = (float(values.mean()), float(values.std()))
+        enc.feature_names.append(col)
+    for col in schema.categorical:
+        vocab = sorted(set(table.column(col)))
+        enc.vocabulary[col] = vocab
+        enc.feature_names.extend(f"{col}={v}" for v in vocab)
+    return enc
+
+
+def loop_encode(table: RowTable, schema: SchemaConfig,
+           encoder: Encoder | None = None) -> Dataset:
+    """Encode a table; fits an encoder from the table itself unless one
+    (from the training split) is supplied."""
+    if not table.rows:
+        raise DataError("cannot encode an empty table")
+    if encoder is None:
+        encoder = loop_fit_encoder(table, schema)
+    missing = ([c for c in schema.numeric if c not in encoder.numeric_stats]
+               + [c for c in schema.categorical if c not in encoder.vocabulary])
+    if missing:
+        raise SchemaError(f"encoder does not cover schema columns {missing}")
+    n = len(table.rows)
+    blocks = []
+    for col in schema.numeric:
+        mean, std = encoder.numeric_stats[col]
+        values = _loop_numeric_column(table, col)
+        # zero-variance columns encode to all zeros
+        z = (values - mean) / std if std > 0 else np.zeros(n)
+        blocks.append(z.reshape(n, 1))
+    for col in schema.categorical:
+        vocab = encoder.vocabulary[col]
+        pos = {v: j for j, v in enumerate(vocab)}
+        block = np.zeros((n, len(vocab)))
+        for i, v in enumerate(table.column(col)):
+            j = pos.get(v)
+            if j is not None:  # unseen category -> all-zero row
+                block[i, j] = 1.0
+        blocks.append(block)
+    X = np.hstack(blocks) if blocks else np.zeros((n, 0))
+    a, y = loop_extract_labels(table, schema)
+    return Dataset(X=X, a=a, y=y, feature_names=list(encoder.feature_names),
+                   encoder=encoder)
+
+
+def loop_extract_labels(table: RowTable, schema: SchemaConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(a, y) binary vectors straight from the raw cells, no encoding."""
+    a = np.asarray([1 if v == schema.protected_value else 0
+                    for v in table.column(schema.sensitive)], dtype=np.int64)
+    y = np.asarray([1 if v == schema.positive_label else 0
+                    for v in table.column(schema.label)], dtype=np.int64)
+    return a, y
+
+
+# The loop-based stratified splits that data.kfold and data.holdout_split
+# replaced, kept verbatim but for the names: the vectorised versions must
+# return the same folds and splits, draw the same shuffles and raise the
+# same errors.
+def _loop_joint_cells(a: np.ndarray, y: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    return {(ga, gy): np.where((a == ga) & (y == gy))[0]
+            for ga in (0, 1) for gy in (0, 1)}
+
+
+def loop_kfold(dataset: Dataset, k: int, seed: int) -> list[np.ndarray]:
+    """k disjoint, exhaustive folds stratified by the joint (a, y) cell.
+
+    Every nonempty cell must have at least k rows (so each fold receives
+    one), which guarantees both groups and both classes in every fold.
+    """
+    if k < 2:
+        raise ParameterError(f"k must be >= 2, got {k}")
+    a, y = dataset.a, dataset.y
+    if a.sum() < 1 or (1 - a).sum() < 1 or y.sum() < 1 or (1 - y).sum() < 1:
+        raise DataError("dataset must contain both groups and both classes")
+    cells = _loop_joint_cells(a, y)
+    for cell, idx in cells.items():
+        if 0 < idx.size < k:
+            raise DataError(
+                f"cell (a={cell[0]}, y={cell[1]}) has {idx.size} rows, needs >= {k}")
+    rng = Rng(seed)
+    folds: list[list[int]] = [[] for _ in range(k)]
+    for cell in sorted(cells):
+        order = rng.shuffled(cells[cell])
+        for pos, row in enumerate(order):
+            folds[pos % k].append(int(row))
+    return [np.asarray(sorted(f), dtype=np.int64) for f in folds]
+
+
+def loop_holdout_split(a: np.ndarray, y: np.ndarray, test_fraction: float,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified (train_idx, test_idx) split by joint (a, y) cell. Takes
+    the raw attribute and label vectors, so a split can be made before
+    encoding."""
+    if not (0.0 < test_fraction < 1.0):
+        raise ParameterError("test_fraction must be in (0, 1)")
+    if a.sum() < 1 or (1 - a).sum() < 1 or y.sum() < 1 or (1 - y).sum() < 1:
+        raise DataError("dataset must contain both groups and both classes")
+    rng = Rng(seed)
+    test: list[int] = []
+    cells = _loop_joint_cells(a, y)
+    for cell in sorted(cells):
+        idx = cells[cell]
+        if idx.size == 0:
+            continue
+        if idx.size < 2:
+            raise DataError(
+                f"cell (a={cell[0]}, y={cell[1]}) needs >= 2 rows to split")
+        order = rng.shuffled(idx)
+        n_test = max(1, int(round(idx.size * test_fraction)))
+        n_test = min(n_test, idx.size - 1)  # keep at least one row in train
+        test.extend(int(i) for i in order[:n_test])
+    test_idx = np.asarray(sorted(test), dtype=np.int64)
+    mask = np.ones(a.shape[0], dtype=bool)
+    mask[test_idx] = False
+    return np.where(mask)[0], test_idx

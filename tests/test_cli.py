@@ -99,6 +99,20 @@ class TestCrossval:
         second = strip_metadata(report_path)
         assert first == second
 
+    def test_out_dir_only_in_metadata(self, tmp_path, biased_csv,
+                                      biased_schema_json, capsys):
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json,
+                         max_epochs=2)
+        reports = []
+        for name in ("first", "second"):
+            out = tmp_path / name
+            assert main(["crossval", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report["metadata"]["out_dir"] == str(out)
+            reports.append(strip_metadata(out / "report.json"))
+        assert reports[0] == reports[1]
+
 
 class TestThreadCountDeterminism:
     def test_reruns_byte_identical_at_each_thread_count(self, tmp_path,
@@ -113,7 +127,6 @@ class TestThreadCountDeterminism:
         for threads in ("1", "2"):
             reports = []
             for rerun in range(2):
-                # the same --out both times: the report records out_dir
                 out = tmp_path / f"threads{threads}"
                 env = dict(os.environ, PYTHONPATH=path,
                            OPENBLAS_NUM_THREADS=threads)
@@ -243,6 +256,36 @@ class TestAuditCommand:
         assert code == 0
         audited = json.loads(capsys.readouterr().out)
         assert audited["dp_soft"] == 0.0
+
+
+class TestEmptyTable:
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        from fairmlp.model import MlpParams, save_checkpoint
+        path = tmp_path_factory.mktemp("empty") / "model.json"
+        save_checkpoint(path, MlpParams(
+            w1=np.zeros((4, 2)), b1=np.zeros(2), w2=np.zeros((2, 2)),
+            b2=np.zeros(2), w_out=np.zeros((2, 2)), b_out=np.zeros(2)), seed=0)
+        return path
+
+    @pytest.mark.parametrize("command", ["train", "crossval", "sweep", "audit"])
+    @pytest.mark.parametrize("rows", [
+        [], [["0.5", "?", "red", "f", "yes"], ["?", "1.0", "blue", "m", "no"]]],
+        ids=["header_only", "all_missing"])
+    def test_exits_three(self, tmp_path, biased_schema_json, checkpoint,
+                         command, rows, capsys):
+        csv_path = tmp_path / "empty.csv"
+        write_csv(csv_path, ["f1", "f2", "shade", "grp", "outcome"], rows)
+        if command == "audit":
+            argv = ["audit", "--model", str(checkpoint), "--data",
+                    str(csv_path), "--schema", str(biased_schema_json)]
+        else:
+            cfg = run_config(tmp_path, csv_path, biased_schema_json,
+                             sweep=[0.05])
+            argv = [command, "--config", str(cfg)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def census_shaped_rows(n, seed):

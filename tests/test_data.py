@@ -1,10 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
-from fairmlp.data import (Encoder, SchemaConfig, adult_schema, batch_iter,
-                          encode, epoch_batches, extract_labels, fit_encoder,
+from fairmlp.data import (Encoder, RawTable, SchemaConfig, adult_schema,
+                          batch_iter, encode, epoch_batches, extract_labels,
                           holdout_split, kfold, load_csv, resolve_schema)
 from fairmlp.errors import DataError, ParameterError, SchemaError
 from fairmlp.fairloss import Batch
@@ -26,13 +29,13 @@ class TestLoadCsv:
     def test_two_rows(self, tmp_path):
         path = small_csv(tmp_path, [["1", "a", "m", "yes"], ["3", "b", "f", "no"]])
         table = load_csv(path, SCHEMA)
-        assert len(table.rows) == 2
+        assert len(table) == 2
         assert table.n_dropped == 0
 
     def test_missing_token_dropped(self, tmp_path):
         path = small_csv(tmp_path, [["1", "a", "m", "yes"], ["?", "b", "f", "no"]])
         table = load_csv(path, SCHEMA)
-        assert len(table.rows) == 1
+        assert len(table) == 1
         assert table.n_dropped == 1
 
     def test_missing_column_is_schema_error(self, tmp_path):
@@ -43,9 +46,22 @@ class TestLoadCsv:
     def test_cells_are_stripped(self, tmp_path):
         path = small_csv(tmp_path, [[" 1 ", " a", "f ", " yes"]])
         table = load_csv(path, SCHEMA)
-        assert table.column("amount") == ["1"]
-        assert table.column("grp") == ["f"]
-        assert table.column("outcome") == ["yes"]
+        assert table.columns["amount"] == ["1"]
+        assert table.columns["grp"] == ["f"]
+        assert table.columns["outcome"] == ["yes"]
+
+    def test_header_only_gives_empty_columns(self, tmp_path):
+        table = load_csv(small_csv(tmp_path, []), SCHEMA)
+        assert len(table) == 0
+        assert table.columns == {name: [] for name in SCHEMA.used_columns}
+
+    def test_take_then_to_csv_round_trips(self, tmp_path):
+        path = small_csv(tmp_path, [["1", "a", "m", "yes"], ["2", "b", "f", "no"],
+                                    ["3", "c", "f", "yes"]])
+        taken = load_csv(path, SCHEMA).take(np.array([2, 0]))
+        assert taken.columns["amount"] == ["3", "1"]
+        taken.to_csv(tmp_path / "taken.csv")
+        assert load_csv(tmp_path / "taken.csv", SCHEMA) == taken
 
 
 class TestEncode:
@@ -78,7 +94,7 @@ class TestEncode:
 
     def test_unseen_category_zero_row(self, tmp_path):
         train = self.table(tmp_path, [["1", "a", "m", "yes"], ["3", "b", "f", "no"]])
-        enc = fit_encoder(train, SCHEMA)
+        enc = encode(train, SCHEMA).encoder
         test = self.table(tmp_path, [["2", "zzz", "m", "yes"]])
         ds = encode(test, SCHEMA, enc)
         np.testing.assert_array_equal(ds.X[0, 1:], [0.0, 0.0])
@@ -98,6 +114,87 @@ class TestEncode:
         ds = encode(table, SCHEMA)
         np.testing.assert_array_equal(a, ds.a)
         np.testing.assert_array_equal(y, ds.y)
+
+
+ENC_SCHEMA = SchemaConfig(numeric=["n1", "n2"], categorical=["c1", "c2"],
+                          label="outcome", positive_label="yes",
+                          sensitive="grp", protected_value="f")
+# accented, mixed-case and CJK categories: vocabularies sort by code point
+CATEGORIES = ["a", "B", "b", "z", "Z", "é", "É", "ä", "ß", "日本"]
+NUMBERS = st.one_of(st.integers(-5, 5).map(str),
+                    st.floats(-1e6, 1e6, allow_nan=False).map(repr))
+# unparseable cells, and cells that parse to a non-finite value
+BAD_CELLS = ["abc", "", "1,5", "nan", "inf"]
+
+
+@st.composite
+def encode_rows(draw, categories):
+    """Rows in ENC_SCHEMA.used_columns order; n2 is sometimes constant
+    (zero variance) and now and then one numeric cell is bad."""
+    n = draw(st.integers(0, 12))
+    constant = draw(NUMBERS) if draw(st.booleans()) else None
+    rows = [[draw(NUMBERS), constant or draw(NUMBERS),
+             draw(st.sampled_from(categories)), draw(st.sampled_from(categories)),
+             draw(st.sampled_from(["yes", "no"])), draw(st.sampled_from(["f", "m"]))]
+            for _ in range(n)]
+    if rows and draw(st.integers(0, 9)) == 0:
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, 1))] = draw(
+            st.sampled_from(BAD_CELLS))
+    return rows
+
+
+def both_tables(rows):
+    """The same rows as a columnar RawTable and as the row-based reference
+    table."""
+    names = ENC_SCHEMA.used_columns
+    columns = {name: [row[j] for row in rows] for j, name in enumerate(names)}
+    return RawTable(columns), oracles.RowTable(names, rows, 0)
+
+
+def encoder_json(encoder) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "encoder.json"
+        encoder.to_json(path)
+        return path.read_text(encoding="utf-8")
+
+
+def encoded(encode_fn, table, encoder=None):
+    """Everything encode returns, as bytes and JSON, or the error it raised."""
+    try:
+        ds = encode_fn(table, ENC_SCHEMA, encoder)
+    except (DataError, SchemaError) as exc:
+        return type(exc), str(exc)
+    return (ds.X.shape, ds.X.tobytes(), ds.a.dtype, ds.a.tobytes(), ds.y.dtype,
+            ds.y.tobytes(), ds.feature_names, encoder_json(ds.encoder))
+
+
+ROW = ["1", "2", "a", "b", "yes", "f"]
+
+
+# the non-finite cells warn inside numpy's mean and std
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestEncodeMatchesRowReference:
+    @settings(max_examples=300, deadline=None)
+    @given(encode_rows(CATEGORIES))
+    @example([["1", "5", "é", "日本", "yes", "f"], ["3", "5", "É", "z", "no", "m"],
+              ["2", "5", "ä", "Z", "no", "f"]])
+    @example([ROW, ["abc"] + ROW[1:]])
+    def test_fitted_encoder(self, rows):
+        new, old = both_tables(rows)
+        assert encoded(encode, new) == encoded(oracles.loop_encode, old)
+
+    @settings(max_examples=300, deadline=None)
+    @given(encode_rows(CATEGORIES[:4]), encode_rows(CATEGORIES))
+    @example([ROW, ["3", "2", "b", "a", "no", "m"]],
+             [["2", "2", "日本", "b", "yes", "m"], ROW[:1] + ["x"] + ROW[2:]])
+    def test_saved_encoder(self, train, rows):
+        try:
+            encoder = oracles.loop_encode(both_tables(train)[1], ENC_SCHEMA).encoder
+        except DataError:
+            assume(False)
+        new, old = both_tables(rows)
+        assert (encoded(encode, new, encoder)
+                == encoded(oracles.loop_encode, old, encoder))
 
 
 def balanced_dataset(n, seed=0):
@@ -157,6 +254,85 @@ class TestHoldout:
         for idx in (train_idx, test_idx):
             assert 0 < ds.a[idx].sum() < idx.size
             assert 0 < ds.y[idx].sum() < idx.size
+
+
+@st.composite
+def split_cases(draw):
+    """(a, y, seed) with few enough rows that some cells are too small."""
+    n = draw(st.integers(1, 40))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    return (np.asarray(draw(bits), dtype=np.int64),
+            np.asarray(draw(bits), dtype=np.int64),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+FOLDS = st.integers(1, 6)
+# a few out of (0, 1), which holdout_split rejects
+FRACTIONS = st.floats(-0.1, 1.1)
+
+
+def folds_or_error(kfold_fn, a, y, k, seed):
+    try:
+        folds = kfold_fn(encode_arrays(np.zeros((a.size, 1)), a, y), k, seed)
+    except (DataError, ParameterError) as exc:
+        return type(exc), str(exc)
+    return [(f.dtype, f.tolist()) for f in folds]
+
+
+def split_or_error(split_fn, a, y, fraction, seed):
+    try:
+        parts = split_fn(a, y, fraction, seed)
+    except (DataError, ParameterError) as exc:
+        return type(exc), str(exc)
+    return [(p.dtype, p.tolist()) for p in parts]
+
+
+def nonempty_cells(a, y):
+    return [cell for cell in ((a == ga) & (y == gy) for ga in (0, 1)
+                              for gy in (0, 1)) if cell.any()]
+
+
+class TestSplitProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(split_cases(), FOLDS)
+    def test_kfold_matches_loop_reference(self, case, k):
+        a, y, seed = case
+        assert (folds_or_error(kfold, a, y, k, seed)
+                == folds_or_error(oracles.loop_kfold, a, y, k, seed))
+
+    @settings(max_examples=300, deadline=None)
+    @given(split_cases(), FRACTIONS)
+    def test_holdout_matches_loop_reference(self, case, fraction):
+        a, y, seed = case
+        assert (split_or_error(holdout_split, a, y, fraction, seed)
+                == split_or_error(oracles.loop_holdout_split, a, y, fraction,
+                                  seed))
+
+    @settings(max_examples=300, deadline=None)
+    @given(split_cases(), FOLDS)
+    def test_kfold_invariants(self, case, k):
+        a, y, seed = case
+        folds = folds_or_error(kfold, a, y, k, seed)
+        assume(isinstance(folds, list))
+        assert len(folds) == k
+        rows = [row for _, fold in folds for row in fold]
+        assert sorted(rows) == list(range(a.size))  # disjoint and exhaustive
+        for dtype, fold in folds:
+            assert dtype == np.int64
+            assert fold == sorted(fold)
+            assert set(a[fold]) == {0, 1} and set(y[fold]) == {0, 1}
+
+    @settings(max_examples=300, deadline=None)
+    @given(split_cases(), FRACTIONS)
+    def test_holdout_invariants(self, case, fraction):
+        a, y, seed = case
+        parts = split_or_error(holdout_split, a, y, fraction, seed)
+        assume(isinstance(parts, list))
+        (_, train), (_, test) = parts
+        assert train == sorted(train) and test == sorted(test)
+        assert sorted(train + test) == list(range(a.size))
+        for cell in nonempty_cells(a, y):
+            assert cell[train].any() and cell[test].any()
 
 
 class TestEpochBatches:
