@@ -180,8 +180,12 @@ def _load_folds(cfg: RunConfig) -> tuple[data.Dataset, list[np.ndarray]]:
     return dataset, data.kfold(dataset, cfg.folds, cfg.seed)
 
 
-def _crossval_reports(cfg: RunConfig, dataset: data.Dataset, folds,
-                      sweep_value: float | None = None):
+def _crossval_reports(cfg: RunConfig, dataset: data.Dataset | None = None,
+                      folds=None, sweep_value: float | None = None):
+    """Train and audit each fold; ingests the CSV unless a sweep passes
+    the dataset and folds it already built."""
+    if dataset is None:
+        dataset, folds = _load_folds(cfg)
     fold_reports, logs = [], []
     for i, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(np.arange(dataset.n), test_idx)
@@ -198,7 +202,7 @@ def cmd_crossval(cfg: RunConfig) -> int:
         raise ParameterError("crossval requires folds >= 2")
     t0 = time.perf_counter()
     cfg.train_config()  # a bad hyperparameter fails before ingest
-    fold_reports, logs = _crossval_reports(cfg, *_load_folds(cfg))
+    fold_reports, logs = _crossval_reports(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for i, log in enumerate(logs):

@@ -241,6 +241,8 @@ def encode(table: RawTable, schema: SchemaConfig,
             values = np.fromiter(map(float, table.columns[col]), np.float64, n)
         except ValueError as exc:
             raise DataError(f"non-numeric value in column {col!r}: {exc}")
+        if not np.isfinite(values).all():
+            raise DataError(f"non-finite value in column {col!r}")
         if fit:
             encoder.numeric_stats[col] = (float(values.mean()), float(values.std()))
         mean, std = encoder.numeric_stats[col]

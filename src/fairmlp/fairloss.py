@@ -184,15 +184,89 @@ class MultiGroupBatch:
                 raise DegenerateBatchError(f"group {j} missing from batch")
 
 
+def _gap(split: _Split, values: np.ndarray, slope) -> tuple[float, np.ndarray]:
+    """|mean of ``values`` over the 1-rows - mean over the 0-rows| and its
+    gradient in p, where ``slope`` is d values / dp (a scalar or per row)."""
+    m1, m0 = split.means(values)
+    return abs(m1 - m0), np.sign(m1 - m0) * slope * split.direction
+
+
+def _dp(batch: Batch) -> tuple[float, np.ndarray]:
+    return _gap(batch.groups, batch.p, 1.0)
+
+
+def _fpr(batch: Batch) -> tuple[float, np.ndarray]:
+    not_y = batch.classes.zeros
+    return _gap(batch.groups, batch.p * not_y, not_y)
+
+
+def _fnr(batch: Batch) -> tuple[float, np.ndarray]:
+    return _gap(batch.groups, (1.0 - batch.p) * batch.y, -batch.y)
+
+
+def _eo_sum(batch: Batch) -> tuple[float, np.ndarray]:
+    (fpr, g_fpr), (fnr, g_fnr) = _fpr(batch), _fnr(batch)
+    return fpr + fnr, g_fpr + g_fnr
+
+
+def _eo_max(batch: Batch) -> tuple[float, np.ndarray]:
+    fpr, fnr = _fpr(batch), _fnr(batch)
+    return fpr if fpr[0] >= fnr[0] else fnr
+
+
+def _di(batch: Batch, mean_floor: float = DI_MEAN_FLOOR) -> tuple[float, np.ndarray]:
+    g = batch.groups
+    m1, m0 = g.means(batch.p)
+    m1f = max(m1, mean_floor)
+    m0f = max(m0, mean_floor)
+    dm1 = g.ones / g.n_ones
+    dm0 = g.zeros / g.n_zeros
+    # derivative of a floored denominator is zero where the floor binds
+    dm1f = dm1 if m1 > mean_floor else np.zeros_like(dm1)
+    dm0f = dm0 if m0 > mean_floor else np.zeros_like(dm0)
+    r = m1 / m0f
+    r_inv = m0 / m1f
+    if r <= r_inv:  # first branch: const = -m1/m0f
+        return -r, -(dm1 * m0f - m1 * dm0f) / (m0f * m0f)
+    return -r_inv, -(dm0 * m1f - m0 * dm1f) / (m1f * m1f)
+
+
+def _dp_multi(batch: MultiGroupBatch) -> tuple[float, np.ndarray]:
+    total, grad = 0.0, np.zeros_like(batch.p)
+    for j in range(batch.m):
+        gap, g = _gap(_Split((batch.group == j).astype(np.float64)), batch.p, 1.0)
+        total += gap
+        grad += g
+    return total, grad
+
+
+def _two_groups(batch: Batch) -> MultiGroupBatch:
+    # the binary attribute as a 2-group index: dp-multi is then exactly 2 x dp
+    return MultiGroupBatch(batch.p, batch.a.astype(np.int64), 2)
+
+
+def _ce(batch: Batch) -> tuple[float, np.ndarray]:
+    # p from forward() already lies in the clamp band, where the clip in
+    # cross_entropy is the identity
+    p, y = batch.p, batch.y
+    return cross_entropy(p, y), (-y / p + (1.0 - y) / (1.0 - p)) / p.shape[0]
+
+
+def _qmean(batch: Batch) -> tuple[float, np.ndarray]:
+    c = batch.classes
+    if c.n_ones < 1 or c.n_zeros < 1:
+        raise DegenerateBatchError("q-mean needs both classes in the batch")
+    u = 1.0 - float((batch.y * batch.p).sum() / c.n_ones)
+    v = 1.0 - float((c.zeros * (1.0 - batch.p)).sum() / c.n_zeros)
+    q = float(np.sqrt(u * u + v * v))
+    if q == 0.0:
+        return q, np.zeros_like(batch.p)
+    return q, (u * (-batch.y / c.n_ones) + v * (c.zeros / c.n_zeros)) / q
+
+
 def const_dp(batch: Batch) -> float:
     """Demographic-parity gap: |mean p over a=1 - mean p over a=0|."""
-    m1, m0 = batch.groups.means(batch.p)
-    return abs(m1 - m0)
-
-
-def _grad_dp(batch: Batch) -> np.ndarray:
-    m1, m0 = batch.groups.means(batch.p)
-    return np.sign(m1 - m0) * batch.groups.direction
+    return _dp(batch)[0]
 
 
 def fpr_gap(batch: Batch) -> float:
@@ -200,46 +274,19 @@ def fpr_gap(batch: Batch) -> float:
 
     Denominators are full group sizes, not negative-label counts.
     """
-    m1, m0 = batch.groups.means(batch.p * batch.classes.zeros)
-    return abs(m1 - m0)
+    return _fpr(batch)[0]
 
 
 def fnr_gap(batch: Batch) -> float:
     """|sum (1-p)y a / sum a  -  sum (1-p)y(1-a) / sum (1-a)|."""
-    m1, m0 = batch.groups.means((1.0 - batch.p) * batch.y)
-    return abs(m1 - m0)
+    return _fnr(batch)[0]
 
 
 def const_eo(batch: Batch, variant: str = "sum") -> float:
     """Equalized-odds constraint: fpr+fnr ('sum') or max(fpr, fnr) ('max')."""
-    fpr = fpr_gap(batch)
-    fnr = fnr_gap(batch)
-    if variant == "sum":
-        return fpr + fnr
-    if variant == "max":
-        return max(fpr, fnr)
-    raise ParameterError(f"unknown EO variant {variant!r}")
-
-
-def _eo_grads(batch: Batch) -> tuple[np.ndarray, np.ndarray, float, float]:
-    # gradients of the FPR and FNR gaps, then the two gap values
-    p, y, not_y = batch.p, batch.y, batch.classes.zeros
-    d = batch.groups.direction
-    m1f, m0f = batch.groups.means(p * not_y)
-    g_fpr = np.sign(m1f - m0f) * not_y * d
-    m1n, m0n = batch.groups.means((1.0 - p) * y)
-    g_fnr = np.sign(m1n - m0n) * (-y) * d
-    return g_fpr, g_fnr, abs(m1f - m0f), abs(m1n - m0n)
-
-
-def _grad_eo_sum(batch: Batch) -> np.ndarray:
-    g_fpr, g_fnr, _, _ = _eo_grads(batch)
-    return g_fpr + g_fnr
-
-
-def _grad_eo_max(batch: Batch) -> np.ndarray:
-    g_fpr, g_fnr, fpr, fnr = _eo_grads(batch)
-    return g_fpr if fpr >= fnr else g_fnr
+    if variant not in ("sum", "max"):
+        raise ParameterError(f"unknown EO variant {variant!r}")
+    return (_eo_sum if variant == "sum" else _eo_max)(batch)[0]
 
 
 def const_di(batch: Batch, mean_floor: float = DI_MEAN_FLOOR) -> float:
@@ -249,51 +296,14 @@ def const_di(batch: Batch, mean_floor: float = DI_MEAN_FLOOR) -> float:
     ``mean_floor`` clamps each ratio denominator; pass 0 for the exact
     unclamped ratio (used by the non-coverability counterexample).
     """
-    m1, m0 = batch.groups.means(batch.p)
-    r = m1 / max(m0, mean_floor) if mean_floor > 0 else m1 / m0
-    r_inv = m0 / max(m1, mean_floor) if mean_floor > 0 else m0 / m1
-    return -min(r, r_inv)
-
-
-def _grad_di(batch: Batch) -> np.ndarray:
-    g = batch.groups
-    m1, m0 = g.means(batch.p)
-    m1f = max(m1, DI_MEAN_FLOOR)
-    m0f = max(m0, DI_MEAN_FLOOR)
-    dm1 = g.ones / g.n_ones
-    dm0 = g.zeros / g.n_zeros
-    # derivative of a floored denominator is zero where the floor binds
-    dm1f = dm1 if m1 > DI_MEAN_FLOOR else np.zeros_like(dm1)
-    dm0f = dm0 if m0 > DI_MEAN_FLOOR else np.zeros_like(dm0)
-    r = m1 / m0f
-    r_inv = m0 / m1f
-    if r <= r_inv:  # first branch: const = -m1/m0f
-        return -(dm1 * m0f - m1 * dm0f) / (m0f * m0f)
-    return -(dm0 * m1f - m0 * dm1f) / (m1f * m1f)
+    # unfloored, the unused gradient divides by a square that can underflow
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _di(batch, mean_floor)[0]
 
 
 def const_dp_multi(batch: MultiGroupBatch) -> float:
     """Sum over groups j of the one-vs-rest demographic-parity gap."""
-    total = 0.0
-    for j in range(batch.m):
-        m1, m0 = _Split((batch.group == j).astype(np.float64)).means(batch.p)
-        total += abs(m1 - m0)
-    return total
-
-
-def grad_dp_multi_wrt_p(batch: MultiGroupBatch) -> np.ndarray:
-    """Gradient of the m-group summed one-vs-rest parity constraint."""
-    g = np.zeros_like(batch.p)
-    for j in range(batch.m):
-        split = _Split((batch.group == j).astype(np.float64))
-        m1, m0 = split.means(batch.p)
-        g += np.sign(m1 - m0) * split.direction
-    return g
-
-
-def _two_groups(batch: Batch) -> MultiGroupBatch:
-    # the binary attribute as a 2-group index: dp-multi is then exactly 2 x dp
-    return MultiGroupBatch(batch.p, batch.a.astype(np.int64), 2)
+    return _dp_multi(batch)[0]
 
 
 def cross_entropy(p: np.ndarray, y: np.ndarray) -> float:
@@ -306,58 +316,21 @@ def cross_entropy(p: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(-y * np.log(p) - (1.0 - y) * np.log(1.0 - p)))
 
 
-def _grad_ce(batch: Batch) -> np.ndarray:
-    # p from forward() already lies in the clamp band, where the clip in
-    # cross_entropy is the identity
-    p, y = batch.p, batch.y
-    return (-y / p + (1.0 - y) / (1.0 - p)) / p.shape[0]
-
-
-def q_mean(batch: Batch, include_class_factor: bool = False) -> float:
+def q_mean(batch: Batch) -> float:
     """Batch q-mean loss: sqrt(u^2 + v^2) where u, v are the per-class
-    soft error rates 1 - sum(y p)/sum(y) and 1 - sum((1-y)(1-p))/sum(1-y).
-
-    With ``include_class_factor`` the bracket is halved (the 1/m-class
-    normalization), which scales the result by exactly 1/sqrt(2).
-    """
-    u, v = _qmean_terms(batch)
-    return _qmean_from_terms(u, v, include_class_factor)
+    soft error rates 1 - sum(y p)/sum(y) and 1 - sum((1-y)(1-p))/sum(1-y)."""
+    return _qmean(batch)[0]
 
 
-def _qmean_from_terms(u: float, v: float,
-                      include_class_factor: bool = False) -> float:
-    bracket = u * u + v * v
-    if include_class_factor:
-        bracket /= 2.0
-    return float(np.sqrt(bracket))
-
-
-def _qmean_terms(batch: Batch) -> tuple[float, float]:
-    c = batch.classes
-    if c.n_ones < 1 or c.n_zeros < 1:
-        raise DegenerateBatchError("q-mean needs both classes in the batch")
-    u = 1.0 - float((batch.y * batch.p).sum() / c.n_ones)
-    v = 1.0 - float((c.zeros * (1.0 - batch.p)).sum() / c.n_zeros)
-    return u, v
-
-
-def _grad_qmean(batch: Batch) -> np.ndarray:
-    y = batch.y
-    u, v = _qmean_terms(batch)
-    q = _qmean_from_terms(u, v)
-    if q == 0.0:
-        return np.zeros_like(batch.p)
-    du = -y / batch.classes.n_ones
-    dv = batch.classes.zeros / batch.classes.n_zeros
-    return (u * du + v * dv) / q
+# A term's value on one batch together with its (sub)gradient in p
+Terms = Callable[[Batch], tuple[float, np.ndarray]]
 
 
 class Objective(NamedTuple):
-    """A performance loss of one batch, its gradient in p, and whether
-    every training batch must hold both label classes."""
+    """A performance loss: its value and gradient in p on one batch, and
+    whether every training batch must hold both label classes."""
 
-    value: Callable[[Batch], float]
-    grad: Callable[[Batch], np.ndarray]
+    value_and_grad: Terms
     needs_classes: bool
 
 
@@ -366,47 +339,30 @@ class Constraint(NamedTuple):
     the relaxation parameter it takes ('epsilon' or 'p_percent'), and the
     MetricsReport field a sweep reports for it."""
 
-    value: Callable[[Batch], float]
-    grad: Callable[[Batch], np.ndarray]
+    value_and_grad: Terms
     param: str
     metric: str
 
 
-# Keyed by the config and CLI name. The lambdas look module functions up
-# when called, so a wrapper installed on e.g. ``fairloss.q_mean`` sees
-# every call.
+# Keyed by the config and CLI name.
 CONSTRAINTS = {
-    "dp": Constraint(const_dp, _grad_dp, "epsilon", "dp_soft"),
-    "eo-sum": Constraint(lambda b: const_eo(b, "sum"), _grad_eo_sum,
-                         "epsilon", "eo_sum_soft"),
-    "eo-max": Constraint(lambda b: const_eo(b, "max"), _grad_eo_max,
-                         "epsilon", "eo_max_soft"),
-    "di": Constraint(const_di, _grad_di, "p_percent", "p_percent"),
-    "dp-multi": Constraint(lambda b: const_dp_multi(_two_groups(b)),
-                           lambda b: grad_dp_multi_wrt_p(_two_groups(b)),
+    "dp": Constraint(_dp, "epsilon", "dp_soft"),
+    "eo-sum": Constraint(_eo_sum, "epsilon", "eo_sum_soft"),
+    "eo-max": Constraint(_eo_max, "epsilon", "eo_max_soft"),
+    "di": Constraint(_di, "p_percent", "p_percent"),
+    "dp-multi": Constraint(lambda b: _dp_multi(_two_groups(b)),
                            "epsilon", "dp_soft"),
 }
 
 OBJECTIVES = {
-    "ce": Objective(lambda b: cross_entropy(b.p, b.y), _grad_ce, False),
-    "qmean": Objective(lambda b: q_mean(b), _grad_qmean, True),
+    "ce": Objective(_ce, False),
+    "qmean": Objective(_qmean, True),
 }
 
 
 def constraint_value(batch: Batch, kind: ConstraintKind) -> float:
     """The raw constraint value for a binary-attribute batch."""
-    return CONSTRAINTS[kind.kind].value(batch)
-
-
-def constraint_loss(const_values, kind: ConstraintKind) -> float:
-    """Mean constraint value over batches minus the slack epsilon.
-
-    Negative values mean the constraint is satisfied with room to spare.
-    """
-    values = np.asarray(const_values, dtype=np.float64)
-    if values.size == 0:
-        raise ParameterError("need at least one constraint value")
-    return float(values.mean() - kind.slack)
+    return CONSTRAINTS[kind.kind].value_and_grad(batch)[0]
 
 
 def grad_wrt_p(kind, batch: Batch) -> np.ndarray:
@@ -421,4 +377,4 @@ def grad_wrt_p(kind, batch: Batch) -> np.ndarray:
     entry = CONSTRAINTS.get(kind) or OBJECTIVES.get(kind)
     if entry is None:
         raise ParameterError(f"unknown gradient kind {kind!r}")
-    return entry.grad(batch)
+    return entry.value_and_grad(batch)[1]

@@ -133,7 +133,7 @@ def init_state(d: int, cfg: TrainConfig) -> TrainState:
     n = init.n_params + 1
     vec = np.empty(n)
     init.flatten(out=vec[:-1])
-    vec[-1] = cfg.lambda_init
+    vec[-1] = 0.0 if cfg.lambda_zero else cfg.lambda_init
     lr = np.full(n, float(cfg.lr_theta))
     lr[-1] = cfg.effective_lr_lambda
     params = MlpParams.unflatten(vec[:-1], d, cfg.h1, cfg.h2)
@@ -148,15 +148,11 @@ def train_step(state: TrainState, batch: TrainBatch, cfg: TrainConfig) -> StepIn
     trace = forward(state.params, batch.x)
     fb = Batch(trace.p, batch.a, batch.y)
 
-    obj_val = fairloss.OBJECTIVES[cfg.objective].value(fb)
-    dobj_dp = fairloss.grad_wrt_p(cfg.objective, fb)
-    c_val = fairloss.constraint_value(fb, cfg.constraint)
+    obj_val, dobj_dp = fairloss.OBJECTIVES[cfg.objective].value_and_grad(fb)
+    c_val, dc_dp = fairloss.CONSTRAINTS[cfg.constraint.kind].value_and_grad(fb)
     l_k = c_val - cfg.constraint.slack
 
-    if cfg.lambda_zero:
-        dL_dp = dobj_dp
-    else:
-        dL_dp = dobj_dp + state.lam * fairloss.grad_wrt_p(cfg.constraint, fb)
+    dL_dp = dobj_dp if cfg.lambda_zero else dobj_dp + state.lam * dc_dp
     backward(state.params, trace, dL_dp).flatten(out=state.grad[:-1])
 
     # ascent on l_k == descent on -l_k; with a zero slot Adam leaves

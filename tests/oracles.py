@@ -1,5 +1,6 @@
-"""Naive per-element loop implementations of every batch quantity, and
-the loop versions of the ingest, splits and batching that the package
+"""Naive per-element loop implementations of every batch quantity, the
+separate value and gradient functions of each fairness term, and the
+loop versions of the ingest, splits and batching that the package
 replaced.
 
 These are intentionally written with plain Python loops and no shared
@@ -13,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from fairmlp.data import Dataset, Encoder, SchemaConfig
-from fairmlp.errors import DataError, ParameterError, SchemaError
+from fairmlp.errors import (DataError, DegenerateBatchError, ParameterError,
+                            SchemaError, ShapeError)
+from fairmlp.fairloss import Batch, MultiGroupBatch, _Split
 from fairmlp.numcore import Rng
 
 
@@ -80,7 +83,7 @@ def loop_di(p, a, floor=1e-7):
     return -min(r, r_inv)
 
 
-def loop_qmean(p, y, include_class_factor=False):
+def loop_qmean(p, y):
     sp = np_ = sn = nn = 0.0
     for pi, yi in zip(p, y):
         if yi == 1:
@@ -91,10 +94,7 @@ def loop_qmean(p, y, include_class_factor=False):
             nn += 1
     u = 1.0 - sp / np_
     v = 1.0 - sn / nn
-    bracket = u * u + v * v
-    if include_class_factor:
-        bracket /= 2.0
-    return math.sqrt(bracket)
+    return math.sqrt(u * u + v * v)
 
 
 def loop_dp_multi(p, group, m):
@@ -121,6 +121,196 @@ def loop_rate(pred, mask):
     num = sum(v for v, m in zip(pred, mask) if m)
     den = sum(1 for m in mask if m)
     return num / den
+
+
+# The separate value and gradient functions that fairloss's one
+# (value, gradient) function per term replaced, kept verbatim but for
+# their names: each term must give the same value and gradient bits and
+# raise the same errors.
+TWIN_PROB_CLAMP = 1e-7
+TWIN_DI_MEAN_FLOOR = 1e-7
+
+
+def twin_const_dp(batch: Batch) -> float:
+    """Demographic-parity gap: |mean p over a=1 - mean p over a=0|."""
+    m1, m0 = batch.groups.means(batch.p)
+    return abs(m1 - m0)
+
+
+def twin_grad_dp(batch: Batch) -> np.ndarray:
+    m1, m0 = batch.groups.means(batch.p)
+    return np.sign(m1 - m0) * batch.groups.direction
+
+
+def twin_fpr_gap(batch: Batch) -> float:
+    """|sum p(1-y)a / sum a  -  sum p(1-y)(1-a) / sum (1-a)|.
+
+    Denominators are full group sizes, not negative-label counts.
+    """
+    m1, m0 = batch.groups.means(batch.p * batch.classes.zeros)
+    return abs(m1 - m0)
+
+
+def twin_fnr_gap(batch: Batch) -> float:
+    """|sum (1-p)y a / sum a  -  sum (1-p)y(1-a) / sum (1-a)|."""
+    m1, m0 = batch.groups.means((1.0 - batch.p) * batch.y)
+    return abs(m1 - m0)
+
+
+def twin_const_eo(batch: Batch, variant: str = "sum") -> float:
+    """Equalized-odds constraint: fpr+fnr ('sum') or max(fpr, fnr) ('max')."""
+    fpr = twin_fpr_gap(batch)
+    fnr = twin_fnr_gap(batch)
+    if variant == "sum":
+        return fpr + fnr
+    if variant == "max":
+        return max(fpr, fnr)
+    raise ParameterError(f"unknown EO variant {variant!r}")
+
+
+def twin_eo_grads(batch: Batch) -> tuple[np.ndarray, np.ndarray, float, float]:
+    # gradients of the FPR and FNR gaps, then the two gap values
+    p, y, not_y = batch.p, batch.y, batch.classes.zeros
+    d = batch.groups.direction
+    m1f, m0f = batch.groups.means(p * not_y)
+    g_fpr = np.sign(m1f - m0f) * not_y * d
+    m1n, m0n = batch.groups.means((1.0 - p) * y)
+    g_fnr = np.sign(m1n - m0n) * (-y) * d
+    return g_fpr, g_fnr, abs(m1f - m0f), abs(m1n - m0n)
+
+
+def twin_grad_eo_sum(batch: Batch) -> np.ndarray:
+    g_fpr, g_fnr, _, _ = twin_eo_grads(batch)
+    return g_fpr + g_fnr
+
+
+def twin_grad_eo_max(batch: Batch) -> np.ndarray:
+    g_fpr, g_fnr, fpr, fnr = twin_eo_grads(batch)
+    return g_fpr if fpr >= fnr else g_fnr
+
+
+def twin_const_di(batch: Batch, mean_floor: float = TWIN_DI_MEAN_FLOOR) -> float:
+    """Disparate-impact constraint -min(r, 1/r) with r the ratio of group
+    mean probabilities (a=1 over a=0); equals -1 iff the rates match.
+
+    ``mean_floor`` clamps each ratio denominator; pass 0 for the exact
+    unclamped ratio (used by the non-coverability counterexample).
+    """
+    m1, m0 = batch.groups.means(batch.p)
+    r = m1 / max(m0, mean_floor) if mean_floor > 0 else m1 / m0
+    r_inv = m0 / max(m1, mean_floor) if mean_floor > 0 else m0 / m1
+    return -min(r, r_inv)
+
+
+def twin_grad_di(batch: Batch) -> np.ndarray:
+    g = batch.groups
+    m1, m0 = g.means(batch.p)
+    m1f = max(m1, TWIN_DI_MEAN_FLOOR)
+    m0f = max(m0, TWIN_DI_MEAN_FLOOR)
+    dm1 = g.ones / g.n_ones
+    dm0 = g.zeros / g.n_zeros
+    # derivative of a floored denominator is zero where the floor binds
+    dm1f = dm1 if m1 > TWIN_DI_MEAN_FLOOR else np.zeros_like(dm1)
+    dm0f = dm0 if m0 > TWIN_DI_MEAN_FLOOR else np.zeros_like(dm0)
+    r = m1 / m0f
+    r_inv = m0 / m1f
+    if r <= r_inv:  # first branch: const = -m1/m0f
+        return -(dm1 * m0f - m1 * dm0f) / (m0f * m0f)
+    return -(dm0 * m1f - m0 * dm1f) / (m1f * m1f)
+
+
+def twin_const_dp_multi(batch: MultiGroupBatch) -> float:
+    """Sum over groups j of the one-vs-rest demographic-parity gap."""
+    total = 0.0
+    for j in range(batch.m):
+        m1, m0 = _Split((batch.group == j).astype(np.float64)).means(batch.p)
+        total += abs(m1 - m0)
+    return total
+
+
+def twin_grad_dp_multi_wrt_p(batch: MultiGroupBatch) -> np.ndarray:
+    """Gradient of the m-group summed one-vs-rest parity constraint."""
+    g = np.zeros_like(batch.p)
+    for j in range(batch.m):
+        split = _Split((batch.group == j).astype(np.float64))
+        m1, m0 = split.means(batch.p)
+        g += np.sign(m1 - m0) * split.direction
+    return g
+
+
+def twin_two_groups(batch: Batch) -> MultiGroupBatch:
+    # the binary attribute as a 2-group index: dp-multi is then exactly 2 x dp
+    return MultiGroupBatch(batch.p, batch.a.astype(np.int64), 2)
+
+
+def twin_cross_entropy(p: np.ndarray, y: np.ndarray) -> float:
+    """Mean binary cross-entropy -y log p - (1-y) log(1-p)."""
+    p = np.asarray(p, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if p.shape != y.shape:
+        raise ShapeError("p and y must have equal length")
+    p = np.clip(p, TWIN_PROB_CLAMP, 1.0 - TWIN_PROB_CLAMP)
+    return float(np.mean(-y * np.log(p) - (1.0 - y) * np.log(1.0 - p)))
+
+
+def twin_grad_ce(batch: Batch) -> np.ndarray:
+    # p from forward() already lies in the clamp band, where the clip in
+    # cross_entropy is the identity
+    p, y = batch.p, batch.y
+    return (-y / p + (1.0 - y) / (1.0 - p)) / p.shape[0]
+
+
+def twin_q_mean(batch: Batch, include_class_factor: bool = False) -> float:
+    """Batch q-mean loss: sqrt(u^2 + v^2) where u, v are the per-class
+    soft error rates 1 - sum(y p)/sum(y) and 1 - sum((1-y)(1-p))/sum(1-y).
+
+    With ``include_class_factor`` the bracket is halved (the 1/m-class
+    normalization), which scales the result by exactly 1/sqrt(2).
+    """
+    u, v = twin_qmean_terms(batch)
+    return twin_qmean_from_terms(u, v, include_class_factor)
+
+
+def twin_qmean_from_terms(u: float, v: float,
+                          include_class_factor: bool = False) -> float:
+    bracket = u * u + v * v
+    if include_class_factor:
+        bracket /= 2.0
+    return float(np.sqrt(bracket))
+
+
+def twin_qmean_terms(batch: Batch) -> tuple[float, float]:
+    c = batch.classes
+    if c.n_ones < 1 or c.n_zeros < 1:
+        raise DegenerateBatchError("q-mean needs both classes in the batch")
+    u = 1.0 - float((batch.y * batch.p).sum() / c.n_ones)
+    v = 1.0 - float((c.zeros * (1.0 - batch.p)).sum() / c.n_zeros)
+    return u, v
+
+
+def twin_grad_qmean(batch: Batch) -> np.ndarray:
+    y = batch.y
+    u, v = twin_qmean_terms(batch)
+    q = twin_qmean_from_terms(u, v)
+    if q == 0.0:
+        return np.zeros_like(batch.p)
+    du = -y / batch.classes.n_ones
+    dv = batch.classes.zeros / batch.classes.n_zeros
+    return (u * du + v * dv) / q
+
+
+# (value, gradient) of every CONSTRAINTS and OBJECTIVES name, as the
+# tables paired them
+TWIN_TERMS = {
+    "dp": (twin_const_dp, twin_grad_dp),
+    "eo-sum": (lambda b: twin_const_eo(b, "sum"), twin_grad_eo_sum),
+    "eo-max": (lambda b: twin_const_eo(b, "max"), twin_grad_eo_max),
+    "di": (twin_const_di, twin_grad_di),
+    "dp-multi": (lambda b: twin_const_dp_multi(twin_two_groups(b)),
+                 lambda b: twin_grad_dp_multi_wrt_p(twin_two_groups(b))),
+    "ce": (lambda b: twin_cross_entropy(b.p, b.y), twin_grad_ce),
+    "qmean": (lambda b: twin_q_mean(b), twin_grad_qmean),
+}
 
 
 # The set-based batching that data.epoch_batches replaced, kept verbatim

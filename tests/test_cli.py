@@ -13,7 +13,7 @@ import pytest
 import gradcheck
 from fairmlp import data
 from fairmlp.audit import MetricsReport
-from fairmlp.cli import build_parser, main
+from fairmlp.cli import RunConfig, _crossval_reports, build_parser, main
 from fairmlp.fairloss import CONSTRAINTS, OBJECTIVES, ConstraintKind
 from conftest import write_csv
 
@@ -112,6 +112,19 @@ class TestCrossval:
             assert report["metadata"]["out_dir"] == str(out)
             reports.append(strip_metadata(out / "report.json"))
         assert reports[0] == reports[1]
+
+
+    def test_crossval_reports_ingests_when_given_only_the_config(
+            self, tmp_path, biased_csv, biased_schema_json, capsys):
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json,
+                         max_epochs=2)
+        assert main(["crossval", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        reports, logs = _crossval_reports(
+            RunConfig(**json.loads(cfg.read_text(encoding="utf-8"))))
+        assert len(logs) == 2
+        assert (json.loads(json.dumps([r.to_dict() for r in reports]))
+                == report["folds"])
 
 
 class TestThreadCountDeterminism:
@@ -286,6 +299,39 @@ class TestEmptyTable:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestNonFiniteCell:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory, biased_csv, biased_schema_json):
+        tmp_path = tmp_path_factory.mktemp("trained")
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json, max_epochs=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+        return tmp_path / "out"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["crossval", "audit", "audit-encoder"])
+    def test_exits_three_naming_the_column(self, tmp_path, biased_csv,
+                                           biased_schema_json, trained,
+                                           command, cell, capsys):
+        with open(biased_csv, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        rows[7][header.index("f2")] = cell
+        csv_path = tmp_path / "nonfinite.csv"
+        write_csv(csv_path, header, rows)
+        if command == "crossval":
+            argv = ["crossval", "--config",
+                    str(run_config(tmp_path, csv_path, biased_schema_json))]
+        else:
+            argv = ["audit", "--model", str(trained / "model.json"),
+                    "--data", str(csv_path), "--schema", str(biased_schema_json)]
+            if command == "audit-encoder":
+                argv += ["--encoder", str(trained / "encoder.json")]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "'f2'" in err
 
 
 def census_shaped_rows(n, seed):

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from fairmlp.errors import DegenerateBatchError, ParameterError, ShapeError
-from fairmlp.fairloss import (Batch, ConstraintKind, MultiGroupBatch,
-                              const_di, const_dp, const_dp_multi, const_eo,
-                              constraint_loss, constraint_value, cross_entropy,
-                              fnr_gap, fpr_gap, grad_wrt_p, q_mean)
+from fairmlp.fairloss import (CONSTRAINTS, OBJECTIVES, Batch, ConstraintKind,
+                              MultiGroupBatch, const_di, const_dp,
+                              const_dp_multi, const_eo, constraint_value,
+                              cross_entropy, fnr_gap, fpr_gap, grad_wrt_p,
+                              q_mean)
 from fairmlp.numcore import Rng
 from conftest import random_batch
 
@@ -41,8 +43,6 @@ class TestHandFixtures:
 
     def test_qmean(self):
         assert abs(q_mean(Q_BATCH) - math.sqrt(0.13)) <= 1e-9
-        assert abs(q_mean(Q_BATCH, include_class_factor=True)
-                   - math.sqrt(0.065)) <= 1e-9
 
     def test_dp_multi_two_groups(self):
         mb = MultiGroupBatch(DP_BATCH.p, DP_BATCH.a.astype(int), 2)
@@ -104,23 +104,6 @@ class TestConstraintKind:
             ConstraintKind("nope", epsilon=0.1)
 
 
-class TestConstraintLoss:
-    def test_mean_minus_epsilon(self):
-        assert abs(constraint_loss([0.4, 0.2], ConstraintKind.dp(0.05))
-                   - 0.25) <= 1e-12
-
-    def test_di_slack(self):
-        out = constraint_loss([-0.9], ConstraintKind.di(80))
-        assert abs(out - (-0.1)) <= 1e-12
-
-    def test_boundary_zero(self):
-        assert constraint_loss([0.05], ConstraintKind.dp(0.05)) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ParameterError):
-            constraint_loss([], ConstraintKind.dp(0.05))
-
-
 class TestCrossEntropy:
     def test_half_gives_ln2(self):
         assert abs(cross_entropy(np.array([0.5, 0.5]), np.array([1, 0]))
@@ -171,7 +154,6 @@ class TestRangeInvariants:
             assert 0.0 <= eo_max <= 1.0
             assert eo_max <= eo_sum <= 2.0 * eo_max + 1e-15
             assert -1.0 <= const_di(b) < 0.0
-            assert abs(q_mean(b, True) - q_mean(b) / math.sqrt(2.0)) <= 1e-15
 
 
 class TestGradients:
@@ -280,3 +262,71 @@ class TestMultiGroup:
             mb = MultiGroupBatch(p, group, 3)
             assert abs(const_dp_multi(mb)
                        - oracles.loop_dp_multi(p.tolist(), group.tolist(), 3)) <= 1e-12
+
+
+TERMS = {name: entry.value_and_grad
+         for name, entry in {**CONSTRAINTS, **OBJECTIVES}.items()}
+PROBS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def term_batches(draw):
+    """A batch of 2-64 rows holding both groups; now and then it holds a
+    single label class, on which the class-conditioned terms must fail."""
+    n = draw(st.integers(2, 64))
+    p = draw(st.lists(PROBS, min_size=n, max_size=n))
+    a = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    a[draw(st.integers(1, n - 1))] = 1 - a[0]
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return Batch(np.array(p), np.array(a), np.array(y))
+
+
+def outcome(value_and_grad, batch):
+    """A term's value and gradient as bits, or the error it raised."""
+    try:
+        value, grad = value_and_grad(batch)
+    except (ArithmeticError, DegenerateBatchError, ParameterError) as exc:
+        return type(exc), str(exc)
+    return type(value), np.float64(value).tobytes(), grad.dtype, grad.tobytes()
+
+
+def twin(name):
+    value, grad = oracles.TWIN_TERMS[name]
+    return lambda batch: (value(batch), grad(batch))
+
+
+# tiny probabilities overflow the cross-entropy gradient and the ratios
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestTermsMatchTwins:
+    def test_every_table_entry_has_a_twin(self):
+        assert set(oracles.TWIN_TERMS) == set(TERMS)
+
+    @pytest.mark.parametrize("name", sorted(TERMS))
+    @settings(max_examples=200, deadline=None)
+    @given(term_batches())
+    @example(Batch(np.array([0.4, 0.4, 0.4, 0.4]), np.array([1, 1, 0, 0]),
+                   np.array([1, 0, 1, 0])))          # |.| kinks, min/max ties
+    @example(Batch(np.array([0.3, 0.6]), np.array([1, 0]),
+                   np.array([1, 1])))                # a single label class
+    @example(Batch(np.array([1e-9, 0.5, 1e-12]), np.array([1, 0, 1]),
+                   np.array([0, 1, 1])))             # the DI floor binds
+    def test_value_and_gradient_bits(self, name, batch):
+        assert outcome(TERMS[name], batch) == outcome(twin(name), batch)
+
+    @settings(max_examples=200, deadline=None)
+    @given(term_batches())
+    def test_unfloored_di(self, batch):
+        def unfloored(fn):
+            try:
+                return fn(batch, mean_floor=0.0)
+            except ArithmeticError as exc:
+                return type(exc), str(exc)
+        assert unfloored(const_di) == unfloored(oracles.twin_const_di)
+
+    @settings(max_examples=200, deadline=None)
+    @given(term_batches())
+    def test_dp_multi_is_twice_dp(self, batch):
+        dp, g_dp = TERMS["dp"](batch)
+        multi, g_multi = TERMS["dp-multi"](batch)
+        assert multi == 2.0 * dp
+        np.testing.assert_array_equal(g_multi, 2.0 * g_dp)

@@ -178,6 +178,22 @@ class TestFit:
                 params = MlpParams.unflatten(theta, *params.dims)
         assert fitted.flatten().tobytes() == params.flatten().tobytes()
 
+    def test_lambda_zero_ignores_lambda_init(self):
+        # the baseline holds lambda at 0 from the first epoch, so the log
+        # and the convergence window see the objective alone
+        ds = biased_dataset(n=300)
+        runs = [fit(ds, toy_config(lambda_zero=True, lambda_init=init,
+                                   max_epochs=8, convergence_window=2,
+                                   convergence_tol=1e-3,
+                                   constraint=ConstraintKind.dp(0.01)))
+                for init in (0.5, 0.0)]
+        (params, log), (ref_params, ref_log) = runs
+        assert [r.lam for r in log] == [0.0] * len(log)
+        assert ([(r.epoch, r.objective, r.constraint_value, r.lam) for r in log]
+                == [(r.epoch, r.objective, r.constraint_value, r.lam)
+                    for r in ref_log])
+        assert params.flatten().tobytes() == ref_params.flatten().tobytes()
+
     def test_missing_group_rejected(self):
         gen = np.random.default_rng(0)
         ds = make_dataset(gen.normal(size=(50, 2)), np.zeros(50, dtype=int),
