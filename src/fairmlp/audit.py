@@ -11,7 +11,7 @@ parameter count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,13 +49,6 @@ class MetricsReport:
         out["fnr_by_group"] = {str(k): v for k, v in self.fnr_by_group.items()}
         return out
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "MetricsReport":
-        raw = dict(raw)
-        raw["fpr_by_group"] = {int(k): v for k, v in raw["fpr_by_group"].items()}
-        raw["fnr_by_group"] = {int(k): v for k, v in raw["fnr_by_group"].items()}
-        return cls(**raw)
-
 
 def _conditional_rate(pred: np.ndarray, cond: np.ndarray) -> float:
     n = cond.sum()
@@ -86,9 +79,10 @@ def evaluate(params: MlpParams, dataset: Dataset, S: int,
     dp_vals, eo_sum_vals, eo_max_vals, q_vals = [], [], [], []
     for idx in batches:
         b = Batch(p[idx], a[idx], y[idx])
+        fpr, fnr = fairloss.fpr_gap(b), fairloss.fnr_gap(b)
         dp_vals.append(fairloss.const_dp(b))
-        eo_sum_vals.append(fairloss.const_eo(b, "sum"))
-        eo_max_vals.append(fairloss.const_eo(b, "max"))
+        eo_sum_vals.append(fpr + fnr)
+        eo_max_vals.append(max(fpr, fnr))
         q_vals.append(fairloss.q_mean(b))
 
     g1, g0 = a == 1, a == 0
@@ -217,9 +211,7 @@ def bound_sweep(inputs: BoundInputs, b_values,
     """Rows (B, omega_closed, omega_grid, full_bound) over a range of B."""
     rows = []
     for b in b_values:
-        bi = BoundInputs(R=inputs.R, D=inputs.D, W=inputs.W, L=inputs.L,
-                         S=inputs.S, B=int(b), delta=inputs.delta, C=inputs.C,
-                         radius_divisor=inputs.radius_divisor)
+        bi = replace(inputs, B=int(b))
         om = omega(bi)
         rows.append({
             "B": int(b),
@@ -228,18 +220,6 @@ def bound_sweep(inputs: BoundInputs, b_values,
             "full_bound": full_bound(empirical_mean, bi),
         })
     return rows
-
-
-def model_bound_inputs(params: MlpParams, S: int, B: int, L: float = 1.0,
-                       delta: float = 0.1, C: float = 4.0,
-                       radius_divisor: str = "S") -> BoundInputs:
-    """BoundInputs read off a trained network: R = 2 hidden layers,
-    D = parameter count, W = max per-layer l1 norm. L (the output bound)
-    depends on the input scale and must be supplied."""
-    return BoundInputs(R=2, D=params.n_params,
-                       W=max(params.layer_l1_norms()),
-                       L=L, S=S, B=B, delta=delta, C=C,
-                       radius_divisor=radius_divisor)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +253,7 @@ def di_counterexample(mu: float) -> CounterexamplePair:
     but the (unfloored) DI values are -1 and -0.5, a gap of 0.5 for
     every mu > 0. This is why no sup-norm cover of the DI constraint
     class can exist."""
-    if mu <= 0:
+    if not mu > 0:  # also rejects nan
         raise ParameterError("mu must be > 0")
     t = min(mu, 0.25)
     a = np.asarray([1, 0])

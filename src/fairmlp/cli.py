@@ -268,11 +268,25 @@ def cmd_audit(args) -> int:
     return 0
 
 
+def _finite_numbers(flag: str, text: str, sep: str) -> list[float]:
+    try:
+        values = [float(v) for v in text.split(sep)]
+    except ValueError:
+        values = [math.nan]
+    if not all(math.isfinite(v) for v in values):
+        raise ParameterError(
+            f"{flag} must be {sep!r}-separated finite numbers, got {text!r}")
+    return values
+
+
 def _parse_b_values(args) -> list[int]:
     if args.b_values:
-        return [int(float(v)) for v in args.b_values.split(",")]
-    lo, hi = (float(v) for v in args.b_range.split(":"))
-    lo_e, hi_e = math.log10(lo), math.log10(hi)
+        return [int(v) for v in _finite_numbers("--b-values", args.b_values, ",")]
+    ends = _finite_numbers("--b-range", args.b_range, ":")
+    if len(ends) != 2 or min(ends) <= 0:
+        raise ParameterError(
+            f"--b-range must be MIN:MAX with positive endpoints, got {args.b_range!r}")
+    lo_e, hi_e = (math.log10(v) for v in ends)
     if abs(lo_e - round(lo_e)) > 1e-9 or abs(hi_e - round(hi_e)) > 1e-9:
         raise ParameterError("--b-range endpoints must be powers of 10")
     return [10 ** e for e in range(int(round(lo_e)), int(round(hi_e)) + 1)]
@@ -301,9 +315,9 @@ def _write_bounds(fh, rows: list[dict]) -> None:
 
 
 def cmd_counterexample(args) -> int:
+    pairs = [audit.di_counterexample(mu) for mu in args.mu]
     print("mu,sup_distance,const_h,const_h_hat,gap")
-    for mu in args.mu:
-        pair = audit.di_counterexample(mu)
+    for mu, pair in zip(args.mu, pairs):
         print(f"{mu!r},{pair.sup_distance!r},{pair.const_h!r},"
               f"{pair.const_h_hat!r},{pair.gap!r}")
     return 0

@@ -41,10 +41,6 @@ class SchemaConfig:
     def used_columns(self) -> list[str]:
         return self.numeric + self.categorical + [self.label, self.sensitive]
 
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.__dict__, fh, indent=2, sort_keys=True)
-
     @classmethod
     def from_json(cls, path) -> "SchemaConfig":
         with open(path, "r", encoding="utf-8") as fh:

@@ -72,15 +72,6 @@ class TrainConfig:
 
 
 @dataclass
-class TrainBatch:
-    """Raw features plus attribute/label vectors for one step."""
-
-    x: np.ndarray
-    a: np.ndarray
-    y: np.ndarray
-
-
-@dataclass
 class StepInfo:
     objective: float
     constraint: float
@@ -101,7 +92,6 @@ class TrainState:
     grad: np.ndarray
     lr: np.ndarray
     adam: AdamState
-    epoch: int = 0
 
     @property
     def lam(self) -> float:
@@ -119,14 +109,6 @@ class LogRow:
     wall_ms: float
 
 
-def total_loss(objective_value: float, lam: float,
-               constraint_loss_value: float) -> float:
-    """Combined scalar L = l_obj + lambda * l_k."""
-    if lam < 0:
-        raise ParameterError("lambda must be >= 0")
-    return float(objective_value + lam * constraint_loss_value)
-
-
 def init_state(d: int, cfg: TrainConfig) -> TrainState:
     rng = Rng(cfg.seed)
     init = init_params(d, cfg.h1, cfg.h2, rng)
@@ -141,12 +123,14 @@ def init_state(d: int, cfg: TrainConfig) -> TrainState:
                       adam=AdamState.zeros(n))
 
 
-def train_step(state: TrainState, batch: TrainBatch, cfg: TrainConfig) -> StepInfo:
+def train_step(state: TrainState, x: np.ndarray, a: np.ndarray,
+               y: np.ndarray, cfg: TrainConfig) -> StepInfo:
     """One descent step on theta, then one projected ascent step on
     lambda using the same batch's pre-update probabilities. Mutates
-    ``state`` and reports the losses seen by the step."""
-    trace = forward(state.params, batch.x)
-    fb = Batch(trace.p, batch.a, batch.y)
+    ``state`` and reports the losses seen by the step, the total
+    L = l_obj + lambda * l_k at the updated lambda."""
+    trace = forward(state.params, x)
+    fb = Batch(trace.p, a, y)
 
     obj_val, dobj_dp = fairloss.OBJECTIVES[cfg.objective].value_and_grad(fb)
     c_val, dc_dp = fairloss.CONSTRAINTS[cfg.constraint.kind].value_and_grad(fb)
@@ -167,7 +151,7 @@ def train_step(state: TrainState, batch: TrainBatch, cfg: TrainConfig) -> StepIn
         state.vec[-1] = max(lam, 0.0)
 
     return StepInfo(objective=obj_val, constraint=c_val,
-                    total=total_loss(obj_val, state.lam, l_k))
+                    total=float(obj_val + state.lam * l_k))
 
 
 def fit(dataset: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[LogRow]]:
@@ -189,14 +173,11 @@ def fit(dataset: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[LogRow]]:
         t0 = time.perf_counter()
         objs, consts, totals = [], [], []
         for idx in batches:
-            info = train_step(
-                state,
-                TrainBatch(dataset.X[idx], dataset.a[idx], dataset.y[idx]),
-                cfg)
+            info = train_step(state, dataset.X[idx], dataset.a[idx],
+                              dataset.y[idx], cfg)
             objs.append(info.objective)
             consts.append(info.constraint)
             totals.append(info.total)
-        state.epoch = epoch + 1
         wall_ms = (time.perf_counter() - t0) * 1000.0
         log.append(LogRow(epoch=epoch, objective=float(np.mean(objs)),
                           constraint_value=float(np.mean(consts)),

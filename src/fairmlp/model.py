@@ -62,17 +62,6 @@ class MlpParams:
             at += size
         return cls(*parts)
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(*(arr.copy() for arr in self._arrays()))
-
-    def layer_l1_norms(self) -> list[float]:
-        """Per-layer l1 norms of (weights, bias) taken as one vector."""
-        return [
-            float(np.abs(self.w1).sum() + np.abs(self.b1).sum()),
-            float(np.abs(self.w2).sum() + np.abs(self.b2).sum()),
-            float(np.abs(self.w_out).sum() + np.abs(self.b_out).sum()),
-        ]
-
 
 def he_std(fan_in: int) -> float:
     """Weight init scale sqrt(2/fan_in)."""
@@ -95,13 +84,13 @@ def init_params(d: int, h1: int, h2: int, rng: Rng) -> MlpParams:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer activations kept for the backward pass."""
+    """Per-layer activations kept for the backward pass. The ReLU
+    pre-activations are not kept: z > 0 exactly where max(z, 0) > 0, so
+    the activations alone give backward its masks."""
 
     x: np.ndarray        # (S, d) input
-    z1: np.ndarray       # (S, h1) pre-activation
     a1: np.ndarray       # (S, h1) ReLU output
-    z2: np.ndarray       # (S, h2)
-    a2: np.ndarray       # (S, h2)
+    a2: np.ndarray       # (S, h2) ReLU output
     probs: np.ndarray    # (S, 2) softmax rows, pre-clamp
     p: np.ndarray        # (S,) class-1 probability, clamped
 
@@ -112,16 +101,14 @@ def forward(params: MlpParams, x: np.ndarray) -> ForwardTrace:
     if x.ndim != 2 or x.shape[1] != params.dims[0]:
         raise ShapeError(
             f"input has shape {x.shape}, expected (S, {params.dims[0]})")
-    z1 = x @ params.w1 + params.b1
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ params.w2 + params.b2
-    a2 = np.maximum(z2, 0.0)
+    a1 = np.maximum(x @ params.w1 + params.b1, 0.0)
+    a2 = np.maximum(a1 @ params.w2 + params.b2, 0.0)
     logits = a2 @ params.w_out + params.b_out
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     probs = e / e.sum(axis=1, keepdims=True)
     p = np.clip(probs[:, 1], PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return ForwardTrace(x=x, z1=z1, a1=a1, z2=z2, a2=a2, probs=probs, p=p)
+    return ForwardTrace(x=x, a1=a1, a2=a2, probs=probs, p=p)
 
 
 def backward(params: MlpParams, trace: ForwardTrace, dL_dp: np.ndarray) -> MlpParams:
@@ -144,23 +131,21 @@ def backward(params: MlpParams, trace: ForwardTrace, dL_dp: np.ndarray) -> MlpPa
     g_w_out = trace.a2.T @ dz_out
     g_b_out = dz_out.sum(axis=0)
     da2 = dz_out @ params.w_out.T
-    dz2 = da2 * (trace.z2 > 0.0)
+    dz2 = da2 * (trace.a2 > 0.0)
     g_w2 = trace.a1.T @ dz2
     g_b2 = dz2.sum(axis=0)
     da1 = dz2 @ params.w2.T
-    dz1 = da1 * (trace.z1 > 0.0)
+    dz1 = da1 * (trace.a1 > 0.0)
     g_w1 = trace.x.T @ dz1
     g_b1 = dz1.sum(axis=0)
     return MlpParams(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2,
                      w_out=g_w_out, b_out=g_b_out)
 
 
-def predict_hard(p: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Threshold probabilities to 0/1 labels; ties go to 1."""
-    if not (0.0 < threshold < 1.0):
-        raise ParameterError(f"threshold must be in (0, 1), got {threshold}")
+def predict_hard(p: np.ndarray) -> np.ndarray:
+    """Threshold probabilities at 0.5 to 0/1 labels; ties go to 1."""
     p = np.asarray(p, dtype=np.float64)
-    return (p >= threshold).astype(np.int64)
+    return (p >= 0.5).astype(np.int64)
 
 
 def save_checkpoint(path, params: MlpParams, seed: int) -> None:

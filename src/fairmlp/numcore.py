@@ -40,6 +40,12 @@ class Rng:
         return self.gen.choice(np.asarray(values), size=size, replace=replace)
 
 
+# Adam's moment decay rates and the denominator's epsilon
+BETA1 = 0.9
+BETA2 = 0.999
+EPS_HAT = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators for one flat parameter vector,
@@ -48,18 +54,13 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
 
     def __post_init__(self):
         self.work = np.empty((2,) + self.m.shape)
 
     @classmethod
-    def zeros(cls, n: int, beta1: float = 0.9, beta2: float = 0.999,
-              eps_hat: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n), t=0,
-                   beta1=beta1, beta2=beta2, eps_hat=eps_hat)
+    def zeros(cls, n: int) -> "AdamState":
+        return cls(m=np.zeros(n), v=np.zeros(n))
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
@@ -67,7 +68,7 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     """One bias-corrected Adam update of ``params`` in place; advances
     ``state`` and returns ``params``.
 
-    params <- params - lr * m_hat / (sqrt(v_hat) + eps_hat)
+    params <- params - lr * m_hat / (sqrt(v_hat) + EPS_HAT)
 
     ``lr`` is one rate, or an array with one rate per coordinate. The
     update is checked for finiteness before it is written, so a failing
@@ -91,17 +92,17 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     state.t += 1
     m, v = state.m, state.v
     step, denom = state.work
-    m *= state.beta1
-    np.multiply(grads, 1.0 - state.beta1, out=step)
+    m *= BETA1
+    np.multiply(grads, 1.0 - BETA1, out=step)
     m += step
-    v *= state.beta2
-    np.multiply(grads, 1.0 - state.beta2, out=step)
+    v *= BETA2
+    np.multiply(grads, 1.0 - BETA2, out=step)
     step *= grads
     v += step
-    np.divide(v, 1.0 - state.beta2 ** state.t, out=denom)
+    np.divide(v, 1.0 - BETA2 ** state.t, out=denom)
     np.sqrt(denom, out=denom)
-    denom += state.eps_hat
-    np.divide(m, 1.0 - state.beta1 ** state.t, out=step)
+    denom += EPS_HAT
+    np.divide(m, 1.0 - BETA1 ** state.t, out=step)
     step *= lr
     step /= denom
     np.subtract(params, step, out=step)

@@ -50,9 +50,11 @@ def make_instance(seed, s_min=4, s_max=32, d=3, h1=4, h2=3):
         y = rng.gen.integers(0, 2, size)
         if not (0 < a.sum() < size and 0 < y.sum() < size):
             continue
-        trace = forward(params, x)
-        if np.abs(trace.z1).min() < 1e-4 or np.abs(trace.z2).min() < 1e-4:
+        z1 = x @ params.w1 + params.b1
+        z2 = np.maximum(z1, 0.0) @ params.w2 + params.b2
+        if np.abs(z1).min() < 1e-4 or np.abs(z2).min() < 1e-4:
             continue
+        trace = forward(params, x)
         if trace.p.min() < 1e-3 or trace.p.max() > 1.0 - 1e-3:
             continue
         if min(_kink_margins(trace.p, a, y)) < 1e-5:

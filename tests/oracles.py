@@ -1,7 +1,7 @@
 """Naive per-element loop implementations of every batch quantity, the
-separate value and gradient functions of each fairness term, and the
-loop versions of the ingest, splits and batching that the package
-replaced.
+separate value and gradient functions of each fairness term, the loop
+versions of the ingest, splits and batching, and the network passes
+that kept the ReLU pre-activations, all of which the package replaced.
 
 These are intentionally written with plain Python loops and no shared
 code with the package beyond its containers and errors: they are the
@@ -17,6 +17,7 @@ from fairmlp.data import Dataset, Encoder, SchemaConfig
 from fairmlp.errors import (DataError, DegenerateBatchError, ParameterError,
                             SchemaError, ShapeError)
 from fairmlp.fairloss import Batch, MultiGroupBatch, _Split
+from fairmlp.model import MlpParams
 from fairmlp.numcore import Rng
 
 
@@ -544,3 +545,70 @@ def loop_holdout_split(a: np.ndarray, y: np.ndarray, test_fraction: float,
     mask = np.ones(a.shape[0], dtype=bool)
     mask[test_idx] = False
     return np.where(mask)[0], test_idx
+
+
+# The forward and backward passes that kept both ReLU pre-activations,
+# kept verbatim but for their names and the trace's: masking on the
+# activations must give the same probabilities, activations and
+# gradient bits.
+@dataclass
+class TwinForwardTrace:
+    """Per-layer activations kept for the backward pass."""
+
+    x: np.ndarray        # (S, d) input
+    z1: np.ndarray       # (S, h1) pre-activation
+    a1: np.ndarray       # (S, h1) ReLU output
+    z2: np.ndarray       # (S, h2)
+    a2: np.ndarray       # (S, h2)
+    probs: np.ndarray    # (S, 2) softmax rows, pre-clamp
+    p: np.ndarray        # (S,) class-1 probability, clamped
+
+
+def twin_forward(params: MlpParams, x: np.ndarray) -> TwinForwardTrace:
+    """Forward pass over a batch; pure function of (params, x)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.dims[0]:
+        raise ShapeError(
+            f"input has shape {x.shape}, expected (S, {params.dims[0]})")
+    z1 = x @ params.w1 + params.b1
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ params.w2 + params.b2
+    a2 = np.maximum(z2, 0.0)
+    logits = a2 @ params.w_out + params.b_out
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=1, keepdims=True)
+    p = np.clip(probs[:, 1], TWIN_PROB_CLAMP, 1.0 - TWIN_PROB_CLAMP)
+    return TwinForwardTrace(x=x, z1=z1, a1=a1, z2=z2, a2=a2, probs=probs, p=p)
+
+
+def twin_backward(params: MlpParams, trace: TwinForwardTrace,
+                  dL_dp: np.ndarray) -> MlpParams:
+    """Gradients of any scalar L given its per-probability gradients.
+
+    Coordinates where the clamp saturated contribute zero (p is constant
+    there), matching the value actually computed from trace.p.
+    """
+    dL_dp = np.asarray(dL_dp, dtype=np.float64)
+    if dL_dp.shape != trace.p.shape:
+        raise ShapeError(
+            f"dL_dp has shape {dL_dp.shape}, expected {trace.p.shape}")
+    s1 = trace.probs[:, 1]
+    upstream = np.where(
+        (s1 < TWIN_PROB_CLAMP) | (s1 > 1.0 - TWIN_PROB_CLAMP), 0.0, dL_dp)
+    # dp/dz = s1(1-s1) * [-1, +1] through the 2-way softmax
+    dz_common = upstream * s1 * (1.0 - s1)
+    dz_out = np.stack([-dz_common, dz_common], axis=1)
+
+    g_w_out = trace.a2.T @ dz_out
+    g_b_out = dz_out.sum(axis=0)
+    da2 = dz_out @ params.w_out.T
+    dz2 = da2 * (trace.z2 > 0.0)
+    g_w2 = trace.a1.T @ dz2
+    g_b2 = dz2.sum(axis=0)
+    da1 = dz2 @ params.w2.T
+    dz1 = da1 * (trace.z1 > 0.0)
+    g_w1 = trace.x.T @ dz1
+    g_b1 = dz1.sum(axis=0)
+    return MlpParams(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2,
+                     w_out=g_w_out, b_out=g_b_out)

@@ -514,6 +514,27 @@ class TestBounds:
         assert omega_at_s(20) > omega_at_s(10)
 
 
+class TestBadBoundsValues:
+    @pytest.mark.parametrize("argv, named", [
+        (["bounds", "--b-range", "abc"], "--b-range"),
+        (["bounds", "--b-range", "1e2"], "--b-range"),
+        (["bounds", "--b-values", "1,x"], "--b-values"),
+        (["bounds", "--b-values", "inf"], "--b-values"),
+        (["bounds", "--b-values", "nan"], "--b-values"),
+        (["counterexample", "nan"], "mu"),
+    ], ids=["b-range-abc", "b-range-one-end", "b-values-x", "b-values-inf",
+            "b-values-nan", "mu-nan"])
+    def test_exits_two_with_one_line(self, argv, named, capsys):
+        if argv[0] == "bounds":
+            argv = argv + ["--d", "3", "--w", "0.5", "--l", "1", "--s", "10"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert named in lines[0]
+
+
 class TestCounterexample:
     def test_six_mus_constant_gap(self, capsys):
         mus = ["1e-1", "1e-2", "1e-3", "1e-4", "1e-5", "1e-6"]

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import tempfile
 from pathlib import Path
 
@@ -483,7 +485,7 @@ class TestSchema:
 
     def test_roundtrip_json(self, tmp_path):
         path = tmp_path / "schema.json"
-        SCHEMA.to_json(path)
+        path.write_text(json.dumps(dataclasses.asdict(SCHEMA)), encoding="utf-8")
         loaded = SchemaConfig.from_json(path)
         assert loaded == SCHEMA
 

@@ -3,11 +3,10 @@ import pytest
 
 import gradcheck
 from fairmlp.data import Dataset, Encoder
-from fairmlp.errors import DataError, ParameterError
+from fairmlp.errors import DataError
 from fairmlp.fairloss import ConstraintKind
-from fairmlp.lagrange import (LogRow, TrainBatch, TrainConfig, fit,
-                              init_state, total_loss, train_step,
-                              write_training_log)
+from fairmlp.lagrange import (LogRow, TrainConfig, fit, init_state,
+                              train_step, write_training_log)
 from fairmlp.model import MlpParams, backward, forward, predict_hard
 from fairmlp.numcore import AdamState, adam_step
 from fairmlp import fairloss
@@ -48,27 +47,12 @@ def toy_config(**kw):
     return TrainConfig(**base)
 
 
-class TestTotalLoss:
-    def test_hand_value(self):
-        assert abs(total_loss(0.6931, 2.0, 0.25) - 1.1931) <= 1e-12
-
-    def test_lambda_zero_is_objective(self):
-        assert total_loss(0.42, 0.0, 5.0) == 0.42
-
-    def test_zero_constraint_loss(self):
-        assert total_loss(0.42, 3.7, 0.0) == 0.42
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ParameterError):
-            total_loss(0.1, -0.5, 0.1)
-
-
 def one_batch(ds, size=32, seed=0):
     rng = np.random.default_rng(seed)
     while True:
         idx = rng.choice(ds.n, size=size, replace=False)
         if 0 < ds.a[idx].sum() < size and 0 < ds.y[idx].sum() < size:
-            return TrainBatch(ds.X[idx], ds.a[idx], ds.y[idx])
+            return ds.X[idx], ds.a[idx], ds.y[idx]
 
 
 class TestTrainStep:
@@ -76,16 +60,18 @@ class TestTrainStep:
         ds = biased_dataset()
         cfg = toy_config(constraint=ConstraintKind.dp(0.0))
         state = init_state(ds.d, cfg)
-        batch = one_batch(ds)
-        info = train_step(state, batch, cfg)
-        assert info.constraint - cfg.constraint.slack > 0
+        info = train_step(state, *one_batch(ds), cfg)
+        l_k = info.constraint - cfg.constraint.slack
+        assert l_k > 0
         assert state.lam > 0.0
+        # the reported total is L = l_obj + lambda * l_k at the new lambda
+        assert info.total == info.objective + state.lam * l_k
 
     def test_satisfied_constraint_keeps_lambda_at_zero(self):
         ds = biased_dataset()
         cfg = toy_config(constraint=ConstraintKind.dp(2.0))  # always satisfied
         state = init_state(ds.d, cfg)
-        train_step(state, one_batch(ds), cfg)
+        train_step(state, *one_batch(ds), cfg)
         assert state.lam == 0.0
 
     def test_one_step_reduces_loss_at_fixed_lambda(self):
@@ -98,16 +84,15 @@ class TestTrainStep:
                          batch_size=8, lambda_init=0.5)
         state = init_state(ds.d, cfg)
         lam_before = state.lam
-        batch = TrainBatch(ds.X, ds.a, ds.y)
 
         def loss_at(params):
-            p = forward(params, batch.x).p
-            b = fairloss.Batch(p, batch.a, batch.y)
+            p = forward(params, ds.X).p
+            b = fairloss.Batch(p, ds.a, ds.y)
             lk = fairloss.const_dp(b) - cfg.constraint.slack
-            return total_loss(fairloss.cross_entropy(p, batch.y), lam_before, lk)
+            return fairloss.cross_entropy(p, ds.y) + lam_before * lk
 
         before = loss_at(state.params)
-        train_step(state, batch, cfg)
+        train_step(state, ds.X, ds.a, ds.y, cfg)
         assert loss_at(state.params) < before
 
     def test_lambda_never_negative(self):
@@ -116,7 +101,7 @@ class TestTrainStep:
         state = init_state(ds.d, cfg)
         rng = np.random.default_rng(0)
         for i in range(50):
-            train_step(state, one_batch(ds, seed=i), cfg)
+            train_step(state, *one_batch(ds, seed=i), cfg)
             assert state.lam >= 0.0
 
 
@@ -163,7 +148,7 @@ class TestFit:
         fitted, _ = fit(ds, cfg)
 
         from fairmlp.data import batch_iter
-        params = init_state(ds.d, cfg).params.copy()
+        params = init_state(ds.d, cfg).params
         adam = AdamState.zeros(params.n_params)
         epochs = batch_iter(ds, cfg.batch_size, cfg.seed + 1,
                             require_classes=False)

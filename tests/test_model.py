@@ -1,12 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from fairmlp.errors import ParameterError, SchemaError, ShapeError
 from fairmlp.fairloss import PROB_CLAMP
-from fairmlp.model import (MlpParams, backward, forward, he_std, init_params,
-                           load_checkpoint, predict_hard, save_checkpoint)
+from fairmlp.model import (ForwardTrace, MlpParams, backward, forward, he_std,
+                           init_params, load_checkpoint, predict_hard,
+                           save_checkpoint)
 from fairmlp.numcore import Rng
 
 
@@ -107,7 +111,9 @@ class TestBackward:
         params.b2[:] = 0.05
         x = Rng(7).gen.normal(size=(5, 3))
         trace = forward(params, x)
-        assert np.abs(trace.z1).min() > 1e-3 and np.abs(trace.z2).min() > 1e-3
+        z1 = x @ params.w1 + params.b1
+        z2 = np.maximum(z1, 0.0) @ params.w2 + params.b2
+        assert np.abs(z1).min() > 1e-3 and np.abs(z2).min() > 1e-3
 
         def loss(theta):
             p = MlpParams.unflatten(theta, *params.dims)
@@ -123,7 +129,7 @@ class TestBackward:
         params.b1[:] = -100.0  # first hidden layer never fires
         x = Rng(8).gen.uniform(0, 1, size=(6, 3))
         trace = forward(params, x)
-        assert np.all(trace.z1 < 0)
+        assert np.all(x @ params.w1 + params.b1 < 0)
         grads = backward(params, trace, np.ones(6))
         assert not grads.w1.any() and not grads.b1.any()
 
@@ -134,19 +140,81 @@ class TestBackward:
             backward(params, trace, np.zeros(5))
 
 
+LAYERS = ("w1", "b1", "w2", "b2", "w_out", "b_out")
+# a few exact values, zeros of both signs among them, so that exact-zero
+# pre-activations and ties are common; large weights saturate the clamp
+VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                   st.floats(-20.0, 20.0))
+
+
+@st.composite
+def networks(draw):
+    """(params, x, dL_dp) for a small network and batch."""
+    d, h1, h2, size = (draw(st.integers(1, n)) for n in (4, 5, 4, 8))
+
+    def arr(*shape):
+        n = int(np.prod(shape))
+        return np.array(draw(st.lists(VALUES, min_size=n, max_size=n)),
+                        dtype=np.float64).reshape(shape)
+
+    params = MlpParams(w1=arr(d, h1), b1=arr(h1), w2=arr(h1, h2), b2=arr(h2),
+                       w_out=arr(h2, 2), b_out=arr(2))
+    return params, arr(size, d), arr(size)
+
+
+def zero_rows_case():
+    # zero biases and all-zero input rows: those rows' pre-activations
+    # are exactly 0 in both hidden layers
+    params = tiny_params(seed=12)
+    x = Rng(13).gen.normal(size=(6, 3))
+    x[[1, 4]] = 0.0
+    return params, x, Rng(14).gen.normal(size=6)
+
+
+def dead_layer_case(layer):
+    params = tiny_params(seed=15)
+    getattr(params, layer)[:] = -100.0  # that hidden layer never fires
+    x = Rng(16).gen.uniform(0, 1, size=(5, 3))
+    return params, x, np.ones(5)
+
+
+class TestMatchesPreActivationTwin:
+    """Masking on the activations gives the bits of masking on the
+    pre-activations (the passes in oracles that kept z1 and z2)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(networks())
+    @example(zero_rows_case())
+    @example(dead_layer_case("b1"))
+    @example(dead_layer_case("b2"))
+    def test_bit_identical(self, case):
+        params, x, dL_dp = case
+        trace, twin = forward(params, x), oracles.twin_forward(params, x)
+        for name in ("p", "probs", "a1", "a2"):
+            got, ref = getattr(trace, name), getattr(twin, name)
+            assert got.dtype == ref.dtype and got.shape == ref.shape, name
+            assert got.tobytes() == ref.tobytes(), name
+        grads = backward(params, trace, dL_dp)
+        twin_grads = oracles.twin_backward(params, twin, dL_dp)
+        for name in LAYERS:
+            got, ref = getattr(grads, name), getattr(twin_grads, name)
+            assert got.dtype == ref.dtype and got.shape == ref.shape, name
+            assert got.tobytes() == ref.tobytes(), name
+
+    def test_trace_keeps_only_activations(self):
+        names = [f.name for f in dataclasses.fields(ForwardTrace)]
+        assert names == ["x", "a1", "a2", "probs", "p"]
+
+
 class TestPredictHard:
     def test_basic(self):
         np.testing.assert_array_equal(
-            predict_hard(np.array([0.9, 0.4]), 0.5), [1, 0])
+            predict_hard(np.array([0.9, 0.4])), [1, 0])
 
     def test_tie_goes_to_one(self):
-        assert predict_hard(np.array([0.5]), 0.5)[0] == 1
+        assert predict_hard(np.array([0.5]))[0] == 1
         np.testing.assert_array_equal(
-            predict_hard(np.full(4, 0.5), 0.5), np.ones(4, dtype=int))
-
-    def test_threshold_range(self):
-        with pytest.raises(ParameterError):
-            predict_hard(np.array([0.5]), 1.0)
+            predict_hard(np.full(4, 0.5)), np.ones(4, dtype=int))
 
 
 class TestCheckpoint:
