@@ -137,8 +137,8 @@ class BoundInputs:
 
     def __post_init__(self):
         for name in ("R", "D", "W", "L", "S", "B", "C"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ParameterError(f"{name} must be positive and finite")
         if not (0.0 < self.delta < 1.0):
             raise ParameterError("delta must be in (0, 1)")
         if self.radius_divisor not in ("S", "2S"):
@@ -155,14 +155,20 @@ def covering_number(inputs: BoundInputs, mu: float) -> float:
     ``radius_divisor`` says (the ball radius is mu / div)."""
     if mu <= 0:
         raise ParameterError("mu must be > 0")
-    inner = (inputs.D * inputs.L * inputs.divisor_value
-             * (2.0 * inputs.W) ** (inputs.R + 1) / mu)
+    try:
+        inner = (inputs.D * inputs.L * inputs.divisor_value
+                 * (2.0 * inputs.W) ** (inputs.R + 1) / mu)
+    except OverflowError:  # (2W)^(R+1) alone leaves the float range
+        inner = math.inf
     # inner may be astronomically large, so stay in logs
     if inner <= 1.0:
         return 0.0
     if inner < 1e15:
         return inputs.D * math.log(math.ceil(inner))
-    return inputs.D * math.log(inner)
+    if inner < math.inf:
+        return inputs.D * math.log(inner)
+    return inputs.D * (math.log(inputs.D * inputs.L * inputs.divisor_value / mu)
+                       + (inputs.R + 1) * math.log(2.0 * inputs.W))
 
 
 @dataclass

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -34,62 +34,30 @@ REPORT_FORMAT = "fairmlp-report/1"
 @dataclass(kw_only=True)
 class RunConfig(lagrange.TrainConfig):
     """One training/evaluation run as described by a config JSON: the
-    TrainConfig hyperparameters, the constraint by its CONSTRAINTS name
-    with its epsilon or p_percent, and the run-level settings."""
+    TrainConfig hyperparameters and the run-level settings. Checked whole
+    when it is built, every sweep value included."""
 
-    constraint: str = "dp"
-    epsilon: float | None = 0.05
-    p_percent: float | None = None
     data: str
     schema: str
     out_dir: str = "runs/out"
     folds: int = 5
     holdout_fraction: float = 0.2
-    sweep: list = field(default_factory=list)
+    sweep: list[float] = field(default_factory=list)
 
     def __post_init__(self):
-        # hyperparameters are checked when train_config() builds the
-        # TrainConfig, after command-line overrides
-        if self.constraint not in CONSTRAINTS:
-            raise ParameterError(f"unknown constraint {self.constraint!r}")
+        super().__post_init__()
+        for value in self.sweep:
+            ConstraintKind.of(self.constraint, value)
 
     @classmethod
-    def from_json(cls, path) -> "RunConfig":
+    def from_json(cls, path, **overrides) -> "RunConfig":
+        """The config in ``path`` with ``overrides`` replacing its keys."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         try:
-            return cls(**raw)
+            return cls(**{**raw, **overrides})
         except TypeError as exc:
             raise ParameterError(f"bad config {path}: {exc}")
-
-    def constraint_kind(self, value: float | None = None) -> ConstraintKind:
-        """The constraint relaxed by ``value``, or by the config's own
-        epsilon or p_percent when ``value`` is None."""
-        if value is None:
-            value = getattr(self, CONSTRAINTS[self.constraint].param)
-        return ConstraintKind.of(self.constraint, value)
-
-    def train_config(self, sweep_value: float | None = None,
-                     seed: int | None = None) -> lagrange.TrainConfig:
-        hyper = {f.name: getattr(self, f.name)
-                 for f in fields(lagrange.TrainConfig)}
-        hyper["constraint"] = self.constraint_kind(sweep_value)
-        if seed is not None:
-            hyper["seed"] = seed
-        return lagrange.TrainConfig(**hyper)
-
-
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    for key in ("seed", "constraint", "epsilon", "p_percent", "objective",
-                "batch_size", "max_epochs", "folds"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    if getattr(args, "out", None) is not None:
-        cfg.out_dir = args.out
-    if getattr(args, "lambda_zero", False):
-        cfg.lambda_zero = True
-    return cfg
 
 
 def _log_rows(log) -> list[dict]:
@@ -145,7 +113,6 @@ def _report_payload(cfg: RunConfig, mode: str,
 
 def cmd_train(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    tc = cfg.train_config()  # a bad hyperparameter fails before ingest
     schema = data.resolve_schema(cfg.schema)
     table = data.load_csv(cfg.data, schema)
     a, y = data.extract_labels(table, schema)
@@ -155,8 +122,8 @@ def cmd_train(cfg: RunConfig) -> int:
     ds_train = data.encode(table.take(train_idx), schema)
     ds_test = data.encode(test_table, schema, ds_train.encoder)
 
-    params, log = lagrange.fit(ds_train, tc)
-    report = audit.evaluate(params, ds_test, tc.batch_size, seed=cfg.seed)
+    params, log = lagrange.fit(ds_train, cfg)
+    report = audit.evaluate(params, ds_test, cfg.batch_size, seed=cfg.seed)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -181,7 +148,7 @@ def _load_folds(cfg: RunConfig) -> tuple[data.Dataset, list[np.ndarray]]:
 
 
 def _crossval_reports(cfg: RunConfig, dataset: data.Dataset | None = None,
-                      folds=None, sweep_value: float | None = None):
+                      folds=None):
     """Train and audit each fold; ingests the CSV unless a sweep passes
     the dataset and folds it already built."""
     if dataset is None:
@@ -189,10 +156,10 @@ def _crossval_reports(cfg: RunConfig, dataset: data.Dataset | None = None,
     fold_reports, logs = [], []
     for i, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(np.arange(dataset.n), test_idx)
-        tc = cfg.train_config(sweep_value, seed=cfg.seed + i)
-        params, log = lagrange.fit(dataset.subset(train_idx), tc)
+        params, log = lagrange.fit(dataset.subset(train_idx),
+                                   replace(cfg, seed=cfg.seed + i))
         fold_reports.append(audit.evaluate(params, dataset.subset(test_idx),
-                                           tc.batch_size, seed=cfg.seed))
+                                           cfg.batch_size, seed=cfg.seed))
         logs.append(log)
     return fold_reports, logs
 
@@ -201,7 +168,6 @@ def cmd_crossval(cfg: RunConfig) -> int:
     if cfg.folds < 2:
         raise ParameterError("crossval requires folds >= 2")
     t0 = time.perf_counter()
-    cfg.train_config()  # a bad hyperparameter fails before ingest
     fold_reports, logs = _crossval_reports(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -219,23 +185,21 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ParameterError("sweep requires a nonempty 'sweep' list in config")
     if cfg.folds < 2:
         raise ParameterError("sweep requires folds >= 2")
-    for value in cfg.sweep:  # a bad value fails before ingest
-        cfg.train_config(value)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    metric = CONSTRAINTS[cfg.constraint].metric
+    entry = CONSTRAINTS[cfg.constraint]
     dataset, folds = _load_folds(cfg)
     rows = []
     for value in cfg.sweep:
-        fold_reports, _ = _crossval_reports(cfg, dataset, folds,
-                                            sweep_value=value)
+        fold_reports, _ = _crossval_reports(
+            replace(cfg, **{entry.param: value}), dataset, folds)
         agg = _aggregate(fold_reports)
         rows.append({
             "epsilon_or_p": value,
             "mean_accuracy": agg["mean"]["accuracy"],
             "stddev_accuracy": agg["stddev"]["accuracy"],
-            "mean_constraint_value": agg["mean"][metric],
-            "stddev_constraint_value": agg["stddev"][metric],
+            "mean_constraint_value": agg["mean"][entry.metric],
+            "stddev_constraint_value": agg["stddev"][entry.metric],
         })
     path = out / "tradeoff.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -332,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run_flags(p):
         p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--lambda-zero", action="store_true", dest="lambda_zero",
+        p.add_argument("--out", dest="out_dir", help="output directory")
+        p.add_argument("--lambda-zero", action="store_true", default=None,
+                       dest="lambda_zero",
                        help="freeze lambda at 0 (unconstrained baseline)")
         p.add_argument("--constraint", choices=sorted(CONSTRAINTS))
         p.add_argument("--epsilon", type=float)
@@ -378,24 +343,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+RUN_COMMANDS = {"train": cmd_train, "crossval": cmd_crossval,
+                "sweep": cmd_sweep}
+TOOL_COMMANDS = {"audit": cmd_audit, "bounds": cmd_bounds,
+                 "counterexample": cmd_counterexample}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command in ("train", "crossval", "sweep"):
-            cfg = _apply_overrides(RunConfig.from_json(args.config), args)
-            if args.command == "train":
-                return cmd_train(cfg)
-            if args.command == "crossval":
-                return cmd_crossval(cfg)
-            return cmd_sweep(cfg)
-        if args.command == "audit":
-            return cmd_audit(args)
-        if args.command == "bounds":
-            return cmd_bounds(args)
-        if args.command == "counterexample":
-            return cmd_counterexample(args)
-        parser.error(f"unknown command {args.command}")
+        # a non-finite value ends in one NumericError line, so numpy's
+        # overflow warnings on the way there would only repeat it
+        with np.errstate(all="ignore"):
+            if args.command in RUN_COMMANDS:
+                overrides = {f.name: getattr(args, f.name)
+                             for f in fields(RunConfig)
+                             if getattr(args, f.name, None) is not None}
+                cfg = RunConfig.from_json(args.config, **overrides)
+                return RUN_COMMANDS[args.command](cfg)
+            return TOOL_COMMANDS[args.command](args)
     except (ParameterError, FileNotFoundError, IsADirectoryError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -403,10 +369,9 @@ def main(argv=None) -> int:
     except (SchemaError, DataError, DegenerateBatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (NumericError, FloatingPointError) as exc:
+    except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
-    return 0
 
 
 if __name__ == "__main__":

@@ -26,7 +26,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateBatchError, ParameterError, ShapeError
+from .errors import (DegenerateBatchError, NumericError, ParameterError,
+                     ShapeError)
 
 # Probabilities are clamped to this band after the softmax so that logs
 # and ratio denominators stay finite.
@@ -58,7 +59,7 @@ class ConstraintKind:
         if param == "p_percent":
             if value is None or not (0.0 < value <= 100.0):
                 raise ParameterError(f"{self.kind} requires p_percent in (0, 100]")
-        elif value is None or value < 0.0:
+        elif value is None or not value >= 0.0:  # NaN fails too
             raise ParameterError(f"{self.kind} requires epsilon >= 0")
         other = "epsilon" if param == "p_percent" else "p_percent"
         if getattr(self, other) is not None:
@@ -143,7 +144,7 @@ class Batch:
             raise ShapeError("p, a, y must be 1-D arrays of equal length")
         if not ((self.p > 0.0) & (self.p < 1.0)).all():  # NaN fails too
             if not np.all(np.isfinite(self.p)):
-                raise ShapeError("probabilities must be finite")
+                raise NumericError("probabilities must be finite")
             raise ParameterError("probabilities must lie strictly in (0, 1)")
         if not (_is_binary(self.a) and _is_binary(self.y)):
             raise ParameterError("a and y must be binary")

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+import types
+from dataclasses import dataclass, fields
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -25,12 +27,33 @@ from .model import MlpParams, backward, forward, init_params
 from .numcore import AdamState, Rng, adam_step
 
 
+def _has_type(value, hint) -> bool:
+    """Whether ``value`` is of type ``hint``: an int is not a bool, a float
+    accepts an int but not a bool, and a list checks every entry."""
+    if get_origin(hint) in (Union, types.UnionType):
+        return any(_has_type(value, h) for h in get_args(hint))
+    if get_origin(hint) is list:
+        (entry,) = get_args(hint)
+        return isinstance(value, list) and all(_has_type(v, entry)
+                                               for v in value)
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and (hint is bool
+                                        or not isinstance(value, bool))
+
+
 @dataclass
 class TrainConfig:
-    """Hyperparameters of one training run. ``objective`` is a name in
-    fairloss.OBJECTIVES."""
+    """Hyperparameters of one training run. ``constraint`` and
+    ``objective`` are names in fairloss.CONSTRAINTS and
+    fairloss.OBJECTIVES; the constraint is relaxed by ``epsilon`` or by
+    ``p_percent`` as its table entry says. Every field is checked against
+    its annotation and its range when the config is built, and ``kind``
+    (not a field) holds the constraint with its relaxation."""
 
-    constraint: ConstraintKind
+    constraint: str = "dp"
+    epsilon: float | None = 0.05
+    p_percent: float | None = None
     h1: int = 100
     h2: int = 50
     lr_theta: float = 0.001
@@ -46,9 +69,16 @@ class TrainConfig:
     convergence_tol: float = 1e-5
 
     def __post_init__(self):
+        hints = get_type_hints(type(self))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, hints[f.name]):
+                raise ParameterError(f"{f.name} must be {f.type}, got {value!r}")
+        if self.h1 < 1 or self.h2 < 1:
+            raise ParameterError("h1 and h2 must be >= 1")
         if self.batch_size < 2:
             raise ParameterError("batch_size must be >= 2")
-        if self.lr_theta <= 0:
+        if not self.lr_theta > 0:
             raise ParameterError("lr_theta must be > 0")
         if self.max_epochs < 1:
             raise ParameterError("max_epochs must be >= 1")
@@ -57,14 +87,18 @@ class TrainConfig:
                 f"objective must be one of {tuple(fairloss.OBJECTIVES)}")
         if self.lambda_optimizer not in ("adam", "sgd"):
             raise ParameterError("lambda_optimizer must be 'adam' or 'sgd'")
-        if self.lambda_init < 0:
+        if not self.lambda_init >= 0:
             raise ParameterError("lambda_init must be >= 0")
-        if self.lr_lambda is not None and self.lr_lambda <= 0:
+        if self.lr_lambda is not None and not self.lr_lambda > 0:
             raise ParameterError("lr_lambda must be > 0")
         if self.convergence_window < 1:
             raise ParameterError("convergence_window must be >= 1")
-        if self.convergence_tol < 0:
+        if not self.convergence_tol >= 0:
             raise ParameterError("convergence_tol must be >= 0")
+        if self.constraint not in fairloss.CONSTRAINTS:
+            raise ParameterError(f"unknown constraint {self.constraint!r}")
+        param = fairloss.CONSTRAINTS[self.constraint].param
+        self.kind = ConstraintKind.of(self.constraint, getattr(self, param))
 
     @property
     def effective_lr_lambda(self) -> float:
@@ -133,8 +167,8 @@ def train_step(state: TrainState, x: np.ndarray, a: np.ndarray,
     fb = Batch(trace.p, a, y)
 
     obj_val, dobj_dp = fairloss.OBJECTIVES[cfg.objective].value_and_grad(fb)
-    c_val, dc_dp = fairloss.CONSTRAINTS[cfg.constraint.kind].value_and_grad(fb)
-    l_k = c_val - cfg.constraint.slack
+    c_val, dc_dp = fairloss.CONSTRAINTS[cfg.constraint].value_and_grad(fb)
+    l_k = c_val - cfg.kind.slack
 
     dL_dp = dobj_dp if cfg.lambda_zero else dobj_dp + state.lam * dc_dp
     backward(state.params, trace, dL_dp).flatten(out=state.grad[:-1])

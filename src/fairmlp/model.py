@@ -178,16 +178,16 @@ def load_checkpoint(path) -> tuple[MlpParams, dict]:
         dims = payload["dims"]
         d, h1, h2 = dims["d"], dims["h1"], dims["h2"]
         layers = payload["layers"]
-        params = MlpParams(
-            w1=np.asarray(layers["w1"], dtype=np.float64).reshape(d, h1),
-            b1=np.asarray(layers["b1"], dtype=np.float64),
-            w2=np.asarray(layers["w2"], dtype=np.float64).reshape(h1, h2),
-            b2=np.asarray(layers["b2"], dtype=np.float64),
-            w_out=np.asarray(layers["w_out"], dtype=np.float64).reshape(h2, 2),
-            b_out=np.asarray(layers["b_out"], dtype=np.float64),
-        )
+        shapes = {"w1": (d, h1), "b1": (h1,), "w2": (h1, h2), "b2": (h2,),
+                  "w_out": (h2, 2), "b_out": (2,)}
+        arrays = {name: np.asarray(layers[name], dtype=np.float64).reshape(shape)
+                  for name, shape in shapes.items()}
     except KeyError as exc:
         raise SchemaError(f"checkpoint {path} lacks key {exc}")
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"checkpoint layer shapes inconsistent with dims: {exc}")
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise SchemaError(f"checkpoint {path} layer {name} holds non-finite values")
+    params = MlpParams(**arrays)
     return params, {"dims": (d, h1, h2), "seed": payload.get("seed")}

@@ -9,7 +9,6 @@ from fairmlp.audit import (BoundInputs, bound_sweep, covering_number,
                            di_counterexample, evaluate, full_bound, omega)
 from fairmlp.data import Dataset, Encoder
 from fairmlp.errors import DataError, ParameterError
-from fairmlp.fairloss import ConstraintKind
 from fairmlp.lagrange import TrainConfig, fit
 from fairmlp.model import MlpParams, forward
 from fairmlp.numcore import Rng
@@ -148,6 +147,19 @@ class TestCoveringNumber:
         with pytest.raises(ParameterError):
             covering_number(BoundInputs(**BOUND_EXAMPLE), 0.0)
 
+    @pytest.mark.parametrize("r", [400, 10 ** 6])
+    def test_stays_in_logs_when_the_weight_power_overflows(self, r):
+        # (2W)^(R+1) = 20^(R+1) leaves the float range at R = 236
+        inputs = BoundInputs(**{**BOUND_EXAMPLE, "W": 10.0, "R": r})
+        expect = 3 * (math.log(3 * 10 / 0.1) + (r + 1) * math.log(20.0))
+        assert abs(covering_number(inputs, 0.1) - expect) <= 1e-12 * expect
+
+    def test_log_form_agrees_just_below_the_overflow(self):
+        # the count itself is still a finite float here, ~1e303
+        inputs = BoundInputs(**{**BOUND_EXAMPLE, "W": 10.0, "R": 230})
+        expect = 3 * (math.log(3 * 10 / 0.1) + 231 * math.log(20.0))
+        assert abs(covering_number(inputs, 0.1) - expect) <= 1e-12 * expect
+
 
 class TestOmega:
     def test_closed_form_hand_value(self):
@@ -203,6 +215,12 @@ class TestFullBound:
     def test_bad_delta_rejected(self):
         with pytest.raises(ParameterError):
             BoundInputs(**{**BOUND_EXAMPLE, "delta": 1.0})
+
+    @pytest.mark.parametrize("name", ["R", "D", "W", "L", "S", "B", "C"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0])
+    def test_non_finite_or_nonpositive_capacity_rejected(self, name, value):
+        with pytest.raises(ParameterError, match=name):
+            BoundInputs(**{**BOUND_EXAMPLE, name: value})
 
     def test_sweep_rows(self):
         rows = bound_sweep(BoundInputs(**BOUND_EXAMPLE),
@@ -275,7 +293,7 @@ class TestBoundSanity:
                             encoder=Encoder())
             ds_te = Dataset(X=X[te], a=a[te], y=y[te], feature_names=["x0", "x1"],
                             encoder=Encoder())
-            cfg = TrainConfig(constraint=ConstraintKind.dp(0.05), h1=6, h2=3,
+            cfg = TrainConfig(constraint="dp", epsilon=0.05, h1=6, h2=3,
                               lr_theta=0.01, batch_size=S, max_epochs=15,
                               seed=split_seed, lambda_zero=True)
             params, _ = fit(ds_tr, cfg)

@@ -204,6 +204,20 @@ class TestAuditCommand:
         return {"--model": out / "bad.json"}
 
     @staticmethod
+    def _checkpoint_short_bias(out):
+        payload = json.loads((out / "model.json").read_text())
+        payload["layers"]["b1"].pop()
+        (out / "bad.json").write_text(json.dumps(payload))
+        return {"--model": out / "bad.json"}
+
+    @staticmethod
+    def _checkpoint_non_finite(out):
+        payload = json.loads((out / "model.json").read_text())
+        payload["layers"]["w2"][3] = float("nan")
+        (out / "bad.json").write_text(json.dumps(payload))
+        return {"--model": out / "bad.json"}
+
+    @staticmethod
     def _encoder_without_key(out):
         payload = json.loads((out / "encoder.json").read_text())
         del payload["vocabulary"]
@@ -219,6 +233,7 @@ class TestAuditCommand:
 
     @pytest.mark.parametrize("corrupt", [
         "_ragged_csv", "_non_numeric_cell", "_checkpoint_without_layer",
+        "_checkpoint_short_bias", "_checkpoint_non_finite",
         "_encoder_without_key", "_encoder_without_column"])
     def test_bad_input_exits_three(self, trained, biased_schema_json, corrupt,
                                    capsys):
@@ -232,6 +247,21 @@ class TestAuditCommand:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_overflowing_checkpoint_exits_four(self, trained,
+                                               biased_schema_json, capsys):
+        # finite weights whose products overflow give non-finite p
+        payload = json.loads((trained / "model.json").read_text())
+        for name in ("w1", "w2"):
+            payload["layers"][name] = [1e308] * len(payload["layers"][name])
+        (trained / "huge.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["audit", "--model", str(trained / "huge.json"),
+                     "--data", str(trained / "test_split.csv"),
+                     "--schema", str(biased_schema_json),
+                     "--encoder", str(trained / "encoder.json")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and err.count("\n") == 1, err
 
     def test_wrong_dims_exits_three(self, tmp_path, biased_csv,
                                     biased_schema_json, capsys):
@@ -450,7 +480,11 @@ class TestBadHyperparameters:
     @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
     @pytest.mark.parametrize("key,value", [
         ("lr_lambda", 0.0), ("lr_lambda", -0.05),
-        ("convergence_window", 0), ("convergence_tol", -1e-6)])
+        ("convergence_window", 0), ("convergence_tol", -1e-6), ("h1", 0),
+        ("h2", 0), ("epsilon", "0.05"), ("batch_size", "64"),
+        ("lr_theta", "0.1"), ("max_epochs", 1.5), ("folds", "a"),
+        ("seed", "a"), ("data", None), ("objective", []),
+        ("lambda_zero", "no"), ("batch_size", True), ("lr_theta", True)])
     def test_exits_two_before_ingest(self, tmp_path, biased_csv,
                                      biased_schema_json, loads, command, key,
                                      value, capsys):
@@ -474,6 +508,44 @@ class TestBadHyperparameters:
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert "epsilon" in capsys.readouterr().err
         assert loads == []
+
+    def test_bad_unused_sweep_value_exits_two(self, tmp_path, biased_csv,
+                                              biased_schema_json, loads,
+                                              capsys):
+        # the config is checked whole, sweep included, for every command
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json,
+                         sweep=[0.05, -0.1])
+        for command in ("train", "crossval"):
+            assert main([command, "--config", str(cfg)]) == 2
+            assert "epsilon" in capsys.readouterr().err
+        assert loads == []
+
+    # one wrongly typed value for each annotation a RunConfig field has
+    WRONG_TYPE = {"str": None, "int": "1", "float": "0.1",
+                  "float | None": "0.1", "bool": "no", "list[float]": ["x"]}
+
+    @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
+    @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)])
+    def test_wrongly_typed_field_exits_two_before_ingest(
+            self, tmp_path, biased_csv, biased_schema_json, loads, command,
+            key, capsys):
+        ftype = {f.name: f.type for f in fields(RunConfig)}[key]
+        overrides = {"sweep": [0.05], key: self.WRONG_TYPE[ftype]}
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json, **overrides)
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1, err
+        assert loads == []
+
+    @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
+    def test_every_run_flag_is_a_config_key(self, command):
+        # main merges flags into the config by field name
+        keys = {f.name for f in fields(RunConfig)}
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices[command]._actions}
+        assert dests - {"help", "config"} <= keys
 
 
 class TestBounds:
@@ -504,6 +576,16 @@ class TestBounds:
                      "--s", "10", "--delta", "1.0"])
         assert code == 2
 
+    def test_overflowing_weight_power_stays_in_logs(self, capsys):
+        # (2W)^(R+1) = 20^401 is beyond the float range
+        assert main(["bounds", "--d", "3", "--w", "10", "--l", "1", "--s", "10",
+                     "--r", "400", "--b-values", "100,10000"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert len(rows) == 2
+        for row in rows:
+            assert all(np.isfinite(float(row[k])) for k in
+                       ("omega_closed", "omega_grid", "full_bound"))
+
     def test_larger_s_larger_omega(self, tmp_path, capsys):
         def omega_at_s(s):
             out = tmp_path / f"b{s}.csv"
@@ -522,11 +604,16 @@ class TestBadBoundsValues:
         (["bounds", "--b-values", "inf"], "--b-values"),
         (["bounds", "--b-values", "nan"], "--b-values"),
         (["counterexample", "nan"], "mu"),
+        (["bounds", "--w", "nan"], "W"),
+        (["bounds", "--l", "nan"], "L"),
+        (["bounds", "--c", "nan"], "C"),
     ], ids=["b-range-abc", "b-range-one-end", "b-values-x", "b-values-inf",
-            "b-values-nan", "mu-nan"])
+            "b-values-nan", "mu-nan", "w-nan", "l-nan", "c-nan"])
     def test_exits_two_with_one_line(self, argv, named, capsys):
         if argv[0] == "bounds":
-            argv = argv + ["--d", "3", "--w", "0.5", "--l", "1", "--s", "10"]
+            # the case's own flags come last, so they win
+            argv = ["bounds", "--d", "3", "--w", "0.5", "--l", "1",
+                    "--s", "10", *argv[1:]]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

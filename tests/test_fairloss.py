@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from fairmlp.errors import DegenerateBatchError, ParameterError, ShapeError
+from fairmlp.errors import (DegenerateBatchError, NumericError, ParameterError,
+                            ShapeError)
 from fairmlp.fairloss import (CONSTRAINTS, OBJECTIVES, Batch, ConstraintKind,
                               MultiGroupBatch, const_di, const_dp,
                               const_dp_multi, const_eo, constraint_value,
@@ -76,6 +77,10 @@ class TestTrivialCases:
         with pytest.raises(DegenerateBatchError):
             Batch(np.array([0.5, 0.6]), np.array([1, 1]), np.array([0, 1]))
 
+    def test_non_finite_probability_is_a_numeric_error(self):
+        with pytest.raises(NumericError):
+            Batch(np.array([0.5, np.nan]), np.array([1, 0]), np.array([0, 1]))
+
     def test_single_class_qmean_rejected(self):
         b = Batch(np.array([0.5, 0.6]), np.array([1, 0]), np.array([1, 1]))
         with pytest.raises(DegenerateBatchError):
@@ -96,6 +101,8 @@ class TestConstraintKind:
     def test_validation(self):
         with pytest.raises(ParameterError):
             ConstraintKind.dp(-0.1)
+        with pytest.raises(ParameterError):
+            ConstraintKind.dp(float("nan"))
         with pytest.raises(ParameterError):
             ConstraintKind.di(0.0)
         with pytest.raises(ParameterError):

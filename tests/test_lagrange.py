@@ -1,9 +1,11 @@
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
 import gradcheck
 from fairmlp.data import Dataset, Encoder
-from fairmlp.errors import DataError
+from fairmlp.errors import DataError, ParameterError
 from fairmlp.fairloss import ConstraintKind
 from fairmlp.lagrange import (LogRow, TrainConfig, fit, init_state,
                               train_step, write_training_log)
@@ -41,7 +43,7 @@ def biased_dataset(n=800, seed=1):
 
 
 def toy_config(**kw):
-    base = dict(constraint=ConstraintKind.dp(0.5), h1=8, h2=4,
+    base = dict(constraint="dp", epsilon=0.5, h1=8, h2=4,
                 lr_theta=0.01, batch_size=32, max_epochs=50, seed=3)
     base.update(kw)
     return TrainConfig(**base)
@@ -55,13 +57,38 @@ def one_batch(ds, size=32, seed=0):
             return ds.X[idx], ds.a[idx], ds.y[idx]
 
 
+class TestTrainConfig:
+    def test_kind_follows_the_constraint_table(self):
+        assert toy_config(epsilon=0.2).kind == ConstraintKind.dp(0.2)
+        di = toy_config(constraint="di", p_percent=80)
+        assert di.kind == ConstraintKind.di(80) and di.kind.slack == -0.8
+
+    def test_kind_is_not_a_field(self):
+        # report.json echoes asdict(cfg); its keys stay the config keys
+        assert "kind" not in asdict(toy_config())
+
+    def test_replace_rebuilds_kind(self):
+        assert replace(toy_config(), epsilon=0.3).kind.slack == 0.3
+
+    def test_float_fields_take_ints(self):
+        cfg = toy_config(epsilon=0, lr_theta=1, lr_lambda=2, lambda_init=0,
+                         convergence_tol=0)
+        assert cfg.kind.slack == 0
+
+    @pytest.mark.parametrize("key", ["epsilon", "lr_theta", "lr_lambda",
+                                     "lambda_init", "convergence_tol"])
+    def test_nan_rejected(self, key):
+        with pytest.raises(ParameterError, match=key):
+            toy_config(**{key: float("nan")})
+
+
 class TestTrainStep:
     def test_violated_constraint_raises_lambda(self):
         ds = biased_dataset()
-        cfg = toy_config(constraint=ConstraintKind.dp(0.0))
+        cfg = toy_config(epsilon=0.0)
         state = init_state(ds.d, cfg)
         info = train_step(state, *one_batch(ds), cfg)
-        l_k = info.constraint - cfg.constraint.slack
+        l_k = info.constraint - cfg.kind.slack
         assert l_k > 0
         assert state.lam > 0.0
         # the reported total is L = l_obj + lambda * l_k at the new lambda
@@ -69,7 +96,7 @@ class TestTrainStep:
 
     def test_satisfied_constraint_keeps_lambda_at_zero(self):
         ds = biased_dataset()
-        cfg = toy_config(constraint=ConstraintKind.dp(2.0))  # always satisfied
+        cfg = toy_config(epsilon=2.0)  # always satisfied
         state = init_state(ds.d, cfg)
         train_step(state, *one_batch(ds), cfg)
         assert state.lam == 0.0
@@ -80,7 +107,7 @@ class TestTrainStep:
         a = np.array([0, 0, 1, 1] * 2)
         X = gen.normal(size=(8, 2)) + (2 * y - 1)[:, None]
         ds = make_dataset(X, a, y)
-        cfg = toy_config(constraint=ConstraintKind.dp(0.05), seed=7,
+        cfg = toy_config(epsilon=0.05, seed=7,
                          batch_size=8, lambda_init=0.5)
         state = init_state(ds.d, cfg)
         lam_before = state.lam
@@ -88,7 +115,7 @@ class TestTrainStep:
         def loss_at(params):
             p = forward(params, ds.X).p
             b = fairloss.Batch(p, ds.a, ds.y)
-            lk = fairloss.const_dp(b) - cfg.constraint.slack
+            lk = fairloss.const_dp(b) - cfg.kind.slack
             return fairloss.cross_entropy(p, ds.y) + lam_before * lk
 
         before = loss_at(state.params)
@@ -97,7 +124,7 @@ class TestTrainStep:
 
     def test_lambda_never_negative(self):
         ds = biased_dataset()
-        cfg = toy_config(constraint=ConstraintKind.dp(1.5))
+        cfg = toy_config(epsilon=1.5)
         state = init_state(ds.d, cfg)
         rng = np.random.default_rng(0)
         for i in range(50):
@@ -116,9 +143,9 @@ class TestFit:
 
     def test_dp_constraint_reduces_gap(self):
         ds = biased_dataset()
-        baseline_cfg = toy_config(constraint=ConstraintKind.dp(0.01),
+        baseline_cfg = toy_config(epsilon=0.01,
                                   lambda_zero=True, max_epochs=120)
-        constrained_cfg = toy_config(constraint=ConstraintKind.dp(0.01),
+        constrained_cfg = toy_config(epsilon=0.01,
                                      lr_lambda=0.05, max_epochs=120)
         _, base_log = fit(ds, baseline_cfg)
         _, cons_log = fit(ds, constrained_cfg)
@@ -144,7 +171,7 @@ class TestFit:
         # the baseline path must be exactly unconstrained cross-entropy
         ds = biased_dataset(n=300)
         cfg = toy_config(lambda_zero=True, max_epochs=10,
-                         constraint=ConstraintKind.dp(0.01))
+                         epsilon=0.01)
         fitted, _ = fit(ds, cfg)
 
         from fairmlp.data import batch_iter
@@ -170,7 +197,7 @@ class TestFit:
         runs = [fit(ds, toy_config(lambda_zero=True, lambda_init=init,
                                    max_epochs=8, convergence_window=2,
                                    convergence_tol=1e-3,
-                                   constraint=ConstraintKind.dp(0.01)))
+                                   epsilon=0.01))
                 for init in (0.5, 0.0)]
         (params, log), (ref_params, ref_log) = runs
         assert [r.lam for r in log] == [0.0] * len(log)
