@@ -46,6 +46,8 @@ class RunConfig(lagrange.TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if not 0.0 < self.holdout_fraction < 1.0:  # NaN fails too
+            raise ParameterError("holdout_fraction must be in (0, 1)")
         for value in self.sweep:
             ConstraintKind.of(self.constraint, value)
 
@@ -155,7 +157,9 @@ def _crossval_reports(cfg: RunConfig, dataset: data.Dataset | None = None,
         dataset, folds = _load_folds(cfg)
     fold_reports, logs = [], []
     for i, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(np.arange(dataset.n), test_idx)
+        in_test = np.zeros(dataset.n, dtype=bool)
+        in_test[test_idx] = True
+        train_idx = np.flatnonzero(~in_test)
         params, log = lagrange.fit(dataset.subset(train_idx),
                                    replace(cfg, seed=cfg.seed + i))
         fold_reports.append(audit.evaluate(params, dataset.subset(test_idx),
@@ -257,6 +261,9 @@ def _parse_b_values(args) -> list[int]:
 
 
 def cmd_bounds(args) -> int:
+    if not math.isfinite(args.empirical_mean):
+        raise ParameterError(
+            f"--empirical-mean must be finite, got {args.empirical_mean!r}")
     inputs = audit.BoundInputs(R=args.r, D=args.d, W=args.w, L=args.l,
                                S=args.s, B=1, delta=args.delta, C=args.c,
                                radius_divisor=args.radius_divisor)

@@ -23,7 +23,8 @@ from . import fairloss
 from .data import Dataset, batch_iter
 from .errors import DataError, ParameterError
 from .fairloss import Batch, ConstraintKind
-from .model import MlpParams, backward, forward, init_params
+from .model import (BackwardBuffers, ForwardTrace, MlpParams, backward,
+                    forward, init_params)
 from .numcore import AdamState, Rng, adam_step
 
 
@@ -118,7 +119,10 @@ class TrainState:
 
     ``vec`` is the one flat buffer [w1, b1, w2, b2, w_out, b_out, lambda]
     that Adam updates in place; ``params`` are views into it. ``grad`` and
-    ``lr`` are laid out the same way.
+    ``lr`` are laid out the same way. ``x``, ``trace`` and ``back`` are the
+    workspace of one step at ``cfg.batch_size`` rows, reused by every step
+    of a fit: the gathered batch rows, forward's activations and
+    backward's buffers, whose gradients are views into ``grad``.
     """
 
     vec: np.ndarray
@@ -126,6 +130,9 @@ class TrainState:
     grad: np.ndarray
     lr: np.ndarray
     adam: AdamState
+    x: np.ndarray
+    trace: ForwardTrace
+    back: BackwardBuffers
 
     @property
     def lam(self) -> float:
@@ -153,8 +160,13 @@ def init_state(d: int, cfg: TrainConfig) -> TrainState:
     lr = np.full(n, float(cfg.lr_theta))
     lr[-1] = cfg.effective_lr_lambda
     params = MlpParams.unflatten(vec[:-1], d, cfg.h1, cfg.h2)
-    return TrainState(vec=vec, params=params, grad=np.zeros(n), lr=lr,
-                      adam=AdamState.zeros(n))
+    grad = np.zeros(n)
+    grads = MlpParams.unflatten(grad[:-1], d, cfg.h1, cfg.h2)
+    x = np.empty((cfg.batch_size, d))
+    return TrainState(
+        vec=vec, params=params, grad=grad, lr=lr, adam=AdamState.zeros(n),
+        x=x, trace=ForwardTrace.empty(x, cfg.h1, cfg.h2),
+        back=BackwardBuffers.empty(cfg.batch_size, d, cfg.h1, cfg.h2, grads))
 
 
 def train_step(state: TrainState, x: np.ndarray, a: np.ndarray,
@@ -163,7 +175,7 @@ def train_step(state: TrainState, x: np.ndarray, a: np.ndarray,
     lambda using the same batch's pre-update probabilities. Mutates
     ``state`` and reports the losses seen by the step, the total
     L = l_obj + lambda * l_k at the updated lambda."""
-    trace = forward(state.params, x)
+    trace = forward(state.params, x, out=state.trace)
     fb = Batch(trace.p, a, y)
 
     obj_val, dobj_dp = fairloss.OBJECTIVES[cfg.objective].value_and_grad(fb)
@@ -171,7 +183,7 @@ def train_step(state: TrainState, x: np.ndarray, a: np.ndarray,
     l_k = c_val - cfg.kind.slack
 
     dL_dp = dobj_dp if cfg.lambda_zero else dobj_dp + state.lam * dc_dp
-    backward(state.params, trace, dL_dp).flatten(out=state.grad[:-1])
+    backward(state.params, trace, dL_dp, out=state.back)  # into state.grad
 
     # ascent on l_k == descent on -l_k; with a zero slot Adam leaves
     # lambda exactly where it is (m = v = 0 gives a step of 0)
@@ -207,8 +219,10 @@ def fit(dataset: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[LogRow]]:
         t0 = time.perf_counter()
         objs, consts, totals = [], [], []
         for idx in batches:
-            info = train_step(state, dataset.X[idx], dataset.a[idx],
-                              dataset.y[idx], cfg)
+            # mode="raise" would gather through a temporary copy, and
+            # epoch_batches' indices are always in range
+            x = np.take(dataset.X, idx, axis=0, out=state.x, mode="clip")
+            info = train_step(state, x, dataset.a[idx], dataset.y[idx], cfg)
             objs.append(info.objective)
             consts.append(info.constraint)
             totals.append(info.total)

@@ -22,6 +22,10 @@ from .numcore import Rng
 CHECKPOINT_FORMAT = "fairmlp-checkpoint/1"
 
 
+def _layer_shapes(d: int, h1: int, h2: int) -> list[tuple[int, ...]]:
+    return [(d, h1), (h1,), (h1, h2), (h2,), (h2, 2), (2,)]
+
+
 @dataclass
 class MlpParams:
     """Weights and biases for the d -> h1 -> h2 -> 2 network."""
@@ -50,7 +54,9 @@ class MlpParams:
 
     @classmethod
     def unflatten(cls, vec: np.ndarray, d: int, h1: int, h2: int) -> "MlpParams":
-        shapes = [(d, h1), (h1,), (h1, h2), (h2,), (h2, 2), (2,)]
+        """Views into ``vec`` shaped as the layers of a d -> h1 -> h2 -> 2
+        network."""
+        shapes = _layer_shapes(d, h1, h2)
         total = sum(int(np.prod(s)) for s in shapes)
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (total,):
@@ -86,7 +92,9 @@ def init_params(d: int, h1: int, h2: int, rng: Rng) -> MlpParams:
 class ForwardTrace:
     """Per-layer activations kept for the backward pass. The ReLU
     pre-activations are not kept: z > 0 exactly where max(z, 0) > 0, so
-    the activations alone give backward its masks."""
+    the activations alone give backward its masks. ``forward(..., out=)``
+    overwrites every array but ``x``, which is the batch passed in, so one
+    trace serves every batch of its size."""
 
     x: np.ndarray        # (S, d) input
     a1: np.ndarray       # (S, h1) ReLU output
@@ -94,25 +102,79 @@ class ForwardTrace:
     probs: np.ndarray    # (S, 2) softmax rows, pre-clamp
     p: np.ndarray        # (S,) class-1 probability, clamped
 
+    @classmethod
+    def empty(cls, x: np.ndarray, h1: int, h2: int) -> "ForwardTrace":
+        S = x.shape[0]
+        return cls(x=x, a1=np.empty((S, h1)), a2=np.empty((S, h2)),
+                   probs=np.empty((S, 2)), p=np.empty(S))
 
-def forward(params: MlpParams, x: np.ndarray) -> ForwardTrace:
-    """Forward pass over a batch; pure function of (params, x)."""
+
+@dataclass
+class BackwardBuffers:
+    """What ``backward(..., out=)`` writes for a batch of S rows: the
+    gradients, and the upstream gradients and ReLU masks of each layer."""
+
+    grads: MlpParams
+    dz_out: np.ndarray   # (S, 2) dL/dlogits
+    dz2: np.ndarray      # (S, h2) dL/dz2
+    dz1: np.ndarray      # (S, h1) dL/dz1
+    live2: np.ndarray    # (S, h2) bool, a2 > 0
+    live1: np.ndarray    # (S, h1) bool, a1 > 0
+
+    @classmethod
+    def empty(cls, S: int, d: int, h1: int, h2: int,
+              grads: MlpParams | None = None) -> "BackwardBuffers":
+        """Buffers for S rows; ``grads``, when given, receives the
+        gradients (views into a flat vector, say)."""
+        if grads is None:
+            grads = MlpParams(*(np.empty(s) for s in _layer_shapes(d, h1, h2)))
+        return cls(grads=grads, dz_out=np.empty((S, 2)),
+                   dz2=np.empty((S, h2)), dz1=np.empty((S, h1)),
+                   live2=np.empty((S, h2), dtype=bool),
+                   live1=np.empty((S, h1), dtype=bool))
+
+
+def forward(params: MlpParams, x: np.ndarray,
+            out: ForwardTrace | None = None) -> ForwardTrace:
+    """Forward pass over a batch; a pure function of (params, x). Every
+    activation is written in place into ``out``, or into arrays allocated
+    once when ``out`` is None."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.dims[0]:
         raise ShapeError(
             f"input has shape {x.shape}, expected (S, {params.dims[0]})")
-    a1 = np.maximum(x @ params.w1 + params.b1, 0.0)
-    a2 = np.maximum(a1 @ params.w2 + params.b2, 0.0)
-    logits = a2 @ params.w_out + params.b_out
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
-    p = np.clip(probs[:, 1], PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return ForwardTrace(x=x, a1=a1, a2=a2, probs=probs, p=p)
+    if out is None:
+        out = ForwardTrace.empty(x, *params.dims[1:])
+    elif out.p.shape != (x.shape[0],):
+        raise ShapeError(
+            f"trace holds {out.p.shape[0]} rows, the batch {x.shape[0]}")
+    out.x = x
+    a1, a2, probs, p = out.a1, out.a2, out.probs, out.p
+    np.matmul(x, params.w1, out=a1)
+    a1 += params.b1
+    np.maximum(a1, 0.0, out=a1)
+    np.matmul(a1, params.w2, out=a2)
+    a2 += params.b2
+    np.maximum(a2, 0.0, out=a2)
+    # softmax of the logits in probs; p, overwritten last, holds each
+    # row's max and then its sum
+    row = p[:, None]
+    np.matmul(a2, params.w_out, out=probs)
+    probs += params.b_out
+    np.max(probs, axis=1, keepdims=True, out=row)
+    probs -= row
+    np.exp(probs, out=probs)
+    np.sum(probs, axis=1, keepdims=True, out=row)
+    probs /= row
+    np.clip(probs[:, 1], PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
+    return out
 
 
-def backward(params: MlpParams, trace: ForwardTrace, dL_dp: np.ndarray) -> MlpParams:
-    """Gradients of any scalar L given its per-probability gradients.
+def backward(params: MlpParams, trace: ForwardTrace, dL_dp: np.ndarray,
+             out: BackwardBuffers | None = None) -> MlpParams:
+    """Gradients of any scalar L given its per-probability gradients,
+    written into ``out.grads`` (buffers allocated once when ``out`` is
+    None) and returned.
 
     Coordinates where the clamp saturated contribute zero (p is constant
     there), matching the value actually computed from trace.p.
@@ -121,25 +183,35 @@ def backward(params: MlpParams, trace: ForwardTrace, dL_dp: np.ndarray) -> MlpPa
     if dL_dp.shape != trace.p.shape:
         raise ShapeError(
             f"dL_dp has shape {dL_dp.shape}, expected {trace.p.shape}")
+    if out is None:
+        out = BackwardBuffers.empty(trace.p.shape[0], *params.dims)
+    elif out.dz_out.shape[0] != trace.p.shape[0]:
+        raise ShapeError(
+            f"buffers hold {out.dz_out.shape[0]} rows, the trace {trace.p.shape[0]}")
+    g, dz_out, dz2, dz1 = out.grads, out.dz_out, out.dz2, out.dz1
     s1 = trace.probs[:, 1]
-    upstream = np.where(
-        (s1 < PROB_CLAMP) | (s1 > 1.0 - PROB_CLAMP), 0.0, dL_dp)
-    # dp/dz = s1(1-s1) * [-1, +1] through the 2-way softmax
-    dz_common = upstream * s1 * (1.0 - s1)
-    dz_out = np.stack([-dz_common, dz_common], axis=1)
+    # dp/dz = s1(1-s1) * [-1, +1] through the 2-way softmax: column 0
+    # holds upstream * s1 on the way
+    neg, pos = dz_out[:, 0], dz_out[:, 1]
+    np.copyto(neg, dL_dp)
+    np.copyto(neg, 0.0, where=(s1 < PROB_CLAMP) | (s1 > 1.0 - PROB_CLAMP))
+    neg *= s1
+    np.subtract(1.0, s1, out=pos)
+    pos *= neg
+    np.negative(pos, out=neg)
 
-    g_w_out = trace.a2.T @ dz_out
-    g_b_out = dz_out.sum(axis=0)
-    da2 = dz_out @ params.w_out.T
-    dz2 = da2 * (trace.a2 > 0.0)
-    g_w2 = trace.a1.T @ dz2
-    g_b2 = dz2.sum(axis=0)
-    da1 = dz2 @ params.w2.T
-    dz1 = da1 * (trace.a1 > 0.0)
-    g_w1 = trace.x.T @ dz1
-    g_b1 = dz1.sum(axis=0)
-    return MlpParams(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2,
-                     w_out=g_w_out, b_out=g_b_out)
+    np.matmul(trace.a2.T, dz_out, out=g.w_out)
+    np.sum(dz_out, axis=0, out=g.b_out)
+    np.matmul(dz_out, params.w_out.T, out=dz2)
+    # a multiply, not a masked assignment, keeps the sign of zeros
+    dz2 *= np.greater(trace.a2, 0.0, out=out.live2)
+    np.matmul(trace.a1.T, dz2, out=g.w2)
+    np.sum(dz2, axis=0, out=g.b2)
+    np.matmul(dz2, params.w2.T, out=dz1)
+    dz1 *= np.greater(trace.a1, 0.0, out=out.live1)
+    np.matmul(trace.x.T, dz1, out=g.w1)
+    np.sum(dz1, axis=0, out=g.b1)
+    return g
 
 
 def predict_hard(p: np.ndarray) -> np.ndarray:

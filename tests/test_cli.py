@@ -484,7 +484,9 @@ class TestBadHyperparameters:
         ("h2", 0), ("epsilon", "0.05"), ("batch_size", "64"),
         ("lr_theta", "0.1"), ("max_epochs", 1.5), ("folds", "a"),
         ("seed", "a"), ("data", None), ("objective", []),
-        ("lambda_zero", "no"), ("batch_size", True), ("lr_theta", True)])
+        ("lambda_zero", "no"), ("batch_size", True), ("lr_theta", True),
+        ("holdout_fraction", 1.5), ("holdout_fraction", 0.0),
+        ("holdout_fraction", float("nan"))])
     def test_exits_two_before_ingest(self, tmp_path, biased_csv,
                                      biased_schema_json, loads, command, key,
                                      value, capsys):
@@ -607,8 +609,11 @@ class TestBadBoundsValues:
         (["bounds", "--w", "nan"], "W"),
         (["bounds", "--l", "nan"], "L"),
         (["bounds", "--c", "nan"], "C"),
+        (["bounds", "--empirical-mean", "nan"], "--empirical-mean"),
+        (["bounds", "--empirical-mean", "inf"], "--empirical-mean"),
     ], ids=["b-range-abc", "b-range-one-end", "b-values-x", "b-values-inf",
-            "b-values-nan", "mu-nan", "w-nan", "l-nan", "c-nan"])
+            "b-values-nan", "mu-nan", "w-nan", "l-nan", "c-nan",
+            "empirical-mean-nan", "empirical-mean-inf"])
     def test_exits_two_with_one_line(self, argv, named, capsys):
         if argv[0] == "bounds":
             # the case's own flags come last, so they win

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -121,6 +122,25 @@ class TestTrainStep:
         before = loss_at(state.params)
         train_step(state, ds.X, ds.a, ds.y, cfg)
         assert loss_at(state.params) < before
+
+    def test_warm_step_allocates_no_batch_sized_array(self):
+        # forward, backward and the flat gradient reuse the state's
+        # workspace, so one step at the paper's shape (S=500, d=103,
+        # h=(100, 50)) holds no (S, h1) or (S, d) temporary: the smallest,
+        # a (S, h2) float64 array, is 200 KB
+        gen = np.random.default_rng(0)
+        cfg = TrainConfig(batch_size=500, lambda_init=0.5)
+        x = gen.normal(size=(500, 103))
+        a, y = np.tile([0, 1], 250), np.repeat([0, 1], 250)
+        state = init_state(103, cfg)
+        train_step(state, x, a, y, cfg)
+        tracemalloc.start()
+        try:
+            train_step(state, x, a, y, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024
 
     def test_lambda_never_negative(self):
         ds = biased_dataset()

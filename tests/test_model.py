@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from fairmlp.errors import ParameterError, SchemaError, ShapeError
 from fairmlp.fairloss import PROB_CLAMP
-from fairmlp.model import (ForwardTrace, MlpParams, backward, forward, he_std,
-                           init_params, load_checkpoint, predict_hard,
-                           save_checkpoint)
+from fairmlp.model import (BackwardBuffers, ForwardTrace, MlpParams, backward,
+                           forward, he_std, init_params, load_checkpoint,
+                           predict_hard, save_checkpoint)
 from fairmlp.numcore import Rng
 
 
@@ -86,6 +86,11 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(tiny_params(), np.zeros((4, 5)))
 
+    def test_trace_of_another_batch_size_rejected(self):
+        trace = ForwardTrace.empty(np.zeros((4, 3)), 4, 3)
+        with pytest.raises(ShapeError):
+            forward(tiny_params(), np.zeros((5, 3)), out=trace)
+
 
 def central_diff(loss_of_theta, theta, h=1e-5):
     fd = np.zeros_like(theta)
@@ -139,6 +144,13 @@ class TestBackward:
         with pytest.raises(ShapeError):
             backward(params, trace, np.zeros(5))
 
+    def test_buffers_of_another_batch_size_rejected(self):
+        params = tiny_params()
+        trace = forward(params, np.zeros((4, 3)))
+        with pytest.raises(ShapeError):
+            backward(params, trace, np.zeros(4),
+                     out=BackwardBuffers.empty(5, *params.dims))
+
 
 LAYERS = ("w1", "b1", "w2", "b2", "w_out", "b_out")
 # a few exact values, zeros of both signs among them, so that exact-zero
@@ -147,19 +159,30 @@ VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
                    st.floats(-20.0, 20.0))
 
 
+def _arr(draw, *shape):
+    n = int(np.prod(shape))
+    return np.array(draw(st.lists(VALUES, min_size=n, max_size=n)),
+                    dtype=np.float64).reshape(shape)
+
+
 @st.composite
 def networks(draw):
     """(params, x, dL_dp) for a small network and batch."""
     d, h1, h2, size = (draw(st.integers(1, n)) for n in (4, 5, 4, 8))
 
     def arr(*shape):
-        n = int(np.prod(shape))
-        return np.array(draw(st.lists(VALUES, min_size=n, max_size=n)),
-                        dtype=np.float64).reshape(shape)
+        return _arr(draw, *shape)
 
     params = MlpParams(w1=arr(d, h1), b1=arr(h1), w2=arr(h1, h2), b2=arr(h2),
                        w_out=arr(h2, 2), b_out=arr(2))
     return params, arr(size, d), arr(size)
+
+
+@st.composite
+def two_batches(draw):
+    """(params, [(x, dL_dp), (x, dL_dp)]): two batches of one size."""
+    params, x, dL_dp = draw(networks())
+    return params, [(x, dL_dp), (_arr(draw, *x.shape), _arr(draw, len(x)))]
 
 
 def zero_rows_case():
@@ -178,9 +201,22 @@ def dead_layer_case(layer):
     return params, x, np.ones(5)
 
 
+def assert_matches_twin(params, x, dL_dp, trace, grads):
+    twin = oracles.twin_forward(params, x)
+    for name in ("p", "probs", "a1", "a2"):
+        got, ref = getattr(trace, name), getattr(twin, name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert got.tobytes() == ref.tobytes(), name
+    twin_grads = oracles.twin_backward(params, twin, dL_dp)
+    for name in LAYERS:
+        got, ref = getattr(grads, name), getattr(twin_grads, name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert got.tobytes() == ref.tobytes(), name
+
+
 class TestMatchesPreActivationTwin:
-    """Masking on the activations gives the bits of masking on the
-    pre-activations (the passes in oracles that kept z1 and z2)."""
+    """Masking on the activations, in place, gives the bits of masking on
+    the pre-activations (the passes in oracles that kept z1 and z2)."""
 
     @settings(max_examples=300, deadline=None)
     @given(networks())
@@ -189,17 +225,30 @@ class TestMatchesPreActivationTwin:
     @example(dead_layer_case("b2"))
     def test_bit_identical(self, case):
         params, x, dL_dp = case
-        trace, twin = forward(params, x), oracles.twin_forward(params, x)
-        for name in ("p", "probs", "a1", "a2"):
-            got, ref = getattr(trace, name), getattr(twin, name)
-            assert got.dtype == ref.dtype and got.shape == ref.shape, name
-            assert got.tobytes() == ref.tobytes(), name
-        grads = backward(params, trace, dL_dp)
-        twin_grads = oracles.twin_backward(params, twin, dL_dp)
-        for name in LAYERS:
-            got, ref = getattr(grads, name), getattr(twin_grads, name)
-            assert got.dtype == ref.dtype and got.shape == ref.shape, name
-            assert got.tobytes() == ref.tobytes(), name
+        trace = forward(params, x)
+        assert_matches_twin(params, x, dL_dp, trace,
+                            backward(params, trace, dL_dp))
+
+    @settings(max_examples=200, deadline=None)
+    @given(two_batches())
+    def test_reused_buffers_bit_identical(self, case):
+        # NaN-filled buffers reused across two batches: any element the
+        # in-place passes leave unwritten shows as NaN or as the first
+        # batch's value
+        params, batches = case
+        size, d = batches[0][0].shape
+        _, h1, h2 = params.dims
+        trace = ForwardTrace.empty(np.empty((size, d)), h1, h2)
+        back = BackwardBuffers.empty(size, d, h1, h2)
+        for arr in (trace.a1, trace.a2, trace.probs, trace.p, back.dz_out,
+                    back.dz2, back.dz1, back.live2, back.live1,
+                    *(getattr(back.grads, name) for name in LAYERS)):
+            arr.fill(np.nan)
+        for x, dL_dp in batches:
+            assert forward(params, x, out=trace) is trace
+            grads = backward(params, trace, dL_dp, out=back)
+            assert grads is back.grads
+            assert_matches_twin(params, x, dL_dp, trace, grads)
 
     def test_trace_keeps_only_activations(self):
         names = [f.name for f in dataclasses.fields(ForwardTrace)]
