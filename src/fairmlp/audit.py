@@ -43,12 +43,6 @@ class MetricsReport:
     n_group1: int
     n_group0: int
 
-    def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["fpr_by_group"] = {str(k): v for k, v in self.fpr_by_group.items()}
-        out["fnr_by_group"] = {str(k): v for k, v in self.fnr_by_group.items()}
-        return out
-
 
 def _conditional_rate(pred: np.ndarray, cond: np.ndarray) -> float:
     n = cond.sum()
@@ -177,37 +171,29 @@ class OmegaResult:
 
     closed_form: float
     grid: float
-    mu_closed: float
-    mu_grid: float
 
 
 def _omega_at(inputs: BoundInputs, mu: float) -> float:
     return mu + math.sqrt(2.0 * covering_number(inputs, mu) / inputs.B)
 
 
-def omega(inputs: BoundInputs, grid_points: int = 400) -> OmegaResult:
-    """Evaluate the complexity term at mu = 1/sqrt(B) and minimized over a
-    log-spaced mu grid in [1e-6, 1]; the grid always contains the
+def omega(inputs: BoundInputs) -> OmegaResult:
+    """Evaluate the complexity term at mu = 1/sqrt(B) and minimized over
+    400 log-spaced mu values in [1e-6, 1]; the minimum starts from the
     closed-form point, so grid <= closed_form."""
-    mu_closed = 1.0 / math.sqrt(inputs.B)
-    closed = _omega_at(inputs, mu_closed)
-    grid = np.logspace(-6.0, 0.0, grid_points).tolist()
-    if 1e-6 <= mu_closed <= 1.0:
-        grid.append(mu_closed)
-    best_mu, best = mu_closed, closed
-    for mu in grid:
+    closed = best = _omega_at(inputs, 1.0 / math.sqrt(inputs.B))
+    for mu in np.logspace(-6.0, 0.0, 400).tolist():
         val = _omega_at(inputs, mu)
         if val < best:
-            best_mu, best = mu, val
-    return OmegaResult(closed_form=closed, grid=best, mu_closed=mu_closed,
-                       mu_grid=best_mu)
+            best = val
+    return OmegaResult(closed_form=closed, grid=best)
 
 
 def full_bound(empirical_mean: float, inputs: BoundInputs) -> float:
     """Upper bound on the expected constraint value:
     empirical mean + 2*Omega + C*sqrt(log(1/delta)/B), with Omega at the
     closed-form mu = 1/sqrt(B)."""
-    om = omega(inputs).closed_form
+    om = _omega_at(inputs, 1.0 / math.sqrt(inputs.B))
     slack = inputs.C * math.sqrt(math.log(1.0 / inputs.delta) / inputs.B)
     return float(empirical_mean + 2.0 * om + slack)
 

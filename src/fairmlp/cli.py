@@ -102,7 +102,7 @@ def _report_payload(cfg: RunConfig, mode: str,
         "mode": mode,
         "baseline": bool(cfg.lambda_zero),
         "config": config,
-        "folds": [r.to_dict() for r in fold_reports],
+        "folds": [asdict(r) for r in fold_reports],
         "aggregate": _aggregate(fold_reports),
         "training": [_log_rows(log) for log in training_logs],
         "metadata": {
@@ -193,29 +193,23 @@ def cmd_sweep(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     entry = CONSTRAINTS[cfg.constraint]
     dataset, folds = _load_folds(cfg)
+    # rows first, so a failed sweep leaves no partial tradeoff.csv
     rows = []
     for value in cfg.sweep:
         fold_reports, _ = _crossval_reports(
             replace(cfg, **{entry.param: value}), dataset, folds)
         agg = _aggregate(fold_reports)
-        rows.append({
-            "epsilon_or_p": value,
-            "mean_accuracy": agg["mean"]["accuracy"],
-            "stddev_accuracy": agg["stddev"]["accuracy"],
-            "mean_constraint_value": agg["mean"][entry.metric],
-            "stddev_constraint_value": agg["stddev"][entry.metric],
-        })
+        rows.append([repr(float(value)),
+                     repr(agg["mean"]["accuracy"]),
+                     repr(agg["stddev"]["accuracy"]),
+                     repr(agg["mean"][entry.metric]),
+                     repr(agg["stddev"][entry.metric])])
     path = out / "tradeoff.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epsilon_or_p", "mean_accuracy", "stddev_accuracy",
                          "mean_constraint_value", "stddev_constraint_value"])
-        for row in rows:
-            writer.writerow([repr(float(row["epsilon_or_p"])),
-                             repr(row["mean_accuracy"]),
-                             repr(row["stddev_accuracy"]),
-                             repr(row["mean_constraint_value"]),
-                             repr(row["stddev_constraint_value"])])
+        writer.writerows(rows)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
@@ -232,7 +226,7 @@ def cmd_audit(args) -> int:
         raise SchemaError(
             f"checkpoint expects {d} features but the dataset encodes to {dataset.d}")
     report = audit.evaluate(params, dataset, args.batch_size, seed=args.seed)
-    print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
+    print(json.dumps(asdict(report), indent=1, sort_keys=True))
     return 0
 
 
@@ -369,8 +363,8 @@ def main(argv=None) -> int:
                 cfg = RunConfig.from_json(args.config, **overrides)
                 return RUN_COMMANDS[args.command](cfg)
             return TOOL_COMMANDS[args.command](args)
-    except (ParameterError, FileNotFoundError, IsADirectoryError,
-            json.JSONDecodeError) as exc:
+    except (ParameterError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SchemaError, DataError, DegenerateBatchError) as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -109,30 +109,33 @@ def load_csv(path, schema: SchemaConfig) -> RawTable:
     """Read a header CSV, keeping schema columns and dropping any row that
     has the missing-value token in a used column."""
     names = list(dict.fromkeys(schema.used_columns))
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [cell.strip() for cell in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path} is empty")
-        missing = [c for c in schema.used_columns if c not in header]
-        if missing:
-            raise SchemaError(f"{path} lacks required columns: {missing}")
-        idx = [header.index(c) for c in names]
-        columns, n_dropped = [[] for _ in names], 0
-        for raw in reader:
-            if not raw or all(not cell.strip() for cell in raw):
-                continue
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                cells = [raw[j].strip() for j in idx]
-            except IndexError:
-                raise DataError(f"{path} line {reader.line_num} has {len(raw)} "
-                                f"cells, the header has {len(header)}")
-            if schema.missing_token in cells:
-                n_dropped += 1
-                continue
-            for column, cell in zip(columns, cells):
-                column.append(cell)
+                header = [cell.strip() for cell in next(reader)]
+            except StopIteration:
+                raise SchemaError(f"{path} is empty")
+            missing = [c for c in schema.used_columns if c not in header]
+            if missing:
+                raise SchemaError(f"{path} lacks required columns: {missing}")
+            idx = [header.index(c) for c in names]
+            columns, n_dropped = [[] for _ in names], 0
+            for raw in reader:
+                if not raw or all(not cell.strip() for cell in raw):
+                    continue
+                try:
+                    cells = [raw[j].strip() for j in idx]
+                except IndexError:
+                    raise DataError(f"{path} line {reader.line_num} has {len(raw)} "
+                                    f"cells, the header has {len(header)}")
+                if schema.missing_token in cells:
+                    n_dropped += 1
+                    continue
+                for column, cell in zip(columns, cells):
+                    column.append(cell)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}")
     return RawTable(dict(zip(names, columns)), n_dropped)
 
 
@@ -150,13 +153,8 @@ class Encoder:
     feature_names: list[str] = field(default_factory=list)
 
     def to_json(self, path) -> None:
-        payload = {
-            "numeric_stats": {k: list(v) for k, v in self.numeric_stats.items()},
-            "vocabulary": self.vocabulary,
-            "feature_names": self.feature_names,
-        }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            json.dump(asdict(self), fh, sort_keys=True)
 
     @classmethod
     def from_json(cls, path) -> "Encoder":
@@ -164,13 +162,15 @@ class Encoder:
             payload = json.load(fh)
         try:
             return cls(
-                numeric_stats={k: tuple(v)
-                               for k, v in payload["numeric_stats"].items()},
-                vocabulary=payload["vocabulary"],
-                feature_names=payload["feature_names"],
+                numeric_stats={k: (float(mean), float(std)) for k, (mean, std)
+                               in payload["numeric_stats"].items()},
+                vocabulary={k: list(v) for k, v in payload["vocabulary"].items()},
+                feature_names=list(payload["feature_names"]),
             )
         except KeyError as exc:
             raise SchemaError(f"bad encoder file {path}: missing key {exc}")
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise SchemaError(f"bad encoder file {path}: {exc}")
 
 
 @dataclass
@@ -404,13 +404,3 @@ def epoch_batches(a: np.ndarray, y: np.ndarray, size: int, rng: Rng,
         batches.append(np.asarray(final, dtype=np.int64))
     return batches
 
-
-def batch_iter(dataset: Dataset, size: int, seed: int,
-               require_classes: bool = False):
-    """Infinite generator of epochs; each item is one epoch's batch list,
-    reshuffled epoch to epoch. Every batch holds both sensitive groups;
-    pass ``require_classes`` for class-sensitive objectives."""
-    rng = Rng(seed)
-    while True:
-        yield epoch_batches(dataset.a, dataset.y, size, rng,
-                            need_classes=require_classes)

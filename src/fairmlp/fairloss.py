@@ -158,10 +158,6 @@ class Batch:
     def classes(self) -> _Split:
         return _Split(self.y)
 
-    @property
-    def size(self) -> int:
-        return self.p.shape[0]
-
 
 @dataclass
 class MultiGroupBatch:

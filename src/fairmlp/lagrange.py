@@ -19,8 +19,8 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import fairloss
-from .data import Dataset, batch_iter
+from . import data, fairloss
+from .data import Dataset
 from .errors import DataError, ParameterError
 from .fairloss import Batch, ConstraintKind
 from .model import (BackwardBuffers, ForwardTrace, MlpParams, backward,
@@ -81,6 +81,8 @@ class TrainConfig:
             raise ParameterError("batch_size must be >= 2")
         if not self.lr_theta > 0:
             raise ParameterError("lr_theta must be > 0")
+        if self.seed < 0:
+            raise ParameterError("seed must be >= 0")
         if self.max_epochs < 1:
             raise ParameterError("max_epochs must be >= 1")
         if self.objective not in fairloss.OBJECTIVES:
@@ -210,12 +212,15 @@ def fit(dataset: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[LogRow]]:
         raise DataError("dataset must contain both label classes")
 
     state = init_state(dataset.d, cfg)
-    epochs = batch_iter(dataset, cfg.batch_size, cfg.seed + 1,
-                        fairloss.OBJECTIVES[cfg.objective].needs_classes)
+    # one stream reshuffles every epoch's batches
+    rng = Rng(cfg.seed + 1)
+    need_classes = fairloss.OBJECTIVES[cfg.objective].needs_classes
 
     log: list[LogRow] = []
     recent: list[float] = []
-    for epoch, batches in zip(range(cfg.max_epochs), epochs):
+    for epoch in range(cfg.max_epochs):
+        batches = data.epoch_batches(dataset.a, dataset.y, cfg.batch_size, rng,
+                                     need_classes=need_classes)
         t0 = time.perf_counter()
         objs, consts, totals = [], [], []
         for idx in batches:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,8 +22,12 @@ from .numcore import Rng
 CHECKPOINT_FORMAT = "fairmlp-checkpoint/1"
 
 
-def _layer_shapes(d: int, h1: int, h2: int) -> list[tuple[int, ...]]:
-    return [(d, h1), (h1,), (h1, h2), (h2,), (h2, 2), (2,)]
+def _layer_shapes(d: int, h1: int, h2: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each layer of a d -> h1 -> h2 -> 2 network, by name in
+    MlpParams field order: the one table that the parameters, their flat
+    layout and the checkpoint are built from."""
+    return {"w1": (d, h1), "b1": (h1,), "w2": (h1, h2), "b2": (h2,),
+            "w_out": (h2, 2), "b_out": (2,)}
 
 
 @dataclass
@@ -45,8 +49,8 @@ class MlpParams:
     def n_params(self) -> int:
         return sum(arr.size for arr in self._arrays())
 
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        return (self.w1, self.b1, self.w2, self.b2, self.w_out, self.b_out)
+    def _arrays(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)]
 
     def flatten(self, out: np.ndarray | None = None) -> np.ndarray:
         """All arrays as one vector, written into ``out`` when given."""
@@ -57,16 +61,16 @@ class MlpParams:
         """Views into ``vec`` shaped as the layers of a d -> h1 -> h2 -> 2
         network."""
         shapes = _layer_shapes(d, h1, h2)
-        total = sum(int(np.prod(s)) for s in shapes)
+        total = sum(math.prod(s) for s in shapes.values())
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (total,):
             raise ShapeError(f"expected flat vector of length {total}, got {vec.shape}")
-        parts, at = [], 0
-        for s in shapes:
-            size = int(np.prod(s))
-            parts.append(vec[at:at + size].reshape(s))
+        parts, at = {}, 0
+        for name, s in shapes.items():
+            size = math.prod(s)
+            parts[name] = vec[at:at + size].reshape(s)
             at += size
-        return cls(*parts)
+        return cls(**parts)
 
 
 def he_std(fan_in: int) -> float:
@@ -75,17 +79,14 @@ def he_std(fan_in: int) -> float:
 
 
 def init_params(d: int, h1: int, h2: int, rng: Rng) -> MlpParams:
-    """He-initialized weights, zero biases."""
+    """He-initialized weights, zero biases; the weights are drawn in layer
+    order."""
     if d < 1 or h1 < 1 or h2 < 1:
         raise ParameterError(f"all dimensions must be >= 1, got ({d}, {h1}, {h2})")
-    return MlpParams(
-        w1=rng.normal(0.0, he_std(d), d * h1).reshape(d, h1),
-        b1=np.zeros(h1),
-        w2=rng.normal(0.0, he_std(h1), h1 * h2).reshape(h1, h2),
-        b2=np.zeros(h2),
-        w_out=rng.normal(0.0, he_std(h2), h2 * 2).reshape(h2, 2),
-        b_out=np.zeros(2),
-    )
+    return MlpParams(**{
+        name: (rng.normal(0.0, he_std(s[0]), math.prod(s)).reshape(s)
+               if len(s) == 2 else np.zeros(s))
+        for name, s in _layer_shapes(d, h1, h2).items()})
 
 
 @dataclass
@@ -127,7 +128,8 @@ class BackwardBuffers:
         """Buffers for S rows; ``grads``, when given, receives the
         gradients (views into a flat vector, say)."""
         if grads is None:
-            grads = MlpParams(*(np.empty(s) for s in _layer_shapes(d, h1, h2)))
+            grads = MlpParams(**{name: np.empty(s) for name, s
+                                 in _layer_shapes(d, h1, h2).items()})
         return cls(grads=grads, dz_out=np.empty((S, 2)),
                    dz2=np.empty((S, h2)), dz1=np.empty((S, h1)),
                    live2=np.empty((S, h2), dtype=bool),
@@ -227,14 +229,8 @@ def save_checkpoint(path, params: MlpParams, seed: int) -> None:
         "format": CHECKPOINT_FORMAT,
         "dims": {"d": d, "h1": h1, "h2": h2},
         "seed": int(seed),
-        "layers": {
-            "w1": params.w1.ravel().tolist(),
-            "b1": params.b1.tolist(),
-            "w2": params.w2.ravel().tolist(),
-            "b2": params.b2.tolist(),
-            "w_out": params.w_out.ravel().tolist(),
-            "b_out": params.b_out.tolist(),
-        },
+        "layers": {name: getattr(params, name).ravel().tolist()
+                   for name in _layer_shapes(d, h1, h2)},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True)
@@ -250,10 +246,8 @@ def load_checkpoint(path) -> tuple[MlpParams, dict]:
         dims = payload["dims"]
         d, h1, h2 = dims["d"], dims["h1"], dims["h2"]
         layers = payload["layers"]
-        shapes = {"w1": (d, h1), "b1": (h1,), "w2": (h1, h2), "b2": (h2,),
-                  "w_out": (h2, 2), "b_out": (2,)}
         arrays = {name: np.asarray(layers[name], dtype=np.float64).reshape(shape)
-                  for name, shape in shapes.items()}
+                  for name, shape in _layer_shapes(d, h1, h2).items()}
     except KeyError as exc:
         raise SchemaError(f"checkpoint {path} lacks key {exc}")
     except (TypeError, ValueError) as exc:

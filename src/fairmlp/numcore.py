@@ -19,6 +19,8 @@ class Rng:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {seed}")
         self.gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def normal(self, mean: float, std: float, n: int) -> np.ndarray:

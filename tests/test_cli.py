@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +123,7 @@ class TestCrossval:
         reports, logs = _crossval_reports(
             RunConfig(**json.loads(cfg.read_text(encoding="utf-8"))))
         assert len(logs) == 2
-        assert (json.loads(json.dumps([r.to_dict() for r in reports]))
+        assert (json.loads(json.dumps([asdict(r) for r in reports]))
                 == report["folds"])
 
 
@@ -197,6 +197,12 @@ class TestAuditCommand:
         return {"--data": out / "bad.csv"}
 
     @staticmethod
+    def _undecodable_csv(out):
+        raw = (out / "test_split.csv").read_bytes()
+        (out / "bad.csv").write_bytes(raw.replace(b"\n", b"\n\xff", 1))
+        return {"--data": out / "bad.csv"}
+
+    @staticmethod
     def _checkpoint_without_layer(out):
         payload = json.loads((out / "model.json").read_text())
         del payload["layers"]["w2"]
@@ -231,10 +237,40 @@ class TestAuditCommand:
         (out / "bad.json").write_text(json.dumps(payload))
         return {"--encoder": out / "bad.json"}
 
+    @staticmethod
+    def _encoder_stat_not_a_pair(out):
+        payload = json.loads((out / "encoder.json").read_text())
+        payload["numeric_stats"]["f2"] = [0.5]
+        (out / "bad.json").write_text(json.dumps(payload))
+        return {"--encoder": out / "bad.json"}
+
+    @staticmethod
+    def _encoder_top_level_list(out):
+        payload = json.loads((out / "encoder.json").read_text())
+        (out / "bad.json").write_text(json.dumps([payload]))
+        return {"--encoder": out / "bad.json"}
+
+    @staticmethod
+    def _encoder_stat_strings(out):
+        payload = json.loads((out / "encoder.json").read_text())
+        payload["numeric_stats"]["f2"] = ["a", "b"]
+        (out / "bad.json").write_text(json.dumps(payload))
+        return {"--encoder": out / "bad.json"}
+
+    @staticmethod
+    def _encoder_stats_a_string(out):
+        payload = json.loads((out / "encoder.json").read_text())
+        payload["numeric_stats"] = "f2"
+        (out / "bad.json").write_text(json.dumps(payload))
+        return {"--encoder": out / "bad.json"}
+
     @pytest.mark.parametrize("corrupt", [
-        "_ragged_csv", "_non_numeric_cell", "_checkpoint_without_layer",
+        "_ragged_csv", "_non_numeric_cell", "_undecodable_csv",
+        "_checkpoint_without_layer",
         "_checkpoint_short_bias", "_checkpoint_non_finite",
-        "_encoder_without_key", "_encoder_without_column"])
+        "_encoder_without_key", "_encoder_without_column",
+        "_encoder_stat_not_a_pair", "_encoder_top_level_list",
+        "_encoder_stat_strings", "_encoder_stats_a_string"])
     def test_bad_input_exits_three(self, trained, biased_schema_json, corrupt,
                                    capsys):
         args = {"--model": trained / "model.json",
@@ -247,6 +283,17 @@ class TestAuditCommand:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_negative_seed_exits_two(self, trained, biased_schema_json,
+                                     capsys):
+        capsys.readouterr()
+        assert main(["audit", "--model", str(trained / "model.json"),
+                     "--data", str(trained / "test_split.csv"),
+                     "--schema", str(biased_schema_json),
+                     "--encoder", str(trained / "encoder.json"),
+                     "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed") and err.count("\n") == 1, err
 
     def test_overflowing_checkpoint_exits_four(self, trained,
                                                biased_schema_json, capsys):
@@ -327,6 +374,46 @@ class TestEmptyTable:
                              sweep=[0.05])
             argv = [command, "--config", str(cfg)]
         assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestFileSystemErrors:
+    """A path that cannot be read or written, or a JSON input that is not
+    UTF-8 text, exits 2 with one line."""
+
+    @staticmethod
+    def _out_is_a_file(tmp_path, cfg):
+        return ["train", "--config", str(cfg), "--out", str(tmp_path / "taken")]
+
+    @staticmethod
+    def _out_under_a_file(tmp_path, cfg):
+        return ["train", "--config", str(cfg), "--out",
+                str(tmp_path / "taken" / "out")]
+
+    @staticmethod
+    def _bounds_out_under_a_file(tmp_path, cfg):
+        return ["bounds", "--d", "3", "--w", "0.5", "--l", "1", "--s", "10",
+                "--out", str(tmp_path / "taken" / "x")]
+
+    @staticmethod
+    def _undecodable_schema(tmp_path, cfg):
+        config = json.loads(cfg.read_text(encoding="utf-8"))
+        schema = Path(config["schema"]).read_bytes()
+        (tmp_path / "bad_schema.json").write_bytes(
+            schema.replace(b"f1", b"f\xff", 1))
+        config["schema"] = str(tmp_path / "bad_schema.json")
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        return ["crossval", "--config", str(cfg)]
+
+    @pytest.mark.parametrize("case", [
+        "_out_is_a_file", "_out_under_a_file", "_bounds_out_under_a_file",
+        "_undecodable_schema"])
+    def test_exits_two_with_one_line(self, tmp_path, biased_csv,
+                                     biased_schema_json, case, capsys):
+        (tmp_path / "taken").write_text("x")
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json, max_epochs=1)
+        assert main(getattr(self, case)(tmp_path, cfg)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
@@ -486,7 +573,7 @@ class TestBadHyperparameters:
         ("seed", "a"), ("data", None), ("objective", []),
         ("lambda_zero", "no"), ("batch_size", True), ("lr_theta", True),
         ("holdout_fraction", 1.5), ("holdout_fraction", 0.0),
-        ("holdout_fraction", float("nan"))])
+        ("holdout_fraction", float("nan")), ("seed", -1)])
     def test_exits_two_before_ingest(self, tmp_path, biased_csv,
                                      biased_schema_json, loads, command, key,
                                      value, capsys):

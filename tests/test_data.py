@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from fairmlp.data import (Encoder, RawTable, SchemaConfig, adult_schema,
-                          batch_iter, encode, epoch_batches, extract_labels,
+                          encode, epoch_batches, extract_labels,
                           holdout_split, kfold, load_csv, resolve_schema)
 from fairmlp.errors import DataError, ParameterError, SchemaError
 from fairmlp.fairloss import Batch
@@ -403,11 +403,11 @@ class TestEpochBatches:
             epoch_batches(np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]),
                           8, Rng(0))
 
-    def test_batch_iter_reshuffles(self):
+    def test_epochs_from_one_rng_reshuffle(self):
         ds = balanced_dataset(40)
-        it = batch_iter(ds, 10, seed=3)
-        first = [b.tolist() for b in next(it)]
-        second = [b.tolist() for b in next(it)]
+        rng = Rng(3)
+        first, second = ([b.tolist() for b in epoch_batches(ds.a, ds.y, 10, rng)]
+                         for _ in range(2))
         assert first != second
 
 

@@ -215,7 +215,7 @@ class TestGradients:
                     continue
                 g = grad_wrt_p(kind, b)
                 fd = np.zeros_like(g)
-                for i in range(b.size):
+                for i in range(b.p.shape[0]):
                     up = b.p.copy()
                     down = b.p.copy()
                     up[i] += h

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 import gradcheck
-from fairmlp.data import Dataset, Encoder
+from fairmlp.data import Dataset, Encoder, epoch_batches
 from fairmlp.errors import DataError, ParameterError
 from fairmlp.fairloss import ConstraintKind
 from fairmlp.lagrange import (LogRow, TrainConfig, fit, init_state,
                               train_step, write_training_log)
 from fairmlp.model import MlpParams, backward, forward, predict_hard
-from fairmlp.numcore import AdamState, adam_step
+from fairmlp.numcore import AdamState, Rng, adam_step
 from fairmlp import fairloss
 
 
@@ -194,13 +194,11 @@ class TestFit:
                          epsilon=0.01)
         fitted, _ = fit(ds, cfg)
 
-        from fairmlp.data import batch_iter
         params = init_state(ds.d, cfg).params
         adam = AdamState.zeros(params.n_params)
-        epochs = batch_iter(ds, cfg.batch_size, cfg.seed + 1,
-                            require_classes=False)
-        for _, batches in zip(range(10), epochs):
-            for idx in batches:
+        rng = Rng(cfg.seed + 1)
+        for _ in range(10):
+            for idx in epoch_batches(ds.a, ds.y, cfg.batch_size, rng):
                 trace = forward(params, ds.X[idx])
                 b = fairloss.Batch(trace.p, ds.a[idx], ds.y[idx])
                 grads = backward(params, trace,
