@@ -115,6 +115,8 @@ def _report_payload(cfg: RunConfig, mode: str,
 
 def cmd_train(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     schema = data.resolve_schema(cfg.schema)
     table = data.load_csv(cfg.data, schema)
     a, y = data.extract_labels(table, schema)
@@ -126,9 +128,6 @@ def cmd_train(cfg: RunConfig) -> int:
 
     params, log = lagrange.fit(ds_train, cfg)
     report = audit.evaluate(params, ds_test, cfg.batch_size, seed=cfg.seed)
-
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     model.save_checkpoint(out / "model.json", params, cfg.seed)
     lagrange.write_training_log(out / "training_log.csv", log)
     ds_train.encoder.to_json(out / "encoder.json")
@@ -172,9 +171,9 @@ def cmd_crossval(cfg: RunConfig) -> int:
     if cfg.folds < 2:
         raise ParameterError("crossval requires folds >= 2")
     t0 = time.perf_counter()
-    fold_reports, logs = _crossval_reports(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    fold_reports, logs = _crossval_reports(cfg)
     for i, log in enumerate(logs):
         lagrange.write_training_log(out / f"training_log_fold{i}.csv", log)
     wall = (time.perf_counter() - t0) * 1000.0

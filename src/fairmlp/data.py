@@ -107,7 +107,8 @@ class RawTable:
 
 def load_csv(path, schema: SchemaConfig) -> RawTable:
     """Read a header CSV, keeping schema columns and dropping any row that
-    has the missing-value token in a used column."""
+    has the missing-value token in a used column. Each column holds one
+    shared string per distinct value, however many rows repeat it."""
     names = list(dict.fromkeys(schema.used_columns))
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -121,6 +122,7 @@ def load_csv(path, schema: SchemaConfig) -> RawTable:
                 raise SchemaError(f"{path} lacks required columns: {missing}")
             idx = [header.index(c) for c in names]
             columns, n_dropped = [[] for _ in names], 0
+            distinct = [{} for _ in names]
             for raw in reader:
                 if not raw or all(not cell.strip() for cell in raw):
                     continue
@@ -132,10 +134,12 @@ def load_csv(path, schema: SchemaConfig) -> RawTable:
                 if schema.missing_token in cells:
                     n_dropped += 1
                     continue
-                for column, cell in zip(columns, cells):
-                    column.append(cell)
+                for column, seen, cell in zip(columns, distinct, cells):
+                    column.append(seen.setdefault(cell, cell))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc}")
+    except csv.Error as exc:  # e.g. a cell over the csv field size limit
+        raise DataError(f"{path} line {reader.line_num}: {exc}")
     return RawTable(dict(zip(names, columns)), n_dropped)
 
 

@@ -1,16 +1,18 @@
 import math
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import oracles
-from fairmlp import fairloss
+from fairmlp import audit, fairloss
 from fairmlp.audit import (BoundInputs, bound_sweep, covering_number,
                            di_counterexample, evaluate, full_bound, omega)
 from fairmlp.data import Dataset, Encoder
 from fairmlp.errors import DataError, ParameterError
 from fairmlp.lagrange import TrainConfig, fit
-from fairmlp.model import MlpParams, forward
+from fairmlp.model import MlpParams, forward, init_params
 from fairmlp.numcore import Rng
 
 
@@ -117,6 +119,49 @@ class TestEvaluate:
         ds = dataset_with_probs([0.6, 0.4], [1, 1], [1, 0])
         with pytest.raises(DataError):
             evaluate(sigmoid_network(), ds, S=2)
+
+
+class TestBlockedEvaluate:
+    """A set of more than EVAL_ROWS rows is forwarded in near-equal row
+    blocks, on the benchmark's network dimensions."""
+
+    D, H1, H2 = 103, 100, 50
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        n = 2 * audit.EVAL_ROWS + 1
+        gen = np.random.default_rng(11)
+        ds = Dataset(X=gen.normal(size=(n, self.D)),
+                     a=gen.integers(0, 2, n), y=gen.integers(0, 2, n),
+                     feature_names=[f"x{j}" for j in range(self.D)],
+                     encoder=Encoder())
+        return init_params(self.D, self.H1, self.H2, Rng(3)), ds
+
+    def test_report_equals_whole_set_forward(self, case, monkeypatch):
+        params, ds = case
+        rows = []
+
+        def counted(params, x, out=None):
+            rows.append(x.shape[0])
+            return forward(params, x, out)
+
+        monkeypatch.setattr(audit, "forward", counted)
+        blocked = evaluate(params, ds, S=500, seed=2)
+        assert rows == [21846, 21846, 21845]
+        monkeypatch.setattr(audit, "EVAL_ROWS", ds.n)
+        whole = evaluate(params, ds, S=500, seed=2)
+        assert rows[3:] == [ds.n]
+        assert asdict(blocked) == asdict(whole)
+
+    def test_peak_memory_well_below_whole_set_activations(self, case):
+        params, ds = case
+        tracemalloc.start()
+        try:
+            evaluate(params, ds, S=500, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.n * (self.H1 + self.H2) * 8 / 2
 
 
 BOUND_EXAMPLE = dict(R=2, D=3, W=0.5, L=1.0, S=10, B=10 ** 4,

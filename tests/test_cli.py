@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gradcheck
-from fairmlp import data
+from fairmlp import data, lagrange
 from fairmlp.audit import MetricsReport
 from fairmlp.cli import RunConfig, _crossval_reports, build_parser, main
 from fairmlp.fairloss import CONSTRAINTS, OBJECTIVES, ConstraintKind
@@ -196,6 +196,14 @@ class TestAuditCommand:
         write_csv(out / "bad.csv", rows[0], rows[1:])
         return {"--data": out / "bad.csv"}
 
+    @classmethod
+    def _oversized_cell(cls, out):
+        # longer than the csv module's default field size limit
+        rows = cls._test_split_rows(out)
+        rows[3][rows[0].index("shade")] = "x" * 200_000
+        write_csv(out / "bad.csv", rows[0], rows[1:])
+        return {"--data": out / "bad.csv"}
+
     @staticmethod
     def _undecodable_csv(out):
         raw = (out / "test_split.csv").read_bytes()
@@ -265,7 +273,8 @@ class TestAuditCommand:
         return {"--encoder": out / "bad.json"}
 
     @pytest.mark.parametrize("corrupt", [
-        "_ragged_csv", "_non_numeric_cell", "_undecodable_csv",
+        "_ragged_csv", "_non_numeric_cell", "_oversized_cell",
+        "_undecodable_csv",
         "_checkpoint_without_layer",
         "_checkpoint_short_bias", "_checkpoint_non_finite",
         "_encoder_without_key", "_encoder_without_column",
@@ -380,7 +389,7 @@ class TestEmptyTable:
 
 class TestFileSystemErrors:
     """A path that cannot be read or written, or a JSON input that is not
-    UTF-8 text, exits 2 with one line."""
+    UTF-8 text, exits 2 with one line, and before any model is trained."""
 
     @staticmethod
     def _out_is_a_file(tmp_path, cfg):
@@ -389,6 +398,16 @@ class TestFileSystemErrors:
     @staticmethod
     def _out_under_a_file(tmp_path, cfg):
         return ["train", "--config", str(cfg), "--out",
+                str(tmp_path / "taken" / "out")]
+
+    @staticmethod
+    def _crossval_out_is_a_file(tmp_path, cfg):
+        return ["crossval", "--config", str(cfg), "--out",
+                str(tmp_path / "taken")]
+
+    @staticmethod
+    def _crossval_out_under_a_file(tmp_path, cfg):
+        return ["crossval", "--config", str(cfg), "--out",
                 str(tmp_path / "taken" / "out")]
 
     @staticmethod
@@ -407,15 +426,21 @@ class TestFileSystemErrors:
         return ["crossval", "--config", str(cfg)]
 
     @pytest.mark.parametrize("case", [
-        "_out_is_a_file", "_out_under_a_file", "_bounds_out_under_a_file",
+        "_out_is_a_file", "_out_under_a_file", "_crossval_out_is_a_file",
+        "_crossval_out_under_a_file", "_bounds_out_under_a_file",
         "_undecodable_schema"])
     def test_exits_two_with_one_line(self, tmp_path, biased_csv,
-                                     biased_schema_json, case, capsys):
+                                     biased_schema_json, case, capsys,
+                                     monkeypatch):
+        fits = []
+        monkeypatch.setattr(lagrange, "fit",
+                            lambda *args, **kw: fits.append(args))
         (tmp_path / "taken").write_text("x")
         cfg = run_config(tmp_path, biased_csv, biased_schema_json, max_epochs=1)
         assert main(getattr(self, case)(tmp_path, cfg)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert fits == []
 
 
 class TestNonFiniteCell:

@@ -52,6 +52,20 @@ class TestLoadCsv:
         assert table.columns["grp"] == ["f"]
         assert table.columns["outcome"] == ["yes"]
 
+    def test_one_string_object_per_distinct_value(self, tmp_path):
+        rows = [["10", "red", "m", "yes"], ["20", " red", "f", "no"],
+                ["10 ", "blue", "f", "yes"], ["20", "red ", "m", "no"]]
+        table = load_csv(small_csv(tmp_path, rows), SCHEMA)
+        assert table.columns["kind"] == ["red", "red", "blue", "red"]
+        assert table.columns["outcome"] == ["yes", "no", "yes", "no"]
+        for col in table.columns.values():
+            assert len({id(cell) for cell in col}) == len(set(col))
+
+    def test_oversized_cell_is_data_error_naming_the_line(self, tmp_path):
+        rows = [["1", "a", "m", "yes"], ["2", "b" * 200_000, "f", "no"]]
+        with pytest.raises(DataError, match=r"small\.csv line 3: field larger"):
+            load_csv(small_csv(tmp_path, rows), SCHEMA)
+
     def test_header_only_gives_empty_columns(self, tmp_path):
         table = load_csv(small_csv(tmp_path, []), SCHEMA)
         assert len(table) == 0
