@@ -3,10 +3,11 @@ bounds, and the disparate-impact non-coverability counterexample.
 
 Soft fairness gaps are averaged over stratified batches of the
 evaluation set (the multi-batch empirical form); hard metrics come from
-0.5-thresholded predictions over the whole set, which is forwarded in
-near-equal row blocks so that only one block's hidden activations are
-alive at a time. The bound calculator works in log space: raw covering
-numbers overflow for any realistic parameter count.
+0.5-thresholded predictions over the whole set, which is densified and
+forwarded in near-equal row blocks through one reused input buffer, so
+that only one block's dense rows and hidden activations are alive at a
+time. The bound calculator works in log space: raw covering numbers
+overflow for any realistic parameter count.
 """
 
 from __future__ import annotations
@@ -72,9 +73,10 @@ def evaluate(params: MlpParams, dataset: Dataset, S: int,
     if y.sum() < 1 or (1 - y).sum() < 1:
         raise DataError("evaluation set must contain both label classes")
 
-    n_blocks = -(-dataset.n // EVAL_ROWS)
-    p = np.concatenate([forward(params, x).p
-                        for x in np.array_split(dataset.X, n_blocks)])
+    blocks = np.array_split(np.arange(dataset.n), -(-dataset.n // EVAL_ROWS))
+    x = np.empty((blocks[0].size, dataset.d))  # the first block is the largest
+    p = np.concatenate([forward(params, dataset.densify(rows, x[:rows.size])).p
+                        for rows in blocks])
     yhat = predict_hard(p)
 
     s_eff = min(S, dataset.n)

@@ -1,11 +1,14 @@
 """Dataset ingestion, encoding, stratified batching, and CV splits.
 
-CSV in, numpy out. Categorical columns become one-hot blocks over the
-lexicographically sorted vocabulary observed at fit time; numeric
-columns are z-scored with population statistics. Batching is stratified
-so that every mini-batch contains the sensitive groups (and, when
-requested, label classes) that the active constraint needs — the
-constraint formulas are undefined on single-group batches.
+CSV in, numpy out. The network reads a dense row layout: the numeric
+columns z-scored with population statistics, then one one-hot block per
+categorical column over the lexicographically sorted vocabulary observed
+at fit time. A Dataset stores that layout compactly, as the numeric
+block and one column code per categorical cell, and writes dense rows
+only into a buffer the caller passes, one batch or row block at a time.
+Batching is stratified so that every mini-batch contains the sensitive
+groups (and, when requested, label classes) that the active constraint
+needs — the constraint formulas are undefined on single-group batches.
 """
 
 from __future__ import annotations
@@ -176,48 +179,93 @@ class Encoder:
         except (TypeError, ValueError, AttributeError) as exc:
             raise SchemaError(f"bad encoder file {path}: {exc}")
 
+    def width(self, schema: SchemaConfig) -> int:
+        """Columns of the dense layout, one per numeric column and one per
+        category; the encoder's columns must be exactly the schema's."""
+        missing = ([c for c in schema.numeric if c not in self.numeric_stats]
+                   + [c for c in schema.categorical if c not in self.vocabulary])
+        if missing:
+            raise SchemaError(f"encoder does not cover schema columns {missing}")
+        extra = ([c for c in self.numeric_stats if c not in schema.numeric]
+                 + [c for c in self.vocabulary if c not in schema.categorical])
+        if extra:
+            raise SchemaError(f"encoder has columns the schema lacks: {extra}")
+        return len(self.numeric_stats) + sum(map(len, self.vocabulary.values()))
+
+
+# the column code of a category the encoder never saw: its row has no one
+# in that block
+UNSEEN = -1
+
 
 @dataclass
 class Dataset:
-    """Encoded design matrix plus binary attribute/label vectors."""
+    """Encoded rows, stored compactly, plus binary attribute/label vectors.
 
-    X: np.ndarray
+    The dense (n, d) layout is the m z-scored numeric columns, then one
+    one-hot block per categorical column. ``num`` is its numeric part,
+    float64 (n, m). ``cols`` holds, for each row's c categorical cells,
+    the dense column of that cell's one, or UNSEEN, in the smallest signed
+    integer type that holds them. ``densify`` writes any rows of the dense
+    layout into a caller's buffer; the whole matrix is never built.
+    """
+
+    num: np.ndarray
+    cols: np.ndarray
     a: np.ndarray
     y: np.ndarray
-    feature_names: list[str]
     encoder: Encoder
 
     def __post_init__(self):
-        if self.X.ndim != 2:
-            raise ShapeError("X must be 2-D")
-        n = self.X.shape[0]
-        if self.a.shape != (n,) or self.y.shape != (n,):
-            raise ShapeError("a and y must match the number of rows of X")
+        if self.num.ndim != 2 or self.cols.ndim != 2:
+            raise ShapeError("num and cols must be 2-D")
+        n = self.num.shape[0]
+        if self.cols.shape[0] != n or self.a.shape != (n,) or self.y.shape != (n,):
+            raise ShapeError("cols, a and y must match the number of rows of num")
         if n == 0:
             raise DataError("dataset is empty")
-        if not np.all(np.isfinite(self.X)):
+        if not np.all(np.isfinite(self.num)):
             raise DataError("encoded features contain NaN/Inf")
+        m = self.num.shape[1]
+        if self.cols.dtype.kind not in "iu" or not np.all(
+                ((self.cols >= m) & (self.cols < self.d)) | (self.cols == UNSEEN)):
+            raise DataError(f"column codes must be UNSEEN or in [{m}, {self.d})")
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.num.shape[0]
 
     @property
     def d(self) -> int:
-        return self.X.shape[1]
+        return self.num.shape[1] + sum(map(len, self.encoder.vocabulary.values()))
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
-        return Dataset(self.X[idx], self.a[idx], self.y[idx],
-                       self.feature_names, self.encoder)
+        return Dataset(self.num[idx], self.cols[idx], self.a[idx], self.y[idx],
+                       self.encoder)
+
+    def densify(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the dense encoded rows at index array ``rows`` (repeats
+        allowed) into ``out``, a C-contiguous float64 (len(rows), d)
+        buffer, and return it."""
+        d = self.d
+        if out.shape != (len(rows), d) or not out.flags.c_contiguous:
+            raise ShapeError(f"densify needs a C-contiguous ({len(rows)}, {d}) "
+                             f"buffer, got {out.shape}")
+        out.fill(0.0)
+        out[:, :self.num.shape[1]] = np.take(self.num, rows, axis=0)
+        hot = np.take(self.cols, rows, axis=0).astype(np.intp)
+        seen = hot != UNSEEN
+        hot += np.arange(0, out.size, d)[:, None]  # row r starts at r * d
+        out.reshape(-1)[hot[seen]] = 1.0
+        return out
 
 
 def encode(table: RawTable, schema: SchemaConfig,
            encoder: Encoder | None = None) -> Dataset:
-    """Encode a table into one float64 matrix: the z-scored numeric
-    columns, then one one-hot block per categorical column. Fits the
-    encoder on the table itself unless one (from the training split) is
-    supplied."""
+    """Encode a table into a Dataset: the z-scored numeric columns and the
+    dense column of each categorical cell's one. Fits the encoder on the
+    table itself unless one (from the training split) is supplied."""
     n = len(table)
     if n == 0:
         raise DataError("cannot encode an empty table")
@@ -229,13 +277,10 @@ def encode(table: RawTable, schema: SchemaConfig,
         names = list(schema.numeric) + [f"{col}={v}" for col, vocab
                                         in vocabulary.items() for v in vocab]
         encoder = Encoder(vocabulary=vocabulary, feature_names=names)
+        d = len(names)
     else:
-        missing = ([c for c in schema.numeric if c not in encoder.numeric_stats]
-                   + [c for c in schema.categorical if c not in encoder.vocabulary])
-        if missing:
-            raise SchemaError(f"encoder does not cover schema columns {missing}")
-    vocabs = [encoder.vocabulary[col] for col in schema.categorical]
-    X = np.zeros((n, len(schema.numeric) + sum(map(len, vocabs))))
+        d = encoder.width(schema)
+    num = np.zeros((n, len(schema.numeric)))
     for j, col in enumerate(schema.numeric):
         try:
             values = np.fromiter(map(float, table.columns[col]), np.float64, n)
@@ -247,18 +292,19 @@ def encode(table: RawTable, schema: SchemaConfig,
             encoder.numeric_stats[col] = (float(values.mean()), float(values.std()))
         mean, std = encoder.numeric_stats[col]
         if std > 0:  # zero-variance columns encode to all zeros
-            X[:, j] = (values - mean) / std
+            num[:, j] = (values - mean) / std
+    # the smallest signed type holding -d - 1 holds UNSEEN and every column
+    # below d
+    cols = np.empty((n, len(schema.categorical)), np.min_scalar_type(-d - 1))
     j = len(schema.numeric)
-    for col, vocab in zip(schema.categorical, vocabs):
-        pos = {v: k for k, v in enumerate(vocab)}
-        codes = np.fromiter((pos.get(v, -1) for v in table.columns[col]),
-                            np.int64, n)
-        rows = np.flatnonzero(codes >= 0)  # unseen category -> all-zero row
-        X[rows, j + codes[rows]] = 1.0
+    for k, col in enumerate(schema.categorical):
+        vocab = encoder.vocabulary[col]
+        pos = {v: j + i for i, v in enumerate(vocab)}
+        cols[:, k] = np.fromiter((pos.get(v, UNSEEN) for v in table.columns[col]),
+                                 cols.dtype, n)
         j += len(vocab)
     a, y = extract_labels(table, schema)
-    return Dataset(X=X, a=a, y=y, feature_names=list(encoder.feature_names),
-                   encoder=encoder)
+    return Dataset(num=num, cols=cols, a=a, y=y, encoder=encoder)
 
 
 def extract_labels(table: RawTable, schema: SchemaConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -123,8 +123,9 @@ class TrainState:
     that Adam updates in place; ``params`` are views into it. ``grad`` and
     ``lr`` are laid out the same way. ``x``, ``trace`` and ``back`` are the
     workspace of one step at ``cfg.batch_size`` rows, reused by every step
-    of a fit: the gathered batch rows, forward's activations and
-    backward's buffers, whose gradients are views into ``grad``.
+    of a fit: the batch rows densified from the dataset, forward's
+    activations and backward's buffers, whose gradients are views into
+    ``grad``.
     """
 
     vec: np.ndarray
@@ -224,9 +225,7 @@ def fit(dataset: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[LogRow]]:
         t0 = time.perf_counter()
         objs, consts, totals = [], [], []
         for idx in batches:
-            # mode="raise" would gather through a temporary copy, and
-            # epoch_batches' indices are always in range
-            x = np.take(dataset.X, idx, axis=0, out=state.x, mode="clip")
+            x = dataset.densify(idx, state.x)
             info = train_step(state, x, dataset.a[idx], dataset.y[idx], cfg)
             objs.append(info.objective)
             consts.append(info.constraint)

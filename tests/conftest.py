@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fairmlp.data import Dataset, Encoder
 from fairmlp.fairloss import Batch
 from fairmlp.numcore import Rng
 
@@ -36,6 +37,19 @@ def random_batch(rng: Rng, s_min=4, s_max=32, p_lo=0.05, p_hi=0.95,
         if not need_classes or 0 < y.sum() < size:
             break
     return Batch(p, a, y)
+
+
+def numeric_dataset(X, a, y) -> Dataset:
+    """A Dataset with numeric columns only, so ``X`` is its dense layout
+    (and its ``num``)."""
+    X = np.asarray(X, dtype=np.float64)
+    return Dataset(num=X, cols=np.empty((X.shape[0], 0), dtype=np.int8),
+                   a=np.asarray(a), y=np.asarray(y), encoder=Encoder())
+
+
+def dense(ds: Dataset) -> np.ndarray:
+    """The whole dense (n, d) matrix of ``ds``."""
+    return ds.densify(np.arange(ds.n), np.empty((ds.n, ds.d)))
 
 
 def biased_rows(n: int, seed: int):

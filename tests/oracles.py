@@ -402,8 +402,19 @@ def loop_epoch_batches(a: np.ndarray, y: np.ndarray, size: int, rng: Rng,
 
 
 # The row-based ingest that data.RawTable and data.encode replaced, kept
-# verbatim but for the names: the columnar encode must give the same
-# bytes, the same encoder and the same errors.
+# verbatim but for the names and the result type: the columnar encode,
+# densified, must give the same bytes, the same encoder and the same
+# errors.
+@dataclass
+class DenseDataset:
+    """What the row-based encode returned: the dense (n, d) matrix."""
+
+    X: np.ndarray
+    a: np.ndarray
+    y: np.ndarray
+    encoder: Encoder
+
+
 @dataclass
 class RowTable:
     """Parsed CSV restricted to the schema's columns, missing rows dropped."""
@@ -441,7 +452,7 @@ def loop_fit_encoder(table: RowTable, schema: SchemaConfig) -> Encoder:
 
 
 def loop_encode(table: RowTable, schema: SchemaConfig,
-           encoder: Encoder | None = None) -> Dataset:
+           encoder: Encoder | None = None) -> DenseDataset:
     """Encode a table; fits an encoder from the table itself unless one
     (from the training split) is supplied."""
     if not table.rows:
@@ -471,8 +482,7 @@ def loop_encode(table: RowTable, schema: SchemaConfig,
         blocks.append(block)
     X = np.hstack(blocks) if blocks else np.zeros((n, 0))
     a, y = loop_extract_labels(table, schema)
-    return Dataset(X=X, a=a, y=y, feature_names=list(encoder.feature_names),
-                   encoder=encoder)
+    return DenseDataset(X=X, a=a, y=y, encoder=encoder)
 
 
 def loop_extract_labels(table: RowTable, schema: SchemaConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -9,11 +9,12 @@ import oracles
 from fairmlp import audit, fairloss
 from fairmlp.audit import (BoundInputs, bound_sweep, covering_number,
                            di_counterexample, evaluate, full_bound, omega)
-from fairmlp.data import Dataset, Encoder
+from fairmlp.data import UNSEEN, Dataset, Encoder
 from fairmlp.errors import DataError, ParameterError
 from fairmlp.lagrange import TrainConfig, fit
 from fairmlp.model import MlpParams, forward, init_params
 from fairmlp.numcore import Rng
+from conftest import numeric_dataset
 
 
 def sigmoid_network() -> MlpParams:
@@ -31,15 +32,14 @@ def sigmoid_network() -> MlpParams:
 def dataset_with_probs(p_target, a, y) -> Dataset:
     p_target = np.asarray(p_target, dtype=np.float64)
     x = np.log(p_target / (1.0 - p_target))
-    return Dataset(X=x.reshape(-1, 1), a=np.asarray(a), y=np.asarray(y),
-                   feature_names=["x0"], encoder=Encoder())
+    return numeric_dataset(x.reshape(-1, 1), a, y)
 
 
 class TestEvaluate:
     def test_sigmoid_construction_reproduces_probs(self):
         ds = dataset_with_probs([0.9, 0.8, 0.35, 0.7, 0.2, 0.6],
                                 [1, 1, 1, 0, 0, 0], [1, 0, 1, 0, 1, 0])
-        p = forward(sigmoid_network(), ds.X).p
+        p = forward(sigmoid_network(), ds.num).p
         np.testing.assert_allclose(p, [0.9, 0.8, 0.35, 0.7, 0.2, 0.6],
                                    atol=1e-12)
 
@@ -64,7 +64,7 @@ class TestEvaluate:
         y = [1, 0, 1, 0, 1, 0]
         ds = dataset_with_probs([0.9, 0.8, 0.35, 0.7, 0.2, 0.6], a, y)
         params = sigmoid_network()
-        p = forward(params, ds.X).p.tolist()
+        p = forward(params, ds.num).p.tolist()
         report = evaluate(params, ds, S=6)
 
         yhat = [1 if v >= 0.5 else 0 for v in p]
@@ -99,7 +99,7 @@ class TestEvaluate:
         probs = gen.uniform(0.2, 0.8, n)
         ds = dataset_with_probs(probs, a, y)
         params = sigmoid_network()
-        p = forward(params, ds.X).p
+        p = forward(params, ds.num).p
         report = evaluate(params, ds, S=20, seed=3)
         from fairmlp.data import epoch_batches
         batches = epoch_batches(ds.a, ds.y, 20, Rng(3), need_classes=True)
@@ -122,19 +122,26 @@ class TestEvaluate:
 
 
 class TestBlockedEvaluate:
-    """A set of more than EVAL_ROWS rows is forwarded in near-equal row
-    blocks, on the benchmark's network dimensions."""
+    """A set of more than EVAL_ROWS rows is densified and forwarded in
+    near-equal row blocks, on the benchmark's layout and network
+    dimensions: 6 numeric columns, 7 one-hot blocks of 97 columns."""
 
-    D, H1, H2 = 103, 100, 50
+    SIZES = (8, 16, 7, 14, 6, 5, 41)
+    D, H1, H2 = 6 + sum(SIZES), 100, 50
 
     @pytest.fixture(scope="class")
     def case(self):
         n = 2 * audit.EVAL_ROWS + 1
         gen = np.random.default_rng(11)
-        ds = Dataset(X=gen.normal(size=(n, self.D)),
+        starts = 6 + np.cumsum((0,) + self.SIZES[:-1])
+        cols = starts + gen.integers(0, self.SIZES, (n, len(self.SIZES)))
+        cols[gen.random(cols.shape) < 0.01] = UNSEEN
+        vocabulary = {f"c{k}": [str(v) for v in range(size)]
+                      for k, size in enumerate(self.SIZES)}
+        ds = Dataset(num=gen.normal(size=(n, 6)), cols=cols.astype(np.int8),
                      a=gen.integers(0, 2, n), y=gen.integers(0, 2, n),
-                     feature_names=[f"x{j}" for j in range(self.D)],
-                     encoder=Encoder())
+                     encoder=Encoder(vocabulary=vocabulary))
+        assert ds.d == self.D
         return init_params(self.D, self.H1, self.H2, Rng(3)), ds
 
     def test_report_equals_whole_set_forward(self, case, monkeypatch):
@@ -161,7 +168,9 @@ class TestBlockedEvaluate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < ds.n * (self.H1 + self.H2) * 8 / 2
+        # evaluate densifies its input too, so a whole-set pass would hold
+        # the (n, D) dense rows as well as the activations
+        assert peak < ds.n * (self.D + self.H1 + self.H2) * 8 / 2
 
 
 BOUND_EXAMPLE = dict(R=2, D=3, W=0.5, L=1.0, S=10, B=10 ** 4,
@@ -334,10 +343,8 @@ class TestBoundSanity:
         for split_seed in range(trials):
             order = np.random.default_rng(split_seed).permutation(n)
             tr, te = order[:280], order[280:]
-            ds_tr = Dataset(X=X[tr], a=a[tr], y=y[tr], feature_names=["x0", "x1"],
-                            encoder=Encoder())
-            ds_te = Dataset(X=X[te], a=a[te], y=y[te], feature_names=["x0", "x1"],
-                            encoder=Encoder())
+            ds_tr = numeric_dataset(X[tr], a[tr], y[tr])
+            ds_te = numeric_dataset(X[te], a[te], y[te])
             cfg = TrainConfig(constraint="dp", epsilon=0.05, h1=6, h2=3,
                               lr_theta=0.01, batch_size=S, max_epochs=15,
                               seed=split_seed, lambda_zero=True)
@@ -345,7 +352,7 @@ class TestBoundSanity:
 
             def mean_const(ds):
                 from fairmlp.data import epoch_batches
-                p = forward(params, ds.X).p
+                p = forward(params, ds.num).p
                 batches = epoch_batches(ds.a, ds.y, min(S, ds.n), Rng(0))
                 return float(np.mean([
                     fairloss.const_dp(fairloss.Batch(p[i], ds.a[i], ds.y[i]))

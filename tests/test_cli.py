@@ -293,6 +293,40 @@ class TestAuditCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @staticmethod
+    def _encoder_extra_category(out):
+        payload = json.loads((out / "encoder.json").read_text())
+        payload["vocabulary"]["shade"].append("violet")
+        (out / "bad.json").write_text(json.dumps(payload))
+        return {"--encoder": out / "bad.json"}
+
+    @staticmethod
+    def _encoder_extra_column(out):
+        payload = json.loads((out / "encoder.json").read_text())
+        payload["vocabulary"]["size"] = ["big"]
+        (out / "bad.json").write_text(json.dumps(payload))
+        return {"--encoder": out / "bad.json"}
+
+    @pytest.mark.parametrize("corrupt", [
+        "_encoder_without_column", "_encoder_extra_category",
+        "_encoder_extra_column"])
+    def test_wrong_encoder_exits_three_before_ingest(
+            self, trained, biased_schema_json, corrupt, capsys, monkeypatch):
+        loads = []
+        monkeypatch.setattr(data, "load_csv",
+                            lambda *args, **kw: loads.append(args))
+        args = {"--model": trained / "model.json",
+                "--data": trained / "test_split.csv",
+                "--schema": biased_schema_json,
+                "--encoder": trained / "encoder.json"}
+        args.update(getattr(self, corrupt)(trained))
+        argv = ["audit"] + [str(v) for kv in args.items() for v in kv]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert loads == []
+
     def test_negative_seed_exits_two(self, trained, biased_schema_json,
                                      capsys):
         capsys.readouterr()

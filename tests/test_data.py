@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,13 +9,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
+from fairmlp import audit
 from fairmlp.data import (Encoder, RawTable, SchemaConfig, adult_schema,
                           encode, epoch_batches, extract_labels,
                           holdout_split, kfold, load_csv, resolve_schema)
-from fairmlp.errors import DataError, ParameterError, SchemaError
+from fairmlp.errors import DataError, ParameterError, SchemaError, ShapeError
 from fairmlp.fairloss import Batch
 from fairmlp.numcore import Rng
-from conftest import write_csv
+from conftest import dense, numeric_dataset, write_csv
 
 SCHEMA = SchemaConfig(numeric=["amount"], categorical=["kind"],
                       label="outcome", positive_label="yes",
@@ -90,12 +92,12 @@ class TestEncode:
                                       ["3", "c", "m", "yes"]])
         ds = encode(table, SCHEMA)
         assert ds.d == 1 + 3
-        assert ds.feature_names == ["amount", "kind=a", "kind=b", "kind=c"]
+        assert ds.encoder.feature_names == ["amount", "kind=a", "kind=b", "kind=c"]
 
     def test_zscore_population(self, tmp_path):
         table = self.table(tmp_path, [["1", "a", "m", "yes"], ["3", "a", "f", "no"]])
         ds = encode(table, SCHEMA)
-        np.testing.assert_allclose(ds.X[:, 0], [-1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(ds.num[:, 0], [-1.0, 1.0], atol=1e-12)
 
     def test_label_and_attribute_mapping(self, tmp_path):
         table = self.table(tmp_path, [["1", "a", "m", "yes"], ["3", "a", "f", "no"]])
@@ -106,14 +108,14 @@ class TestEncode:
     def test_zero_variance_encodes_to_zero(self, tmp_path):
         table = self.table(tmp_path, [["5", "a", "m", "yes"], ["5", "a", "f", "no"]])
         ds = encode(table, SCHEMA)
-        np.testing.assert_array_equal(ds.X[:, 0], [0.0, 0.0])
+        np.testing.assert_array_equal(ds.num[:, 0], [0.0, 0.0])
 
     def test_unseen_category_zero_row(self, tmp_path):
         train = self.table(tmp_path, [["1", "a", "m", "yes"], ["3", "b", "f", "no"]])
         enc = encode(train, SCHEMA).encoder
         test = self.table(tmp_path, [["2", "zzz", "m", "yes"]])
         ds = encode(test, SCHEMA, enc)
-        np.testing.assert_array_equal(ds.X[0, 1:], [0.0, 0.0])
+        np.testing.assert_array_equal(dense(ds)[0, 1:], [0.0, 0.0])
 
     def test_reencoding_is_identity(self, tmp_path):
         rows = [[str(v), k, g, o] for v, k, g, o in
@@ -122,7 +124,31 @@ class TestEncode:
         table = self.table(tmp_path, rows)
         ds1 = encode(table, SCHEMA)
         ds2 = encode(table, SCHEMA, ds1.encoder)
-        np.testing.assert_allclose(ds1.X, ds2.X, atol=1e-12)
+        np.testing.assert_allclose(dense(ds1), dense(ds2), atol=1e-12)
+
+    def test_encoder_with_a_column_the_schema_lacks_rejected(self, tmp_path):
+        table = self.table(tmp_path, [["1", "a", "m", "yes"], ["3", "b", "f", "no"]])
+        enc = encode(table, SCHEMA).encoder
+        enc.vocabulary["color"] = ["red"]
+        with pytest.raises(SchemaError, match=r"schema lacks: \['color'\]"):
+            encode(table, SCHEMA, enc)
+
+    @pytest.mark.parametrize("code", [0, 4, -2])
+    def test_column_code_out_of_range_rejected(self, tmp_path, code):
+        table = self.table(tmp_path, [["1", "a", "m", "yes"], ["3", "b", "f", "no"]])
+        ds = encode(table, SCHEMA)
+        cols = ds.cols.copy()
+        cols[1, 0] = code
+        with pytest.raises(DataError, match="column codes"):
+            dataclasses.replace(ds, cols=cols)
+
+    def test_densify_needs_a_contiguous_buffer_of_its_shape(self, tmp_path):
+        table = self.table(tmp_path, [["1", "a", "m", "yes"], ["3", "b", "f", "no"]])
+        ds = encode(table, SCHEMA)
+        rows = np.array([1, 0, 1])
+        for out in (np.empty((2, ds.d)), np.empty((ds.d, 3)).T):
+            with pytest.raises(ShapeError):
+                ds.densify(rows, out)
 
     def test_extract_labels_matches_encode(self, tmp_path):
         table = self.table(tmp_path, [["1", "a", "m", "yes"], ["3", "a", "f", "no"]])
@@ -174,6 +200,12 @@ def encoder_json(encoder) -> str:
         return path.read_text(encoding="utf-8")
 
 
+def encode_dense(table, schema, encoder=None):
+    """encode, densified whole, in the row-based reference's result type."""
+    ds = encode(table, schema, encoder)
+    return oracles.DenseDataset(dense(ds), ds.a, ds.y, ds.encoder)
+
+
 def encoded(encode_fn, table, encoder=None):
     """Everything encode returns, as bytes and JSON, or the error it raised."""
     try:
@@ -181,7 +213,7 @@ def encoded(encode_fn, table, encoder=None):
     except (DataError, SchemaError) as exc:
         return type(exc), str(exc)
     return (ds.X.shape, ds.X.tobytes(), ds.a.dtype, ds.a.tobytes(), ds.y.dtype,
-            ds.y.tobytes(), ds.feature_names, encoder_json(ds.encoder))
+            ds.y.tobytes(), encoder_json(ds.encoder))
 
 
 def expected(table, encoder=None):
@@ -214,7 +246,7 @@ class TestEncodeMatchesRowReference:
     @example([ROW, ["-inf"] + ROW[1:]])
     def test_fitted_encoder(self, rows):
         new, old = both_tables(rows)
-        assert encoded(encode, new) == expected(old)
+        assert encoded(encode_dense, new) == expected(old)
 
     @settings(max_examples=300, deadline=None)
     @given(encode_rows(CATEGORIES[:4]), encode_rows(CATEGORIES))
@@ -226,7 +258,53 @@ class TestEncodeMatchesRowReference:
         except DataError:
             assume(False)
         new, old = both_tables(rows)
-        assert encoded(encode, new, encoder) == expected(old, encoder)
+        assert encoded(encode_dense, new, encoder) == expected(old, encoder)
+
+    @settings(max_examples=200, deadline=None)
+    @given(encode_rows(CATEGORIES[:4]), encode_rows(CATEGORIES), st.booleans(),
+           st.data())
+    def test_densify_rows_with_repeats(self, train, rows, saved, data):
+        # epoch_batches resamples rows into an epoch's final batch, so rows
+        # are densified more than once: any index array, repeats included,
+        # gives the reference's rows
+        try:
+            encoder = (oracles.loop_encode(both_tables(train)[1], ENC_SCHEMA).encoder
+                       if saved else None)
+            new, old = both_tables(rows)
+            ds = encode(new, ENC_SCHEMA, encoder)
+        except DataError:
+            assume(False)
+        X = oracles.loop_encode(old, ENC_SCHEMA, encoder).X
+        idx = np.asarray(data.draw(st.lists(st.integers(0, ds.n - 1),
+                                            max_size=3 * ds.n)), dtype=np.int64)
+        out = np.full((idx.size, ds.d), np.nan)
+        assert ds.densify(idx, out) is out
+        assert out.tobytes() == X[idx].tobytes()
+
+
+class TestEncodeMemory:
+    def test_peak_well_below_the_dense_matrix(self):
+        # the benchmark's layout: 6 numeric columns, 7 one-hot blocks of 97
+        # columns, over more rows than one audit block
+        sizes = (8, 16, 7, 14, 6, 5, 41)
+        schema = adult_schema()
+        n = 2 * audit.EVAL_ROWS + 1
+        gen = np.random.default_rng(5)
+        columns = {col: [str(v) for v in gen.integers(0, 100, n)]
+                   for col in schema.numeric}
+        for col, size in zip(schema.categorical, sizes):
+            columns[col] = [f"v{v}" for v in gen.integers(0, size, n)]
+        columns[schema.label] = [(">50K", "<=50K")[v] for v in gen.integers(0, 2, n)]
+        columns[schema.sensitive] = [("Female", "Male")[v] for v in gen.integers(0, 2, n)]
+        table = RawTable(columns)
+        tracemalloc.start()
+        try:
+            ds = encode(table, schema)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.d == 6 + sum(sizes)
+        assert peak < ds.n * ds.d * 8 / 4
 
 
 def balanced_dataset(n, seed=0):
@@ -234,14 +312,7 @@ def balanced_dataset(n, seed=0):
     gen = np.random.default_rng(seed)
     X = gen.normal(size=(n, 3))
     y = np.tile([0, 1], n // 2)
-    return encode_arrays(X, y.copy(), y)
-
-
-def encode_arrays(X, a, y):
-    from fairmlp.data import Dataset
-    return Dataset(X=X, a=np.asarray(a), y=np.asarray(y),
-                   feature_names=[f"x{i}" for i in range(X.shape[1])],
-                   encoder=Encoder())
+    return numeric_dataset(X, y.copy(), y)
 
 
 class TestKfold:
@@ -256,7 +327,7 @@ class TestKfold:
         gen = np.random.default_rng(3)
         a = gen.integers(0, 2, 200)
         y = gen.integers(0, 2, 200)
-        ds = encode_arrays(gen.normal(size=(200, 2)), a, y)
+        ds = numeric_dataset(gen.normal(size=(200, 2)), a, y)
         for fold in kfold(ds, 5, seed=1):
             fa, fy = ds.a[fold], ds.y[fold]
             for ga in (0, 1):
@@ -271,7 +342,7 @@ class TestKfold:
             np.testing.assert_array_equal(x, z)
 
     def test_insufficient_cells(self):
-        ds = encode_arrays(np.zeros((6, 2)), [0, 0, 0, 1, 1, 1],
+        ds = numeric_dataset(np.zeros((6, 2)), [0, 0, 0, 1, 1, 1],
                            [0, 1, 1, 0, 1, 1])
         with pytest.raises(DataError):
             kfold(ds, 3, seed=0)
@@ -305,7 +376,7 @@ FRACTIONS = st.floats(-0.1, 1.1)
 
 def folds_or_error(kfold_fn, a, y, k, seed):
     try:
-        folds = kfold_fn(encode_arrays(np.zeros((a.size, 1)), a, y), k, seed)
+        folds = kfold_fn(numeric_dataset(np.zeros((a.size, 1)), a, y), k, seed)
     except (DataError, ParameterError) as exc:
         return type(exc), str(exc)
     return [(f.dtype, f.tolist()) for f in folds]

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import gradcheck
-from fairmlp.data import Dataset, Encoder, epoch_batches
+from fairmlp.data import (UNSEEN, SchemaConfig, encode, epoch_batches,
+                          load_csv)
 from fairmlp.errors import DataError, ParameterError
 from fairmlp.fairloss import ConstraintKind
 from fairmlp.lagrange import (LogRow, TrainConfig, fit, init_state,
@@ -13,13 +14,7 @@ from fairmlp.lagrange import (LogRow, TrainConfig, fit, init_state,
 from fairmlp.model import MlpParams, backward, forward, predict_hard
 from fairmlp.numcore import AdamState, Rng, adam_step
 from fairmlp import fairloss
-
-
-def make_dataset(X, a, y):
-    return Dataset(X=np.asarray(X, dtype=np.float64),
-                   a=np.asarray(a), y=np.asarray(y),
-                   feature_names=[f"x{i}" for i in range(X.shape[1])],
-                   encoder=Encoder())
+from conftest import dense, numeric_dataset
 
 
 def separable_dataset(n=200, seed=0):
@@ -28,7 +23,7 @@ def separable_dataset(n=200, seed=0):
     a = gen.integers(0, 2, n)
     X = np.stack([(2 * y - 1) * 1.5 + gen.normal(0, 0.3, n),
                   (2 * y - 1) * 1.5 + gen.normal(0, 0.3, n)], axis=1)
-    return make_dataset(X, a, y)
+    return numeric_dataset(X, a, y)
 
 
 def biased_dataset(n=800, seed=1):
@@ -40,7 +35,7 @@ def biased_dataset(n=800, seed=1):
     X = np.stack([(2 * y - 1) + gen.normal(0, 0.6, n),
                   a + gen.normal(0, 0.8, n),
                   gen.normal(0, 1, n)], axis=1)
-    return make_dataset(X, a, y)
+    return numeric_dataset(X, a, y)
 
 
 def toy_config(**kw):
@@ -55,7 +50,7 @@ def one_batch(ds, size=32, seed=0):
     while True:
         idx = rng.choice(ds.n, size=size, replace=False)
         if 0 < ds.a[idx].sum() < size and 0 < ds.y[idx].sum() < size:
-            return ds.X[idx], ds.a[idx], ds.y[idx]
+            return ds.num[idx], ds.a[idx], ds.y[idx]
 
 
 class TestTrainConfig:
@@ -107,20 +102,20 @@ class TestTrainStep:
         y = np.array([0, 1] * 4)
         a = np.array([0, 0, 1, 1] * 2)
         X = gen.normal(size=(8, 2)) + (2 * y - 1)[:, None]
-        ds = make_dataset(X, a, y)
+        ds = numeric_dataset(X, a, y)
         cfg = toy_config(epsilon=0.05, seed=7,
                          batch_size=8, lambda_init=0.5)
         state = init_state(ds.d, cfg)
         lam_before = state.lam
 
         def loss_at(params):
-            p = forward(params, ds.X).p
+            p = forward(params, ds.num).p
             b = fairloss.Batch(p, ds.a, ds.y)
             lk = fairloss.const_dp(b) - cfg.kind.slack
             return fairloss.cross_entropy(p, ds.y) + lam_before * lk
 
         before = loss_at(state.params)
-        train_step(state, ds.X, ds.a, ds.y, cfg)
+        train_step(state, ds.num, ds.a, ds.y, cfg)
         assert loss_at(state.params) < before
 
     def test_warm_step_allocates_no_batch_sized_array(self):
@@ -157,7 +152,7 @@ class TestFit:
         ds = separable_dataset()
         cfg = toy_config(lambda_zero=True, max_epochs=200)
         params, log = fit(ds, cfg)
-        acc = (predict_hard(forward(params, ds.X).p) == ds.y).mean()
+        acc = (predict_hard(forward(params, ds.num).p) == ds.y).mean()
         assert acc >= 0.95
         assert len(log) <= 200
 
@@ -199,7 +194,7 @@ class TestFit:
         rng = Rng(cfg.seed + 1)
         for _ in range(10):
             for idx in epoch_batches(ds.a, ds.y, cfg.batch_size, rng):
-                trace = forward(params, ds.X[idx])
+                trace = forward(params, ds.num[idx])
                 b = fairloss.Batch(trace.p, ds.a[idx], ds.y[idx])
                 grads = backward(params, trace,
                                  fairloss.grad_wrt_p("ce", b))
@@ -224,9 +219,26 @@ class TestFit:
                     for r in ref_log])
         assert params.flatten().tobytes() == ref_params.flatten().tobytes()
 
+    def test_compact_dataset_trains_as_its_dense_rows(self, biased_csv,
+                                                      biased_schema_json):
+        # one-hot columns and an unseen category, densified per batch, train
+        # the same network bit for bit as their dense rows given as numbers
+        schema = SchemaConfig.from_json(biased_schema_json)
+        table = load_csv(biased_csv, schema)
+        ds = encode(table, schema)
+        shade = table.columns["shade"]
+        shade[:5] = ["violet"] * 5
+        ds = encode(table, schema, ds.encoder)
+        assert (ds.cols == UNSEEN).sum() == 5
+        cfg = toy_config(max_epochs=3, batch_size=48)  # 800 rows: a short batch
+        params, log = fit(ds, cfg)
+        ref_params, ref_log = fit(numeric_dataset(dense(ds), ds.a, ds.y), cfg)
+        assert params.flatten().tobytes() == ref_params.flatten().tobytes()
+        assert log == [replace(r, wall_ms=l.wall_ms) for r, l in zip(ref_log, log)]
+
     def test_missing_group_rejected(self):
         gen = np.random.default_rng(0)
-        ds = make_dataset(gen.normal(size=(50, 2)), np.zeros(50, dtype=int),
+        ds = numeric_dataset(gen.normal(size=(50, 2)), np.zeros(50, dtype=int),
                           gen.integers(0, 2, 50))
         with pytest.raises(DataError):
             fit(ds, toy_config())
