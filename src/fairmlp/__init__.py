@@ -9,13 +9,12 @@ disparate-impact non-coverability counterexample.
 
 from .errors import (DataError, DegenerateBatchError, FairmlpError,
                      NumericError, ParameterError, SchemaError, ShapeError)
-from .fairloss import Batch, ConstraintKind, MultiGroupBatch
+from .fairloss import Batch, MultiGroupBatch
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Batch",
-    "ConstraintKind",
     "MultiGroupBatch",
     "FairmlpError",
     "ShapeError",

@@ -23,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import audit, data, lagrange, model
+from . import audit, data, fairloss, lagrange, model
 from .errors import (DataError, DegenerateBatchError, NumericError,
                      ParameterError, SchemaError)
-from .fairloss import CONSTRAINTS, OBJECTIVES, ConstraintKind
+from .fairloss import CONSTRAINTS, OBJECTIVES
 
 REPORT_FORMAT = "fairmlp-report/1"
 
@@ -49,7 +49,7 @@ class RunConfig(lagrange.TrainConfig):
         if not 0.0 < self.holdout_fraction < 1.0:  # NaN fails too
             raise ParameterError("holdout_fraction must be in (0, 1)")
         for value in self.sweep:
-            ConstraintKind.of(self.constraint, value)
+            fairloss.slack(self.constraint, value)
 
     @classmethod
     def from_json(cls, path, **overrides) -> "RunConfig":

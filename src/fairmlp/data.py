@@ -15,17 +15,20 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ParameterError, SchemaError, ShapeError
+from .errors import (DataError, ParameterError, SchemaError, ShapeError,
+                     check_types, has_type)
 from .numcore import Rng
 
 
 @dataclass
 class SchemaConfig:
-    """Names the columns of a CSV and how to binarize label/attribute."""
+    """Names the columns of a CSV and how to binarize label/attribute.
+    Every field is checked against its annotation when it is built."""
 
     numeric: list[str]
     categorical: list[str]
@@ -36,6 +39,7 @@ class SchemaConfig:
     missing_token: str = "?"
 
     def __post_init__(self):
+        check_types(self, SchemaError)
         names = self.numeric + self.categorical
         if len(set(names)) != len(names):
             raise SchemaError("feature column names must be unique")
@@ -151,8 +155,9 @@ class Encoder:
     """Feature encoding learned from a training split.
 
     numeric_stats maps column -> (mean, population std); vocabulary maps
-    column -> sorted category list. Transforming a table with unseen
-    categories yields all-zero one-hot blocks for those cells.
+    column -> sorted category list; feature_names names the columns of the
+    dense layout. Transforming a table with unseen categories yields
+    all-zero one-hot blocks for those cells.
     """
 
     numeric_stats: dict = field(default_factory=dict)
@@ -168,20 +173,32 @@ class Encoder:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         try:
-            return cls(
+            encoder = cls(
                 numeric_stats={k: (float(mean), float(std)) for k, (mean, std)
                                in payload["numeric_stats"].items()},
-                vocabulary={k: list(v) for k, v in payload["vocabulary"].items()},
-                feature_names=list(payload["feature_names"]),
+                vocabulary=dict(payload["vocabulary"]),
+                feature_names=payload["feature_names"],
             )
         except KeyError as exc:
             raise SchemaError(f"bad encoder file {path}: missing key {exc}")
         except (TypeError, ValueError, AttributeError) as exc:
             raise SchemaError(f"bad encoder file {path}: {exc}")
+        for col, (mean, std) in encoder.numeric_stats.items():
+            if not (math.isfinite(mean) and 0.0 <= std < math.inf):
+                raise SchemaError(f"bad encoder file {path}: {col!r} needs a "
+                                  f"finite mean and std >= 0, got {(mean, std)}")
+        for col, vocab in encoder.vocabulary.items():
+            # encode lays out each one-hot block in sorted order
+            if not (has_type(vocab, list[str]) and vocab == sorted(set(vocab))):
+                raise SchemaError(f"bad encoder file {path}: the vocabulary of "
+                                  f"{col!r} is not a sorted list of distinct "
+                                  "strings")
+        return encoder
 
     def width(self, schema: SchemaConfig) -> int:
         """Columns of the dense layout, one per numeric column and one per
-        category; the encoder's columns must be exactly the schema's."""
+        category; the encoder's columns must be exactly the schema's, and
+        its feature_names the names of that layout."""
         missing = ([c for c in schema.numeric if c not in self.numeric_stats]
                    + [c for c in schema.categorical if c not in self.vocabulary])
         if missing:
@@ -190,7 +207,18 @@ class Encoder:
                  + [c for c in self.vocabulary if c not in schema.categorical])
         if extra:
             raise SchemaError(f"encoder has columns the schema lacks: {extra}")
-        return len(self.numeric_stats) + sum(map(len, self.vocabulary.values()))
+        names = _feature_names(schema, self.vocabulary)
+        if self.feature_names != names:
+            raise SchemaError("encoder feature_names are not the columns it "
+                              "encodes to under this schema")
+        return len(names)
+
+
+def _feature_names(schema: SchemaConfig, vocabulary: dict) -> list[str]:
+    """The names of the dense columns: the numeric columns, then
+    ``col=value`` for each category of each categorical column."""
+    return list(schema.numeric) + [f"{col}={v}" for col in schema.categorical
+                                   for v in vocabulary[col]]
 
 
 # the column code of a category the encoder never saw: its row has no one
@@ -274,8 +302,7 @@ def encode(table: RawTable, schema: SchemaConfig,
         # numeric_stats are filled in below, as each column is parsed
         vocabulary = {col: sorted(set(table.columns[col]))
                       for col in schema.categorical}
-        names = list(schema.numeric) + [f"{col}={v}" for col, vocab
-                                        in vocabulary.items() for v in vocab]
+        names = _feature_names(schema, vocabulary)
         encoder = Encoder(vocabulary=vocabulary, feature_names=names)
         d = len(names)
     else:

@@ -20,6 +20,7 @@ kinks, first branch at min/max ties.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -36,69 +37,6 @@ PROB_CLAMP = 1e-7
 # Floor applied to group-mean denominators inside the disparate-impact
 # ratio; without it the ratio is not Lipschitz and gradients blow up.
 DI_MEAN_FLOOR = 1e-7
-
-
-@dataclass(frozen=True)
-class ConstraintKind:
-    """A fairness constraint from CONSTRAINTS plus its relaxation parameter.
-
-    Most constraints carry a slack epsilon >= 0; DI carries the p%-rule
-    threshold p_percent in (0, 100], which enters the constraint loss as
-    epsilon = -p_percent/100. The table says which one each takes.
-    """
-
-    kind: str
-    epsilon: float | None = None
-    p_percent: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in CONSTRAINTS:
-            raise ParameterError(f"unknown constraint kind {self.kind!r}")
-        param = CONSTRAINTS[self.kind].param
-        value = getattr(self, param)
-        if param == "p_percent":
-            if value is None or not (0.0 < value <= 100.0):
-                raise ParameterError(f"{self.kind} requires p_percent in (0, 100]")
-        elif value is None or not value >= 0.0:  # NaN fails too
-            raise ParameterError(f"{self.kind} requires epsilon >= 0")
-        other = "epsilon" if param == "p_percent" else "p_percent"
-        if getattr(self, other) is not None:
-            raise ParameterError(f"{self.kind} takes {param}, not {other}")
-
-    @classmethod
-    def of(cls, kind: str, value: float) -> "ConstraintKind":
-        """Constraint ``kind`` relaxed by ``value``, which is its epsilon
-        or its p_percent as the table says."""
-        if kind not in CONSTRAINTS:
-            raise ParameterError(f"unknown constraint kind {kind!r}")
-        return cls(kind, **{CONSTRAINTS[kind].param: value})
-
-    @classmethod
-    def dp(cls, epsilon: float) -> "ConstraintKind":
-        return cls.of("dp", epsilon)
-
-    @classmethod
-    def eo_sum(cls, epsilon: float) -> "ConstraintKind":
-        return cls.of("eo-sum", epsilon)
-
-    @classmethod
-    def eo_max(cls, epsilon: float) -> "ConstraintKind":
-        return cls.of("eo-max", epsilon)
-
-    @classmethod
-    def di(cls, p_percent: float) -> "ConstraintKind":
-        return cls.of("di", p_percent)
-
-    @classmethod
-    def dp_multi(cls, epsilon: float) -> "ConstraintKind":
-        return cls.of("dp-multi", epsilon)
-
-    @property
-    def slack(self) -> float:
-        """The epsilon subtracted in the constraint loss (-p/100 for DI)."""
-        if CONSTRAINTS[self.kind].param == "p_percent":
-            return -self.p_percent / 100.0
-        return self.epsilon
 
 
 def _is_binary(x: np.ndarray) -> bool:
@@ -357,20 +295,38 @@ OBJECTIVES = {
 }
 
 
-def constraint_value(batch: Batch, kind: ConstraintKind) -> float:
-    """The raw constraint value for a binary-attribute batch."""
-    return CONSTRAINTS[kind.kind].value_and_grad(batch)[0]
+def _constraint(name: str) -> Constraint:
+    if name not in CONSTRAINTS:
+        raise ParameterError(f"unknown constraint {name!r}")
+    return CONSTRAINTS[name]
 
 
-def grad_wrt_p(kind, batch: Batch) -> np.ndarray:
+def slack(constraint: str, value: float | None) -> float:
+    """The slack subtracted from ``constraint``'s value in the constraint
+    loss, given its relaxation ``value``: a finite epsilon >= 0 is the
+    slack itself, and a p_percent in (0, 100] enters as -p_percent/100.
+    The constraint's table entry says which of the two ``value`` is."""
+    if _constraint(constraint).param == "p_percent":
+        if value is None or not 0.0 < value <= 100.0:  # NaN fails too
+            raise ParameterError(f"{constraint} requires p_percent in (0, 100]")
+        return -value / 100.0
+    if value is None or not 0.0 <= value < math.inf:
+        raise ParameterError(f"{constraint} requires a finite epsilon >= 0")
+    return value
+
+
+def constraint_value(batch: Batch, constraint: str) -> float:
+    """The raw value of the named constraint on a binary-attribute batch."""
+    return _constraint(constraint).value_and_grad(batch)[0]
+
+
+def grad_wrt_p(kind: str, batch: Batch) -> np.ndarray:
     """Exact (sub)gradient of a constraint or loss in the probabilities.
 
-    ``kind`` is a name in CONSTRAINTS or OBJECTIVES, or a ConstraintKind.
-    At |.| kinks the subgradient 0 is returned; at min/max ties the first
-    branch is differentiated.
+    ``kind`` is a name in CONSTRAINTS or OBJECTIVES. At |.| kinks the
+    subgradient 0 is returned; at min/max ties the first branch is
+    differentiated.
     """
-    if isinstance(kind, ConstraintKind):
-        kind = kind.kind
     entry = CONSTRAINTS.get(kind) or OBJECTIVES.get(kind)
     if entry is None:
         raise ParameterError(f"unknown gradient kind {kind!r}")

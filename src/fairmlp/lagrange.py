@@ -12,35 +12,19 @@ audit pass.
 from __future__ import annotations
 
 import csv
+import math
 import time
-import types
-from dataclasses import dataclass, fields
-from typing import Union, get_args, get_origin, get_type_hints
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import data, fairloss
 from .data import Dataset
-from .errors import DataError, ParameterError
-from .fairloss import Batch, ConstraintKind
+from .errors import DataError, ParameterError, check_types
+from .fairloss import Batch
 from .model import (BackwardBuffers, ForwardTrace, MlpParams, backward,
                     forward, init_params)
 from .numcore import AdamState, Rng, adam_step
-
-
-def _has_type(value, hint) -> bool:
-    """Whether ``value`` is of type ``hint``: an int is not a bool, a float
-    accepts an int but not a bool, and a list checks every entry."""
-    if get_origin(hint) in (Union, types.UnionType):
-        return any(_has_type(value, h) for h in get_args(hint))
-    if get_origin(hint) is list:
-        (entry,) = get_args(hint)
-        return isinstance(value, list) and all(_has_type(v, entry)
-                                               for v in value)
-    if hint is float:
-        hint = (int, float)
-    return isinstance(value, hint) and (hint is bool
-                                        or not isinstance(value, bool))
 
 
 @dataclass
@@ -49,8 +33,9 @@ class TrainConfig:
     ``objective`` are names in fairloss.CONSTRAINTS and
     fairloss.OBJECTIVES; the constraint is relaxed by ``epsilon`` or by
     ``p_percent`` as its table entry says. Every field is checked against
-    its annotation and its range when the config is built, and ``kind``
-    (not a field) holds the constraint with its relaxation."""
+    its annotation and its range when the config is built, and ``slack``
+    (not a field) holds the constraint's slack, fairloss.slack of its
+    relaxation."""
 
     constraint: str = "dp"
     epsilon: float | None = 0.05
@@ -65,22 +50,17 @@ class TrainConfig:
     seed: int = 0
     lambda_init: float = 0.0
     lambda_zero: bool = False       # freeze lambda at 0 (unconstrained baseline)
-    lambda_optimizer: str = "adam"  # 'adam' or plain 'sgd' ascent
     convergence_window: int = 50
     convergence_tol: float = 1e-5
 
     def __post_init__(self):
-        hints = get_type_hints(type(self))
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _has_type(value, hints[f.name]):
-                raise ParameterError(f"{f.name} must be {f.type}, got {value!r}")
+        check_types(self, ParameterError)
         if self.h1 < 1 or self.h2 < 1:
             raise ParameterError("h1 and h2 must be >= 1")
         if self.batch_size < 2:
             raise ParameterError("batch_size must be >= 2")
-        if not self.lr_theta > 0:
-            raise ParameterError("lr_theta must be > 0")
+        if not 0 < self.lr_theta < math.inf:  # NaN fails too
+            raise ParameterError("lr_theta must be finite and > 0")
         if self.seed < 0:
             raise ParameterError("seed must be >= 0")
         if self.max_epochs < 1:
@@ -88,24 +68,22 @@ class TrainConfig:
         if self.objective not in fairloss.OBJECTIVES:
             raise ParameterError(
                 f"objective must be one of {tuple(fairloss.OBJECTIVES)}")
-        if self.lambda_optimizer not in ("adam", "sgd"):
-            raise ParameterError("lambda_optimizer must be 'adam' or 'sgd'")
-        if not self.lambda_init >= 0:
-            raise ParameterError("lambda_init must be >= 0")
-        if self.lr_lambda is not None and not self.lr_lambda > 0:
-            raise ParameterError("lr_lambda must be > 0")
+        if not 0 <= self.lambda_init < math.inf:
+            raise ParameterError("lambda_init must be finite and >= 0")
+        if self.lr_lambda is not None and not 0 < self.lr_lambda < math.inf:
+            raise ParameterError("lr_lambda must be finite and > 0")
         if self.convergence_window < 1:
             raise ParameterError("convergence_window must be >= 1")
-        if not self.convergence_tol >= 0:
-            raise ParameterError("convergence_tol must be >= 0")
+        if not 0 <= self.convergence_tol < math.inf:
+            raise ParameterError("convergence_tol must be finite and >= 0")
         if self.constraint not in fairloss.CONSTRAINTS:
             raise ParameterError(f"unknown constraint {self.constraint!r}")
         param = fairloss.CONSTRAINTS[self.constraint].param
-        self.kind = ConstraintKind.of(self.constraint, getattr(self, param))
-
-    @property
-    def effective_lr_lambda(self) -> float:
-        return self.lr_theta if self.lr_lambda is None else self.lr_lambda
+        # epsilon has a default, so only a stray p_percent can be told apart
+        if param == "epsilon" and self.p_percent is not None:
+            raise ParameterError(
+                f"{self.constraint} takes epsilon, not p_percent")
+        self.slack = fairloss.slack(self.constraint, getattr(self, param))
 
 
 @dataclass
@@ -161,7 +139,7 @@ def init_state(d: int, cfg: TrainConfig) -> TrainState:
     init.flatten(out=vec[:-1])
     vec[-1] = 0.0 if cfg.lambda_zero else cfg.lambda_init
     lr = np.full(n, float(cfg.lr_theta))
-    lr[-1] = cfg.effective_lr_lambda
+    lr[-1] = cfg.lr_theta if cfg.lr_lambda is None else cfg.lr_lambda
     params = MlpParams.unflatten(vec[:-1], d, cfg.h1, cfg.h2)
     grad = np.zeros(n)
     grads = MlpParams.unflatten(grad[:-1], d, cfg.h1, cfg.h2)
@@ -183,21 +161,17 @@ def train_step(state: TrainState, x: np.ndarray, a: np.ndarray,
 
     obj_val, dobj_dp = fairloss.OBJECTIVES[cfg.objective].value_and_grad(fb)
     c_val, dc_dp = fairloss.CONSTRAINTS[cfg.constraint].value_and_grad(fb)
-    l_k = c_val - cfg.kind.slack
+    l_k = c_val - cfg.slack
 
     dL_dp = dobj_dp if cfg.lambda_zero else dobj_dp + state.lam * dc_dp
     backward(state.params, trace, dL_dp, out=state.back)  # into state.grad
 
     # ascent on l_k == descent on -l_k; with a zero slot Adam leaves
     # lambda exactly where it is (m = v = 0 gives a step of 0)
-    lambda_adam = not cfg.lambda_zero and cfg.lambda_optimizer == "adam"
-    state.grad[-1] = -l_k if lambda_adam else 0.0
+    state.grad[-1] = 0.0 if cfg.lambda_zero else -l_k
     adam_step(state.adam, state.vec, state.grad, state.lr)
     if not cfg.lambda_zero:
-        lam = state.lam
-        if cfg.lambda_optimizer == "sgd":
-            lam += cfg.effective_lr_lambda * l_k
-        state.vec[-1] = max(lam, 0.0)
+        state.vec[-1] = max(state.lam, 0.0)
 
     return StepInfo(objective=obj_val, constraint=c_val,
                     total=float(obj_val + state.lam * l_k))

@@ -9,19 +9,20 @@ from zero, since central differences are meaningless on a kink.
 import numpy as np
 
 from fairmlp import fairloss
-from fairmlp.fairloss import Batch, ConstraintKind
+from fairmlp.fairloss import Batch
 from fairmlp.model import MlpParams, backward, forward, init_params
 from fairmlp.numcore import Rng
 
-KIND_FACTORY = {
-    "dp": lambda: ConstraintKind.dp(0.05),
-    "eo_sum": lambda: ConstraintKind.eo_sum(0.05),
-    "eo_max": lambda: ConstraintKind.eo_max(0.05),
-    "di": lambda: ConstraintKind.di(80.0),
-    "dp_multi": lambda: ConstraintKind.dp_multi(0.05),
+# each checked kind: the constraint's name and its epsilon or p_percent
+KINDS = {
+    "dp": ("dp", 0.05),
+    "eo_sum": ("eo-sum", 0.05),
+    "eo_max": ("eo-max", 0.05),
+    "di": ("di", 80.0),
+    "dp_multi": ("dp-multi", 0.05),
 }
 
-ALL_KINDS = tuple(KIND_FACTORY)
+ALL_KINDS = tuple(KINDS)
 ALL_OBJECTIVES = ("ce", "qmean")
 
 
@@ -64,7 +65,7 @@ def make_instance(seed, s_min=4, s_max=32, d=3, h1=4, h2=3):
     raise RuntimeError("could not draw a kink-free instance")
 
 
-def composite_loss(theta, dims, x, a, y, lam, kind: ConstraintKind,
+def composite_loss(theta, dims, x, a, y, lam, constraint: str, slack: float,
                    objective: str) -> float:
     params = MlpParams.unflatten(theta, *dims)
     p = forward(params, x).p
@@ -73,10 +74,10 @@ def composite_loss(theta, dims, x, a, y, lam, kind: ConstraintKind,
         obj = fairloss.cross_entropy(p, y)
     else:
         obj = fairloss.q_mean(b)
-    return obj + lam * (fairloss.constraint_value(b, kind) - kind.slack)
+    return obj + lam * (fairloss.constraint_value(b, constraint) - slack)
 
 
-def composite_grad(params, x, a, y, lam, kind: ConstraintKind,
+def composite_grad(params, x, a, y, lam, constraint: str,
                    objective: str) -> np.ndarray:
     trace = forward(params, x)
     b = Batch(trace.p, a, y)
@@ -84,24 +85,27 @@ def composite_grad(params, x, a, y, lam, kind: ConstraintKind,
         dobj = fairloss.grad_wrt_p("ce", b)
     else:
         dobj = fairloss.grad_wrt_p("qmean", b)
-    dL_dp = dobj + lam * fairloss.grad_wrt_p(kind, b)
+    dL_dp = dobj + lam * fairloss.grad_wrt_p(constraint, b)
     return backward(params, trace, dL_dp).flatten()
 
 
 def max_rel_error(kind_name: str, objective: str, seed: int,
                   h: float = 1e-5) -> float:
     """Analytic vs central-difference gradient for one random instance."""
-    kind = KIND_FACTORY[kind_name]()
+    constraint, value = KINDS[kind_name]
+    slack = fairloss.slack(constraint, value)
     params, x, a, y, lam = make_instance(seed)
     dims = params.dims
     theta = params.flatten()
-    analytic = composite_grad(params, x, a, y, lam, kind, objective)
+    analytic = composite_grad(params, x, a, y, lam, constraint, objective)
     fd = np.zeros_like(theta)
     for i in range(theta.size):
         up, down = theta.copy(), theta.copy()
         up[i] += h
         down[i] -= h
-        fd[i] = (composite_loss(up, dims, x, a, y, lam, kind, objective)
-                 - composite_loss(down, dims, x, a, y, lam, kind, objective)) / (2 * h)
+        fd[i] = (composite_loss(up, dims, x, a, y, lam, constraint, slack,
+                                objective)
+                 - composite_loss(down, dims, x, a, y, lam, constraint, slack,
+                                  objective)) / (2 * h)
     scale = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-6)
     return float((np.abs(analytic - fd) / scale).max())

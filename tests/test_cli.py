@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import gradcheck
-from fairmlp import data, lagrange
+from fairmlp import data, fairloss, lagrange
 from fairmlp.audit import MetricsReport
 from fairmlp.cli import RunConfig, _crossval_reports, build_parser, main
-from fairmlp.fairloss import CONSTRAINTS, OBJECTIVES, ConstraintKind
+from fairmlp.fairloss import CONSTRAINTS, OBJECTIVES
 from conftest import write_csv
 
 
@@ -307,9 +307,61 @@ class TestAuditCommand:
         (out / "bad.json").write_text(json.dumps(payload))
         return {"--encoder": out / "bad.json"}
 
+    @staticmethod
+    def _encoder_with_vocabulary(out, vocab):
+        # feature_names follow the vocabulary, so only its own check fails
+        payload = json.loads((out / "encoder.json").read_text())
+        payload["vocabulary"]["shade"] = vocab
+        payload["feature_names"] = ["f1", "f2"] + [f"shade={v}" for v in vocab]
+        (out / "bad.json").write_text(json.dumps(payload))
+        return {"--encoder": out / "bad.json"}
+
+    def _encoder_vocabulary_reordered(self, out):
+        # sorted order is the one-hot order, so this would swap columns
+        return self._encoder_with_vocabulary(out, ["red", "green", "blue"])
+
+    def _encoder_vocabulary_duplicated(self, out):
+        return self._encoder_with_vocabulary(out, ["blue", "green", "green"])
+
+    def _encoder_vocabulary_not_strings(self, out):
+        # no cell would match, so every row would encode as unseen
+        return self._encoder_with_vocabulary(out, [1, 2, 3])
+
+    @staticmethod
+    def _encoder_negative_std(out):
+        payload = json.loads((out / "encoder.json").read_text())
+        payload["numeric_stats"]["f2"][1] = -1.0
+        (out / "bad.json").write_text(json.dumps(payload))
+        return {"--encoder": out / "bad.json"}
+
+    @staticmethod
+    def _encoder_infinite_mean(out):
+        payload = json.loads((out / "encoder.json").read_text())
+        payload["numeric_stats"]["f2"][0] = float("inf")
+        (out / "bad.json").write_text(json.dumps(payload))
+        return {"--encoder": out / "bad.json"}
+
+    @staticmethod
+    def _encoder_nan_std(out):
+        payload = json.loads((out / "encoder.json").read_text())
+        payload["numeric_stats"]["f1"][1] = float("nan")
+        (out / "bad.json").write_text(json.dumps(payload))
+        return {"--encoder": out / "bad.json"}
+
+    @staticmethod
+    def _encoder_feature_names_disagree(out):
+        payload = json.loads((out / "encoder.json").read_text())
+        names = payload["feature_names"]
+        names[-1], names[-2] = names[-2], names[-1]
+        (out / "bad.json").write_text(json.dumps(payload))
+        return {"--encoder": out / "bad.json"}
+
     @pytest.mark.parametrize("corrupt", [
         "_encoder_without_column", "_encoder_extra_category",
-        "_encoder_extra_column"])
+        "_encoder_extra_column", "_encoder_vocabulary_reordered",
+        "_encoder_vocabulary_duplicated", "_encoder_vocabulary_not_strings",
+        "_encoder_negative_std", "_encoder_infinite_mean", "_encoder_nan_std",
+        "_encoder_feature_names_disagree"])
     def test_wrong_encoder_exits_three_before_ingest(
             self, trained, biased_schema_json, corrupt, capsys, monkeypatch):
         loads = []
@@ -632,27 +684,28 @@ class TestBadHyperparameters:
         ("seed", "a"), ("data", None), ("objective", []),
         ("lambda_zero", "no"), ("batch_size", True), ("lr_theta", True),
         ("holdout_fraction", 1.5), ("holdout_fraction", 0.0),
-        ("holdout_fraction", float("nan")), ("seed", -1)])
+        ("holdout_fraction", float("nan")), ("seed", -1),
+        ("epsilon", float("inf")), ("lr_theta", float("inf")),
+        ("lr_lambda", float("inf")), ("lambda_init", float("inf")),
+        ("p_percent", 80.0)])
     def test_exits_two_before_ingest(self, tmp_path, biased_csv,
                                      biased_schema_json, loads, command, key,
                                      value, capsys):
-        # with SGD ascent a negative lr_lambda would silently descend on
-        # lambda instead
         cfg = run_config(tmp_path, biased_csv, biased_schema_json,
-                         lambda_optimizer="sgd", sweep=[0.05, 0.1],
-                         **{key: value})
+                         sweep=[0.05, 0.1], **{key: value})
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert key in err
         assert loads == []
 
+    @pytest.mark.parametrize("bad", [-0.1, float("inf")])
     def test_bad_sweep_value_exits_two_before_ingest(self, tmp_path,
                                                      biased_csv,
                                                      biased_schema_json,
-                                                     loads, capsys):
+                                                     loads, bad, capsys):
         cfg = run_config(tmp_path, biased_csv, biased_schema_json,
-                         sweep=[0.05, -0.1])
+                         sweep=[0.05, bad])
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert "epsilon" in capsys.readouterr().err
         assert loads == []
@@ -666,6 +719,33 @@ class TestBadHyperparameters:
         for command in ("train", "crossval"):
             assert main([command, "--config", str(cfg)]) == 2
             assert "epsilon" in capsys.readouterr().err
+        assert loads == []
+
+    @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
+    def test_wrongly_typed_schema_exits_three_before_ingest(
+            self, tmp_path, biased_csv, biased_schema_json, loads, command,
+            capsys):
+        schema = json.loads(biased_schema_json.read_text())
+        schema["label"] = ["outcome"]
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(schema))
+        cfg = run_config(tmp_path, biased_csv, path, sweep=[0.05])
+        assert main([command, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: label must be ") and err.count("\n") == 1, err
+        assert loads == []
+
+    @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
+    def test_unknown_key_exits_two_before_ingest(self, tmp_path, biased_csv,
+                                                 biased_schema_json, loads,
+                                                 command, capsys):
+        # a key that is not a RunConfig field, a retired one included
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json,
+                         lambda_update="sgd")
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "lambda_update" in err
         assert loads == []
 
     # one wrongly typed value for each annotation a RunConfig field has
@@ -815,15 +895,14 @@ class TestConstraintRegistry:
         for name, entry in CONSTRAINTS.items():
             assert entry.metric in report_fields, name
 
-    def test_params_build_constraint_kinds(self):
+    def test_params_give_the_slack(self):
         for name, entry in CONSTRAINTS.items():
-            kind = ConstraintKind(name, **{entry.param: 50.0})
-            assert kind.kind == name
-            assert ConstraintKind.of(name, 50.0) == kind
+            expect = -0.5 if entry.param == "p_percent" else 50.0
+            assert fairloss.slack(name, 50.0) == expect, name
 
     def test_gradient_check_covers_every_constraint(self):
-        kinds = {f().kind for f in gradcheck.KIND_FACTORY.values()}
-        assert kinds == set(CONSTRAINTS)
+        names = {name for name, _ in gradcheck.KINDS.values()}
+        assert names == set(CONSTRAINTS)
 
     @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
     def test_unknown_constraint_exits_two(self, tmp_path, biased_csv,

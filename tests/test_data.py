@@ -578,3 +578,14 @@ class TestSchema:
         with pytest.raises(SchemaError):
             SchemaConfig(numeric=["x"], categorical=["x"], label="l",
                          positive_label="1", sensitive="s", protected_value="1")
+
+    @pytest.mark.parametrize("key,value", [
+        ("numeric", "amount"), ("categorical", "kind"), ("numeric", [1]),
+        ("label", ["outcome"]), ("sensitive", None), ("missing_token", 0)])
+    def test_wrongly_typed_field_rejected(self, tmp_path, key, value):
+        # an integer missing_token would never equal a cell and drop nothing
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps({**dataclasses.asdict(SCHEMA), key: value}),
+                        encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"^{key} must be "):
+            SchemaConfig.from_json(path)

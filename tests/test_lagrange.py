@@ -8,7 +8,6 @@ import gradcheck
 from fairmlp.data import (UNSEEN, SchemaConfig, encode, epoch_batches,
                           load_csv)
 from fairmlp.errors import DataError, ParameterError
-from fairmlp.fairloss import ConstraintKind
 from fairmlp.lagrange import (LogRow, TrainConfig, fit, init_state,
                               train_step, write_training_log)
 from fairmlp.model import MlpParams, backward, forward, predict_hard
@@ -54,28 +53,28 @@ def one_batch(ds, size=32, seed=0):
 
 
 class TestTrainConfig:
-    def test_kind_follows_the_constraint_table(self):
-        assert toy_config(epsilon=0.2).kind == ConstraintKind.dp(0.2)
-        di = toy_config(constraint="di", p_percent=80)
-        assert di.kind == ConstraintKind.di(80) and di.kind.slack == -0.8
+    def test_slack_follows_the_constraint_table(self):
+        assert toy_config(epsilon=0.2).slack == 0.2
+        assert toy_config(constraint="di", p_percent=80).slack == -0.8
 
-    def test_kind_is_not_a_field(self):
+    def test_slack_is_not_a_field(self):
         # report.json echoes asdict(cfg); its keys stay the config keys
-        assert "kind" not in asdict(toy_config())
+        assert "slack" not in asdict(toy_config())
 
-    def test_replace_rebuilds_kind(self):
-        assert replace(toy_config(), epsilon=0.3).kind.slack == 0.3
+    def test_replace_rebuilds_slack(self):
+        assert replace(toy_config(), epsilon=0.3).slack == 0.3
 
     def test_float_fields_take_ints(self):
         cfg = toy_config(epsilon=0, lr_theta=1, lr_lambda=2, lambda_init=0,
                          convergence_tol=0)
-        assert cfg.kind.slack == 0
+        assert cfg.slack == 0
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("key", ["epsilon", "lr_theta", "lr_lambda",
                                      "lambda_init", "convergence_tol"])
-    def test_nan_rejected(self, key):
+    def test_nan_rejected(self, key, value):
         with pytest.raises(ParameterError, match=key):
-            toy_config(**{key: float("nan")})
+            toy_config(**{key: value})
 
 
 class TestTrainStep:
@@ -84,7 +83,7 @@ class TestTrainStep:
         cfg = toy_config(epsilon=0.0)
         state = init_state(ds.d, cfg)
         info = train_step(state, *one_batch(ds), cfg)
-        l_k = info.constraint - cfg.kind.slack
+        l_k = info.constraint - cfg.slack
         assert l_k > 0
         assert state.lam > 0.0
         # the reported total is L = l_obj + lambda * l_k at the new lambda
@@ -111,7 +110,7 @@ class TestTrainStep:
         def loss_at(params):
             p = forward(params, ds.num).p
             b = fairloss.Batch(p, ds.a, ds.y)
-            lk = fairloss.const_dp(b) - cfg.kind.slack
+            lk = fairloss.const_dp(b) - cfg.slack
             return fairloss.cross_entropy(p, ds.y) + lam_before * lk
 
         before = loss_at(state.params)
