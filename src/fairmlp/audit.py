@@ -142,7 +142,11 @@ class BoundInputs:
 
     def __post_init__(self):
         for name in ("R", "D", "W", "L", "S", "B", "C"):
-            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+            try:
+                ok = 0 < float(getattr(self, name)) < math.inf  # NaN fails too
+            except OverflowError:  # an int too large for the float formulas
+                ok = False
+            if not ok:
                 raise ParameterError(f"{name} must be positive and finite")
         if not (0.0 < self.delta < 1.0):
             raise ParameterError("delta must be in (0, 1)")
@@ -210,18 +214,14 @@ def full_bound(empirical_mean: float, inputs: BoundInputs) -> float:
 
 
 def bound_sweep(inputs: BoundInputs, b_values,
-                empirical_mean: float = 0.0) -> list[dict]:
-    """Rows (B, omega_closed, omega_grid, full_bound) over a range of B."""
+                empirical_mean: float = 0.0) -> list[tuple]:
+    """Rows (B, omega_closed, omega_grid, full_bound), one per B value."""
     rows = []
     for b in b_values:
         bi = replace(inputs, B=int(b))
         om = omega(bi)
-        rows.append({
-            "B": int(b),
-            "omega_closed": om.closed_form,
-            "omega_grid": om.grid,
-            "full_bound": full_bound(empirical_mean, bi),
-        })
+        rows.append((bi.B, om.closed_form, om.grid,
+                     full_bound(empirical_mean, bi)))
     return rows
 
 

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config/parameter/io, 3 schema/data,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -20,6 +21,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -69,48 +71,54 @@ def _log_rows(log) -> list[dict]:
             for r in log]
 
 
+def _mean_std(values) -> tuple[float, float]:
+    vals = np.asarray(values)
+    return float(vals.mean()), float(vals.std())
+
+
 def _aggregate(reports: list[audit.MetricsReport]) -> dict:
-    scalar_fields = ["accuracy", "dp_soft", "dp_hard", "eo_sum_soft",
-                     "eo_max_soft", "di_ratio", "p_percent", "q_mean"]
+    """Mean and stddev over ``reports`` of every float field of
+    MetricsReport and of every group's entry in its per-group dict
+    fields."""
     mean, stddev = {}, {}
-    for name in scalar_fields:
-        vals = np.asarray([getattr(r, name) for r in reports])
-        mean[name] = float(vals.mean())
-        stddev[name] = float(vals.std())
-    for name in ("fpr_by_group", "fnr_by_group"):
-        mean[name], stddev[name] = {}, {}
-        for g in ("0", "1"):
-            vals = np.asarray([getattr(r, name)[int(g)] for r in reports])
-            mean[name][g] = float(vals.mean())
-            stddev[name][g] = float(vals.std())
+    for name, hint in get_type_hints(audit.MetricsReport).items():
+        values = [getattr(r, name) for r in reports]
+        if hint is float:
+            mean[name], stddev[name] = _mean_std(values)
+        elif hint is dict:
+            mean[name], stddev[name] = {}, {}
+            for g in values[0]:
+                mean[name][str(g)], stddev[name][str(g)] = _mean_std(
+                    [v[g] for v in values])
     return {"mean": mean, "stddev": stddev}
 
 
-def _write_report(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-
-
-def _report_payload(cfg: RunConfig, mode: str,
-                    fold_reports: list[audit.MetricsReport],
-                    training_logs: list, wall_ms: float) -> dict:
+def _report_run(cfg: RunConfig, mode: str,
+                fold_reports: list[audit.MetricsReport], training_logs: list,
+                t0: float) -> None:
+    """Write report.json into ``cfg.out_dir`` and print the fold means;
+    ``t0`` is when the command began."""
     config = asdict(cfg)
     # where the report is written does not change what it reports
     out_dir = config.pop("out_dir")
-    return {
+    aggregate = _aggregate(fold_reports)
+    payload = {
         "format": REPORT_FORMAT,
         "mode": mode,
         "baseline": bool(cfg.lambda_zero),
         "config": config,
         "folds": [asdict(r) for r in fold_reports],
-        "aggregate": _aggregate(fold_reports),
+        "aggregate": aggregate,
         "training": [_log_rows(log) for log in training_logs],
         "metadata": {
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "out_dir": out_dir,
-            "wall_ms_total": wall_ms,
+            "wall_ms_total": (time.perf_counter() - t0) * 1000.0,
         },
     }
+    with open(Path(out_dir) / "report.json", "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+    print(json.dumps(aggregate["mean"], sort_keys=True))
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -132,10 +140,7 @@ def cmd_train(cfg: RunConfig) -> int:
     lagrange.write_training_log(out / "training_log.csv", log)
     ds_train.encoder.to_json(out / "encoder.json")
     test_table.to_csv(out / "test_split.csv")
-    wall = (time.perf_counter() - t0) * 1000.0
-    payload = _report_payload(cfg, "train", [report], [log], wall)
-    _write_report(out / "report.json", payload)
-    print(json.dumps(payload["aggregate"]["mean"], sort_keys=True))
+    _report_run(cfg, "train", [report], [log], t0)
     return 0
 
 
@@ -176,10 +181,7 @@ def cmd_crossval(cfg: RunConfig) -> int:
     fold_reports, logs = _crossval_reports(cfg)
     for i, log in enumerate(logs):
         lagrange.write_training_log(out / f"training_log_fold{i}.csv", log)
-    wall = (time.perf_counter() - t0) * 1000.0
-    payload = _report_payload(cfg, "crossval", fold_reports, logs, wall)
-    _write_report(out / "report.json", payload)
-    print(json.dumps(payload["aggregate"]["mean"], sort_keys=True))
+    _report_run(cfg, "crossval", fold_reports, logs, t0)
     return 0
 
 
@@ -237,28 +239,15 @@ def _check_width(d: int, width: int) -> None:
             f"checkpoint expects {d} features but the data encodes to {width}")
 
 
-def _finite_numbers(flag: str, text: str, sep: str) -> list[float]:
+def _finite_numbers(flag: str, text: str) -> list[float]:
     try:
-        values = [float(v) for v in text.split(sep)]
+        values = [float(v) for v in text.split(",")]
     except ValueError:
         values = [math.nan]
     if not all(math.isfinite(v) for v in values):
         raise ParameterError(
-            f"{flag} must be {sep!r}-separated finite numbers, got {text!r}")
+            f"{flag} must be ','-separated finite numbers, got {text!r}")
     return values
-
-
-def _parse_b_values(args) -> list[int]:
-    if args.b_values:
-        return [int(v) for v in _finite_numbers("--b-values", args.b_values, ",")]
-    ends = _finite_numbers("--b-range", args.b_range, ":")
-    if len(ends) != 2 or min(ends) <= 0:
-        raise ParameterError(
-            f"--b-range must be MIN:MAX with positive endpoints, got {args.b_range!r}")
-    lo_e, hi_e = (math.log10(v) for v in ends)
-    if abs(lo_e - round(lo_e)) > 1e-9 or abs(hi_e - round(hi_e)) > 1e-9:
-        raise ParameterError("--b-range endpoints must be powers of 10")
-    return [10 ** e for e in range(int(round(lo_e)), int(round(hi_e)) + 1)]
 
 
 def cmd_bounds(args) -> int:
@@ -268,22 +257,15 @@ def cmd_bounds(args) -> int:
     inputs = audit.BoundInputs(R=args.r, D=args.d, W=args.w, L=args.l,
                                S=args.s, B=1, delta=args.delta, C=args.c,
                                radius_divisor=args.radius_divisor)
-    rows = audit.bound_sweep(inputs, _parse_b_values(args),
+    b_values = [int(v) for v in _finite_numbers("--b-values", args.b_values)]
+    rows = audit.bound_sweep(inputs, b_values,
                              empirical_mean=args.empirical_mean)
-    if args.out is None:
-        _write_bounds(sys.stdout, rows)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_bounds(fh, rows)
+    with (contextlib.nullcontext(sys.stdout) if args.out is None
+          else open(args.out, "w", encoding="utf-8", newline="")) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["B", "omega_closed", "omega_grid", "full_bound"])
+        writer.writerows([b, *map(repr, values)] for b, *values in rows)
     return 0
-
-
-def _write_bounds(fh, rows: list[dict]) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["B", "omega_closed", "omega_grid", "full_bound"])
-    for row in rows:
-        writer.writerow([row["B"], repr(row["omega_closed"]),
-                         repr(row["omega_grid"]), repr(row["full_bound"])])
 
 
 def cmd_counterexample(args) -> int:
@@ -333,10 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--w", type=float, required=True)
     p_bounds.add_argument("--l", type=float, required=True)
     p_bounds.add_argument("--s", type=int, required=True)
-    p_bounds.add_argument("--b-range", default="1e2:1e6", dest="b_range",
-                          help="decades MIN:MAX, e.g. 1e2:1e6")
     p_bounds.add_argument("--b-values", dest="b_values",
-                          help="explicit comma list of B values")
+                          default="100,1000,10000,100000,1000000",
+                          help="comma list of B values")
     p_bounds.add_argument("--delta", type=float, default=0.1)
     p_bounds.add_argument("--c", type=float, default=4.0)
     p_bounds.add_argument("--radius-divisor", choices=["S", "2S"], default="S",

@@ -79,10 +79,13 @@ class TrainConfig:
         if self.constraint not in fairloss.CONSTRAINTS:
             raise ParameterError(f"unknown constraint {self.constraint!r}")
         param = fairloss.CONSTRAINTS[self.constraint].param
-        # epsilon has a default, so only a stray p_percent can be told apart
+        # epsilon has a default, so only a stray p_percent can be told apart;
+        # a p_percent constraint drops it, so the config echo says null
         if param == "epsilon" and self.p_percent is not None:
             raise ParameterError(
                 f"{self.constraint} takes epsilon, not p_percent")
+        if param == "p_percent":
+            self.epsilon = None
         self.slack = fairloss.slack(self.constraint, getattr(self, param))
 
 

@@ -240,7 +240,8 @@ def load_checkpoint(path) -> tuple[MlpParams, dict]:
     """Load a checkpoint; returns (params, metadata dict with dims/seed)."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if (not isinstance(payload, dict)
+            or payload.get("format") != CHECKPOINT_FORMAT):
         raise SchemaError(f"not a model checkpoint: {path}")
     try:
         dims = payload["dims"]

@@ -271,7 +271,8 @@ class TestFullBound:
             BoundInputs(**{**BOUND_EXAMPLE, "delta": 1.0})
 
     @pytest.mark.parametrize("name", ["R", "D", "W", "L", "S", "B", "C"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0, 10 ** 400],
+                             ids=["nan", "inf", "0", "401-digits"])
     def test_non_finite_or_nonpositive_capacity_rejected(self, name, value):
         with pytest.raises(ParameterError, match=name):
             BoundInputs(**{**BOUND_EXAMPLE, name: value})
@@ -279,8 +280,8 @@ class TestFullBound:
     def test_sweep_rows(self):
         rows = bound_sweep(BoundInputs(**BOUND_EXAMPLE),
                            [10 ** e for e in range(2, 7)])
-        assert len(rows) == 5
-        omegas = [r["omega_closed"] for r in rows]
+        assert [r[0] for r in rows] == [10 ** e for e in range(2, 7)]
+        omegas = [r[1] for r in rows]
         assert all(x > z for x, z in zip(omegas, omegas[1:]))
 
 

@@ -6,12 +6,13 @@ import subprocess
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 import gradcheck
-from fairmlp import data, fairloss, lagrange
+from fairmlp import audit, data, fairloss, lagrange
 from fairmlp.audit import MetricsReport
 from fairmlp.cli import RunConfig, _crossval_reports, build_parser, main
 from fairmlp.fairloss import CONSTRAINTS, OBJECTIVES
@@ -87,6 +88,45 @@ class TestCrossval:
         accs = [f["accuracy"] for f in report["folds"]]
         assert abs(report["aggregate"]["mean"]["accuracy"]
                    - float(np.mean(accs))) <= 1e-12
+
+    def test_aggregate_covers_every_metric_field(self, tmp_path, biased_csv,
+                                                 biased_schema_json, capsys):
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json,
+                         max_epochs=2)
+        assert main(["crossval", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        folds, agg = report["folds"], report["aggregate"]
+        hints = get_type_hints(MetricsReport)
+        scalars = [n for n, h in hints.items() if h is float]
+        groups = [n for n, h in hints.items() if h is dict]
+        assert len(scalars) == 8 and len(groups) == 2
+        assert set(agg["mean"]) == set(agg["stddev"]) == {*scalars, *groups}
+        for name in scalars:
+            vals = np.asarray([f[name] for f in folds])
+            assert agg["mean"][name] == float(vals.mean()), name
+            assert agg["stddev"][name] == float(vals.std()), name
+        for name in groups:
+            assert set(agg["mean"][name]) == {"0", "1"}
+            assert set(agg["stddev"][name]) == {"0", "1"}
+            for g in ("0", "1"):
+                vals = np.asarray([f[name][g] for f in folds])
+                assert agg["mean"][name][g] == float(vals.mean()), name
+                assert agg["stddev"][name][g] == float(vals.std()), name
+        # the printed line is the mean aggregate
+        printed = capsys.readouterr().out.strip().splitlines()[-1]
+        assert json.loads(printed) == agg["mean"]
+
+    def test_di_config_without_epsilon_echoes_null(self, tmp_path, biased_csv,
+                                                  biased_schema_json, capsys):
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json,
+                         constraint="di", p_percent=80.0, max_epochs=2)
+        raw = json.loads(cfg.read_text(encoding="utf-8"))
+        del raw["epsilon"]
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["crossval", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["config"]["epsilon"] is None
+        assert report["config"]["p_percent"] == 80.0
 
     def test_same_seed_byte_identical(self, tmp_path, biased_csv,
                                       biased_schema_json, capsys):
@@ -232,6 +272,17 @@ class TestAuditCommand:
         return {"--model": out / "bad.json"}
 
     @staticmethod
+    def _checkpoint_top_level_list(out):
+        payload = json.loads((out / "model.json").read_text())
+        (out / "bad.json").write_text(json.dumps([payload]))
+        return {"--model": out / "bad.json"}
+
+    @staticmethod
+    def _checkpoint_top_level_string(out):
+        (out / "bad.json").write_text(json.dumps("x"))
+        return {"--model": out / "bad.json"}
+
+    @staticmethod
     def _encoder_without_key(out):
         payload = json.loads((out / "encoder.json").read_text())
         del payload["vocabulary"]
@@ -277,6 +328,7 @@ class TestAuditCommand:
         "_undecodable_csv",
         "_checkpoint_without_layer",
         "_checkpoint_short_bias", "_checkpoint_non_finite",
+        "_checkpoint_top_level_list", "_checkpoint_top_level_string",
         "_encoder_without_key", "_encoder_without_column",
         "_encoder_stat_not_a_pair", "_encoder_top_level_list",
         "_encoder_stat_strings", "_encoder_stats_a_string"])
@@ -778,15 +830,27 @@ class TestBadHyperparameters:
 
 class TestBounds:
     def test_decade_sweep_csv(self, tmp_path, capsys):
+        # with no B flag, B runs over the decades 10^2 .. 10^6
         out = tmp_path / "bounds.csv"
         code = main(["bounds", "--d", "3", "--w", "0.5", "--l", "1",
-                     "--s", "10", "--b-range", "1e2:1e6", "--out", str(out)])
+                     "--s", "10", "--out", str(out)])
         assert code == 0
-        with open(out) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 5
-        omegas = [float(r["omega_closed"]) for r in rows]
+        expect = ["B,omega_closed,omega_grid,full_bound"]
+        for e in range(2, 7):
+            inputs = audit.BoundInputs(R=2, D=3, W=0.5, L=1.0, S=10, B=10 ** e)
+            om = audit.omega(inputs)
+            expect.append(f"{10 ** e},{om.closed_form!r},{om.grid!r},"
+                          f"{audit.full_bound(0.0, inputs)!r}")
+        assert out.read_bytes() == ("\r\n".join(expect) + "\r\n").encode()
+        omegas = [float(line.split(",")[1]) for line in expect[1:]]
         assert all(x > z for x, z in zip(omegas, omegas[1:]))
+
+    def test_b_range_is_not_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--d", "3", "--w", "0.5", "--l", "1", "--s", "10",
+                  "--b-range", "1e2:1e6"])
+        assert exc.value.code == 2
+        assert "--b-range" in capsys.readouterr().err
 
     def test_out_file_equals_stdout(self, tmp_path, capsys):
         argv = ["bounds", "--d", "3", "--w", "0.5", "--l", "1", "--s", "10",
@@ -826,8 +890,6 @@ class TestBounds:
 
 class TestBadBoundsValues:
     @pytest.mark.parametrize("argv, named", [
-        (["bounds", "--b-range", "abc"], "--b-range"),
-        (["bounds", "--b-range", "1e2"], "--b-range"),
         (["bounds", "--b-values", "1,x"], "--b-values"),
         (["bounds", "--b-values", "inf"], "--b-values"),
         (["bounds", "--b-values", "nan"], "--b-values"),
@@ -837,9 +899,13 @@ class TestBadBoundsValues:
         (["bounds", "--c", "nan"], "C"),
         (["bounds", "--empirical-mean", "nan"], "--empirical-mean"),
         (["bounds", "--empirical-mean", "inf"], "--empirical-mean"),
-    ], ids=["b-range-abc", "b-range-one-end", "b-values-x", "b-values-inf",
+        (["bounds", "--d", "1" + "0" * 400], "D"),
+        (["bounds", "--s", "1" + "0" * 400], "S"),
+        (["bounds", "--w", "10", "--r", "1" + "0" * 400], "R"),
+    ], ids=["b-values-x", "b-values-inf",
             "b-values-nan", "mu-nan", "w-nan", "l-nan", "c-nan",
-            "empirical-mean-nan", "empirical-mean-inf"])
+            "empirical-mean-nan", "empirical-mean-inf", "d-401-digits",
+            "s-401-digits", "r-401-digits"])
     def test_exits_two_with_one_line(self, argv, named, capsys):
         if argv[0] == "bounds":
             # the case's own flags come last, so they win
