@@ -216,27 +216,26 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_audit(args) -> int:
-    params, meta = model.load_checkpoint(args.model)
+    params = model.load_checkpoint(args.model)
     schema = data.resolve_schema(args.schema)
-    d = meta["dims"][0]
     encoder = None
     if args.encoder:
         # a saved encoder fixes the width, so a wrong one fails before ingest
         encoder = data.Encoder.from_json(args.encoder)
-        _check_width(d, encoder.width(schema))
+        _check_width(params, encoder.width(schema))
     # no reference to the raw table outlives encode, so it is freed
     # before the evaluation
     dataset = data.encode(data.load_csv(args.data, schema), schema, encoder)
-    _check_width(d, dataset.d)
+    _check_width(params, dataset.d)
     report = audit.evaluate(params, dataset, args.batch_size, seed=args.seed)
     print(json.dumps(asdict(report), indent=1, sort_keys=True))
     return 0
 
 
-def _check_width(d: int, width: int) -> None:
-    if width != d:
-        raise SchemaError(
-            f"checkpoint expects {d} features but the data encodes to {width}")
+def _check_width(params: model.MlpParams, width: int) -> None:
+    if width != params.dims[0]:
+        raise SchemaError(f"checkpoint expects {params.dims[0]} features but "
+                          f"the data encodes to {width}")
 
 
 def _finite_numbers(flag: str, text: str) -> list[float]:

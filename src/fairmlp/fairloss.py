@@ -99,7 +99,8 @@ class Batch:
 
 @dataclass
 class MultiGroupBatch:
-    """Batch with an m-way group index instead of a binary attribute."""
+    """Batch with an m-way group index instead of a binary attribute: the
+    library API for m-group DP, which no CONSTRAINTS entry takes."""
 
     p: np.ndarray
     group: np.ndarray
@@ -173,11 +174,6 @@ def _dp_multi(batch: MultiGroupBatch) -> tuple[float, np.ndarray]:
         total += gap
         grad += g
     return total, grad
-
-
-def _two_groups(batch: Batch) -> MultiGroupBatch:
-    # the binary attribute as a 2-group index: dp-multi is then exactly 2 x dp
-    return MultiGroupBatch(batch.p, batch.a.astype(np.int64), 2)
 
 
 def _ce(batch: Batch) -> tuple[float, np.ndarray]:
@@ -285,8 +281,6 @@ CONSTRAINTS = {
     "eo-sum": Constraint(_eo_sum, "epsilon", "eo_sum_soft"),
     "eo-max": Constraint(_eo_max, "epsilon", "eo_max_soft"),
     "di": Constraint(_di, "p_percent", "p_percent"),
-    "dp-multi": Constraint(lambda b: _dp_multi(_two_groups(b)),
-                           "epsilon", "dp_soft"),
 }
 
 OBJECTIVES = {

@@ -188,6 +188,9 @@ def fit(dataset: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[LogRow]]:
         raise DataError("dataset must contain both sensitive groups")
     if dataset.y.sum() < 1 or (1 - dataset.y).sum() < 1:
         raise DataError("dataset must contain both label classes")
+    if cfg.batch_size > dataset.n:  # init_state sizes its workspace by it
+        raise DataError(
+            f"batch size {cfg.batch_size} exceeds dataset size {dataset.n}")
 
     state = init_state(dataset.d, cfg)
     # one stream reshuffles every epoch's batches

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ParameterError, SchemaError, ShapeError
+from .errors import ParameterError, SchemaError, ShapeError, has_type
 from .fairloss import PROB_CLAMP
 from .numcore import Rng
 
@@ -236,8 +236,8 @@ def save_checkpoint(path, params: MlpParams, seed: int) -> None:
         json.dump(payload, fh, sort_keys=True)
 
 
-def load_checkpoint(path) -> tuple[MlpParams, dict]:
-    """Load a checkpoint; returns (params, metadata dict with dims/seed)."""
+def load_checkpoint(path) -> MlpParams:
+    """The parameters saved in a checkpoint."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if (not isinstance(payload, dict)
@@ -246,6 +246,10 @@ def load_checkpoint(path) -> tuple[MlpParams, dict]:
     try:
         dims = payload["dims"]
         d, h1, h2 = dims["d"], dims["h1"], dims["h2"]
+        # reshape would infer a -1
+        if not all(has_type(size, int) and size >= 1 for size in (d, h1, h2)):
+            raise SchemaError(
+                f"checkpoint {path} dims must be integers >= 1, got {dims}")
         layers = payload["layers"]
         arrays = {name: np.asarray(layers[name], dtype=np.float64).reshape(shape)
                   for name, shape in _layer_shapes(d, h1, h2).items()}
@@ -256,5 +260,4 @@ def load_checkpoint(path) -> tuple[MlpParams, dict]:
     for name, arr in arrays.items():
         if not np.isfinite(arr).all():
             raise SchemaError(f"checkpoint {path} layer {name} holds non-finite values")
-    params = MlpParams(**arrays)
-    return params, {"dims": (d, h1, h2), "seed": payload.get("seed")}
+    return MlpParams(**arrays)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fairmlp.data import Dataset, Encoder
-from fairmlp.fairloss import Batch
+from fairmlp.fairloss import Batch, MultiGroupBatch
 from fairmlp.numcore import Rng
 
 ADULT_ENV = "FAIRMLP_ADULT_CSV"
@@ -37,6 +37,12 @@ def random_batch(rng: Rng, s_min=4, s_max=32, p_lo=0.05, p_hi=0.95,
         if not need_classes or 0 < y.sum() < size:
             break
     return Batch(p, a, y)
+
+
+def two_groups(batch: Batch) -> MultiGroupBatch:
+    """The binary attribute as a 2-group index, on which the m-group DP
+    term is exactly 2 x dp."""
+    return MultiGroupBatch(batch.p, batch.a.astype(np.int64), 2)
 
 
 def numeric_dataset(X, a, y) -> Dataset:

@@ -239,11 +239,6 @@ def twin_grad_dp_multi_wrt_p(batch: MultiGroupBatch) -> np.ndarray:
     return g
 
 
-def twin_two_groups(batch: Batch) -> MultiGroupBatch:
-    # the binary attribute as a 2-group index: dp-multi is then exactly 2 x dp
-    return MultiGroupBatch(batch.p, batch.a.astype(np.int64), 2)
-
-
 def twin_cross_entropy(p: np.ndarray, y: np.ndarray) -> float:
     """Mean binary cross-entropy -y log p - (1-y) log(1-p)."""
     p = np.asarray(p, dtype=np.float64)
@@ -307,8 +302,6 @@ TWIN_TERMS = {
     "eo-sum": (lambda b: twin_const_eo(b, "sum"), twin_grad_eo_sum),
     "eo-max": (lambda b: twin_const_eo(b, "max"), twin_grad_eo_max),
     "di": (twin_const_di, twin_grad_di),
-    "dp-multi": (lambda b: twin_const_dp_multi(twin_two_groups(b)),
-                 lambda b: twin_grad_dp_multi_wrt_p(twin_two_groups(b))),
     "ce": (lambda b: twin_cross_entropy(b.p, b.y), twin_grad_ce),
     "qmean": (lambda b: twin_q_mean(b), twin_grad_qmean),
 }

@@ -26,7 +26,7 @@ CONFIG = {"schema": "adult", "folds": 2, "h1": 16, "h2": 8, "lr_theta": 0.01,
           "lr_lambda": 0.05, "batch_size": 200, "max_epochs": 25,
           "convergence_window": 1000000, "objective": "ce", "seed": 0}
 CASES = [("dp", {"epsilon": 0.02}), ("eo-sum", {"epsilon": 0.04}),
-         ("eo-max", {"epsilon": 0.02}), ("dp-multi", {"epsilon": 0.04}),
+         ("eo-max", {"epsilon": 0.02}),
          ("di", {"epsilon": None, "p_percent": 90.0})]
 
 

@@ -265,6 +265,26 @@ class TestAuditCommand:
         return {"--model": out / "bad.json"}
 
     @staticmethod
+    def _checkpoint_inferred_dim(out):
+        # reshape would infer h1 = -1 from w1's length, so the short bias
+        # loaded and only broadcasting failed
+        payload = json.loads((out / "model.json").read_text())
+        payload["dims"]["h1"] = -1
+        payload["layers"]["b1"].pop()
+        (out / "bad.json").write_text(json.dumps(payload))
+        return {"--model": out / "bad.json"}
+
+    @staticmethod
+    def _checkpoint_empty_layer(out):
+        # a network no TrainConfig can build, which audited with exit 0
+        payload = json.loads((out / "model.json").read_text())
+        payload["dims"]["h2"] = 0
+        for name in ("w2", "b2", "w_out"):
+            payload["layers"][name] = []
+        (out / "bad.json").write_text(json.dumps(payload))
+        return {"--model": out / "bad.json"}
+
+    @staticmethod
     def _checkpoint_non_finite(out):
         payload = json.loads((out / "model.json").read_text())
         payload["layers"]["w2"][3] = float("nan")
@@ -327,7 +347,8 @@ class TestAuditCommand:
         "_ragged_csv", "_non_numeric_cell", "_oversized_cell",
         "_undecodable_csv",
         "_checkpoint_without_layer",
-        "_checkpoint_short_bias", "_checkpoint_non_finite",
+        "_checkpoint_short_bias", "_checkpoint_inferred_dim",
+        "_checkpoint_empty_layer", "_checkpoint_non_finite",
         "_checkpoint_top_level_list", "_checkpoint_top_level_string",
         "_encoder_without_key", "_encoder_without_column",
         "_encoder_stat_not_a_pair", "_encoder_top_level_list",
@@ -751,6 +772,19 @@ class TestBadHyperparameters:
         assert key in err
         assert loads == []
 
+    @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
+    def test_batch_larger_than_data_exits_three(self, tmp_path, biased_csv,
+                                                biased_schema_json, command,
+                                                capsys):
+        # a workspace of 10**12 rows is refused at allocation, so this
+        # size ends in a traceback unless it is rejected before then
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json,
+                         batch_size=10**12, sweep=[0.05])
+        assert main([command, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: batch size 1000000000000 exceeds "
+                              "dataset size ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("bad", [-0.1, float("inf")])
     def test_bad_sweep_value_exits_two_before_ingest(self, tmp_path,
                                                      biased_csv,
@@ -967,13 +1001,30 @@ class TestConstraintRegistry:
             assert fairloss.slack(name, 50.0) == expect, name
 
     def test_gradient_check_covers_every_constraint(self):
-        names = {name for name, _ in gradcheck.KINDS.values()}
-        assert names == set(CONSTRAINTS)
+        checked = {term for term, _ in gradcheck.KINDS.values()}
+        for name, entry in CONSTRAINTS.items():
+            assert entry.value_and_grad in checked, name
 
     @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
+    @pytest.mark.parametrize("constraint", ["eo_sum", "dp-multi"])
     def test_unknown_constraint_exits_two(self, tmp_path, biased_csv,
-                                          biased_schema_json, command, capsys):
+                                          biased_schema_json, constraint,
+                                          command, capsys, monkeypatch):
+        loads = []
+        monkeypatch.setattr(data, "load_csv",
+                            lambda *args, **kw: loads.append(args))
         cfg = run_config(tmp_path, biased_csv, biased_schema_json,
-                         constraint="eo_sum", sweep=[0.1])
+                         constraint=constraint, sweep=[0.1])
         assert main([command, "--config", str(cfg)]) == 2
-        assert "unknown constraint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: unknown constraint {constraint!r}\n", err
+        assert loads == []
+
+    @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
+    def test_dp_multi_flag_is_not_a_choice(self, command, capsys):
+        # argparse refuses it before the config is opened
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", "/nonexistent.json",
+                  "--constraint", "dp-multi"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'dp-multi'" in capsys.readouterr().err

@@ -8,11 +8,12 @@ import oracles
 from fairmlp.errors import (DegenerateBatchError, NumericError, ParameterError,
                             ShapeError)
 from fairmlp.fairloss import (CONSTRAINTS, OBJECTIVES, Batch, MultiGroupBatch,
-                              const_di, const_dp, const_dp_multi, const_eo,
-                              constraint_value, cross_entropy, fnr_gap,
-                              fpr_gap, grad_wrt_p, q_mean, slack)
+                              _dp, _dp_multi, const_di, const_dp,
+                              const_dp_multi, const_eo, constraint_value,
+                              cross_entropy, fnr_gap, fpr_gap, grad_wrt_p,
+                              q_mean, slack)
 from fairmlp.numcore import Rng
-from conftest import random_batch
+from conftest import random_batch, two_groups
 
 DP_BATCH = Batch(np.array([0.8, 0.6, 0.2, 0.4]),
                  np.array([1, 1, 0, 0]), np.array([0, 1, 0, 1]))
@@ -24,6 +25,14 @@ Q_BATCH = Batch(np.array([0.9, 0.7, 0.2, 0.4]),
 
 def swap_groups(batch: Batch) -> Batch:
     return Batch(batch.p, 1 - batch.a.astype(int), batch.y.astype(int))
+
+
+def random_multi_group_batch(rng: Rng, m: int) -> MultiGroupBatch:
+    """6-30 rows in (0.05, 0.95), each of the m groups present."""
+    n = int(rng.gen.integers(6, 30))
+    p = rng.gen.uniform(0.05, 0.95, n)
+    group = np.concatenate([np.arange(m), rng.gen.integers(0, m, n - m)])
+    return MultiGroupBatch(p, group, m)
 
 
 class TestHandFixtures:
@@ -45,8 +54,7 @@ class TestHandFixtures:
         assert abs(q_mean(Q_BATCH) - math.sqrt(0.13)) <= 1e-9
 
     def test_dp_multi_two_groups(self):
-        mb = MultiGroupBatch(DP_BATCH.p, DP_BATCH.a.astype(int), 2)
-        assert abs(const_dp_multi(mb) - 0.8) <= 1e-9
+        assert abs(const_dp_multi(two_groups(DP_BATCH)) - 0.8) <= 1e-9
 
 
 class TestTrivialCases:
@@ -139,8 +147,7 @@ class TestLoopOracleEquivalence:
             assert abs(q_mean(b) - oracles.loop_qmean(p, y)) <= 1e-12
             assert abs(cross_entropy(b.p, b.y)
                        - oracles.loop_cross_entropy(p, y)) <= 1e-12
-            mb = MultiGroupBatch(b.p, b.a.astype(int), 2)
-            assert abs(const_dp_multi(mb)
+            assert abs(const_dp_multi(two_groups(b))
                        - oracles.loop_dp_multi(p, a, 2)) <= 1e-12
 
 
@@ -159,7 +166,7 @@ class TestRangeInvariants:
 
 
 class TestGradients:
-    KINDS = ("dp", "eo-sum", "eo-max", "di", "dp-multi", "ce", "qmean")
+    KINDS = ("dp", "eo-sum", "eo-max", "di", "ce", "qmean")
 
     @staticmethod
     def value_of(kind, batch):
@@ -167,9 +174,6 @@ class TestGradients:
             return cross_entropy(batch.p, batch.y)
         if kind == "qmean":
             return q_mean(batch)
-        if kind == "dp-multi":
-            return const_dp_multi(
-                MultiGroupBatch(batch.p, batch.a.astype(int), 2))
         return constraint_value(batch, kind)
 
     @staticmethod
@@ -221,6 +225,30 @@ class TestGradients:
                 assert (np.abs(g - fd) / scale).max() <= 1e-5, kind
                 checked += 1
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_finite_differences_dp_multi(self, m):
+        rng = Rng(310 + m)
+        h = 1e-5
+        checked = 0
+        while checked < 100:
+            b = random_multi_group_batch(rng, m)
+            split_gaps = [abs(b.p[b.group == j].mean() - b.p[b.group != j].mean())
+                          for j in range(m)]
+            if min(split_gaps) <= 1e-6:  # away from the |.| kinks
+                continue
+            g = _dp_multi(b)[1]
+            fd = np.zeros_like(g)
+            for i in range(b.p.shape[0]):
+                up = b.p.copy()
+                down = b.p.copy()
+                up[i] += h
+                down[i] -= h
+                fd[i] = (const_dp_multi(MultiGroupBatch(up, b.group, m))
+                         - const_dp_multi(MultiGroupBatch(down, b.group, m))) / (2 * h)
+            scale = np.maximum(np.abs(fd), 1e-6)
+            assert (np.abs(g - fd) / scale).max() <= 1e-5, m
+            checked += 1
+
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             grad_wrt_p("nope", DP_BATCH)
@@ -242,21 +270,18 @@ class TestMultiGroup:
         rng = Rng(45)
         for _ in range(200):
             b = random_batch(rng, s_min=2, s_max=40)
-            assert (constraint_value(b, "dp-multi")
-                    == 2.0 * constraint_value(b, "dp"))
-            np.testing.assert_array_equal(grad_wrt_p("dp-multi", b),
-                                          2.0 * grad_wrt_p("dp", b))
+            multi, g_multi = _dp_multi(two_groups(b))
+            dp, g_dp = _dp(b)
+            assert multi == 2.0 * dp
+            np.testing.assert_array_equal(g_multi, 2.0 * g_dp)
 
     def test_three_group_value_matches_oracle(self):
         rng = Rng(44)
         for _ in range(50):
-            n = int(rng.gen.integers(6, 30))
-            p = rng.gen.uniform(0.05, 0.95, n)
-            group = np.concatenate([[0, 1, 2],
-                                    rng.gen.integers(0, 3, n - 3)])
-            mb = MultiGroupBatch(p, group, 3)
+            mb = random_multi_group_batch(rng, 3)
             assert abs(const_dp_multi(mb)
-                       - oracles.loop_dp_multi(p.tolist(), group.tolist(), 3)) <= 1e-12
+                       - oracles.loop_dp_multi(mb.p.tolist(), mb.group.tolist(),
+                                               3)) <= 1e-12
 
 
 TERMS = {name: entry.value_and_grad
@@ -274,6 +299,16 @@ def term_batches(draw):
     a[draw(st.integers(1, n - 1))] = 1 - a[0]
     y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     return Batch(np.array(p), np.array(a), np.array(y))
+
+
+@st.composite
+def multi_group_batches(draw, m):
+    """A batch of m-64 rows holding each of its m groups."""
+    n = draw(st.integers(m, 64))
+    p = draw(st.lists(PROBS, min_size=n, max_size=n))
+    rest = draw(st.lists(st.integers(0, m - 1), min_size=n - m, max_size=n - m))
+    group = draw(st.permutations(list(range(m)) + rest))
+    return MultiGroupBatch(np.array(p), np.array(group), m)
 
 
 def outcome(value_and_grad, batch):
@@ -318,10 +353,20 @@ class TestTermsMatchTwins:
                 return type(exc), str(exc)
         assert unfloored(const_di) == unfloored(oracles.twin_const_di)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_dp_multi_value_and_gradient_bits(self, m, data):
+        # the m-group term has no table entry, so it is checked on its own
+        batch = data.draw(multi_group_batches(m))
+        twin = (lambda b: (oracles.twin_const_dp_multi(b),
+                           oracles.twin_grad_dp_multi_wrt_p(b)))
+        assert outcome(_dp_multi, batch) == outcome(twin, batch)
+
     @settings(max_examples=200, deadline=None)
     @given(term_batches())
     def test_dp_multi_is_twice_dp(self, batch):
-        dp, g_dp = TERMS["dp"](batch)
-        multi, g_multi = TERMS["dp-multi"](batch)
+        dp, g_dp = _dp(batch)
+        multi, g_multi = _dp_multi(two_groups(batch))
         assert multi == 2.0 * dp
         np.testing.assert_array_equal(g_multi, 2.0 * g_dp)

@@ -242,6 +242,16 @@ class TestFit:
         with pytest.raises(DataError):
             fit(ds, toy_config())
 
+    def test_batch_larger_than_data_rejected_before_workspace(self,
+                                                               monkeypatch):
+        def no_workspace(*args):
+            raise AssertionError("init_state ran")
+        monkeypatch.setattr("fairmlp.lagrange.init_state", no_workspace)
+        ds = biased_dataset(n=400)
+        with pytest.raises(DataError,
+                           match="^batch size 401 exceeds dataset size 400$"):
+            fit(ds, toy_config(batch_size=401))
+
     def test_qmean_objective_trains(self):
         ds = biased_dataset(n=400)
         cfg = toy_config(objective="qmean", max_epochs=30)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -271,10 +272,21 @@ class TestCheckpoint:
         params = tiny_params(seed=11)
         path = tmp_path / "model.json"
         save_checkpoint(path, params, seed=11)
-        loaded, meta = load_checkpoint(path)
+        loaded = load_checkpoint(path)
         assert loaded.flatten().tobytes() == params.flatten().tobytes()
-        assert meta["dims"] == params.dims
-        assert meta["seed"] == 11
+        assert loaded.dims == params.dims
+        assert json.loads(path.read_text(encoding="utf-8"))["seed"] == 11
+
+    @pytest.mark.parametrize("key,value", [
+        ("h1", -1), ("h2", 0), ("d", True), ("h1", 4.0), ("h2", "3")])
+    def test_rejects_dims_that_are_not_sizes(self, tmp_path, key, value):
+        path = tmp_path / "model.json"
+        save_checkpoint(path, tiny_params(seed=11), seed=11)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["dims"][key] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SchemaError, match="dims must be integers >= 1"):
+            load_checkpoint(path)
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
