@@ -65,7 +65,7 @@ class RunConfig(lagrange.TrainConfig):
 
 
 def _log_rows(log) -> list[dict]:
-    # wall_ms stays out of the report payload so reruns are byte-identical
+    # wall_ms goes to metadata's epoch_wall_ms, so reruns are byte-identical
     return [{"epoch": r.epoch, "objective": r.objective,
              "constraint_value": r.constraint_value, "lambda": r.lam}
             for r in log]
@@ -112,6 +112,8 @@ def _report_run(cfg: RunConfig, mode: str,
         "training": [_log_rows(log) for log in training_logs],
         "metadata": {
             "created_utc": datetime.now(timezone.utc).isoformat(),
+            "epoch_wall_ms": [[r.wall_ms for r in log]
+                              for log in training_logs],
             "out_dir": out_dir,
             "wall_ms_total": (time.perf_counter() - t0) * 1000.0,
         },
@@ -137,7 +139,6 @@ def cmd_train(cfg: RunConfig) -> int:
     params, log = lagrange.fit(ds_train, cfg)
     report = audit.evaluate(params, ds_test, cfg.batch_size, seed=cfg.seed)
     model.save_checkpoint(out / "model.json", params, cfg.seed)
-    lagrange.write_training_log(out / "training_log.csv", log)
     ds_train.encoder.to_json(out / "encoder.json")
     test_table.to_csv(out / "test_split.csv")
     _report_run(cfg, "train", [report], [log], t0)
@@ -176,11 +177,8 @@ def cmd_crossval(cfg: RunConfig) -> int:
     if cfg.folds < 2:
         raise ParameterError("crossval requires folds >= 2")
     t0 = time.perf_counter()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     fold_reports, logs = _crossval_reports(cfg)
-    for i, log in enumerate(logs):
-        lagrange.write_training_log(out / f"training_log_fold{i}.csv", log)
     _report_run(cfg, "crossval", fold_reports, logs, t0)
     return 0
 
@@ -218,24 +216,18 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def cmd_audit(args) -> int:
     params = model.load_checkpoint(args.model)
     schema = data.resolve_schema(args.schema)
-    encoder = None
-    if args.encoder:
-        # a saved encoder fixes the width, so a wrong one fails before ingest
-        encoder = data.Encoder.from_json(args.encoder)
-        _check_width(params, encoder.width(schema))
-    # no reference to the raw table outlives encode, so it is freed
-    # before the evaluation
-    dataset = data.encode(data.load_csv(args.data, schema), schema, encoder)
-    _check_width(params, dataset.d)
-    report = audit.evaluate(params, dataset, args.batch_size, seed=args.seed)
-    print(json.dumps(asdict(report), indent=1, sort_keys=True))
-    return 0
-
-
-def _check_width(params: model.MlpParams, width: int) -> None:
+    # the run's encoder fixes the width, so a wrong one fails before ingest
+    encoder = data.Encoder.from_json(args.encoder)
+    width = encoder.width(schema)
     if width != params.dims[0]:
         raise SchemaError(f"checkpoint expects {params.dims[0]} features but "
                           f"the data encodes to {width}")
+    # no reference to the raw table outlives encode, so it is freed
+    # before the evaluation
+    dataset = data.encode(data.load_csv(args.data, schema), schema, encoder)
+    report = audit.evaluate(params, dataset, args.batch_size, seed=args.seed)
+    print(json.dumps(asdict(report), indent=1, sort_keys=True))
+    return 0
 
 
 def _finite_numbers(flag: str, text: str) -> list[float]:
@@ -304,9 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--model", required=True)
     p_audit.add_argument("--data", required=True)
     p_audit.add_argument("--schema", required=True)
-    p_audit.add_argument("--encoder", help="encoder JSON from training")
-    p_audit.add_argument("--batch-size", type=int, default=500, dest="batch_size")
-    p_audit.add_argument("--seed", type=int, default=0)
+    p_audit.add_argument("--encoder", required=True,
+                         help="encoder JSON from training")
+    # the run's defaults, so a default audit reproduces a default run
+    p_audit.add_argument("--batch-size", type=int, dest="batch_size",
+                         default=lagrange.TrainConfig.batch_size)
+    p_audit.add_argument("--seed", type=int, default=lagrange.TrainConfig.seed)
 
     p_bounds = sub.add_parser("bounds")
     p_bounds.add_argument("--r", type=int, default=2)

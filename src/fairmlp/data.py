@@ -43,6 +43,12 @@ class SchemaConfig:
         names = self.numeric + self.categorical
         if len(set(names)) != len(names):
             raise SchemaError("feature column names must be unique")
+        # the sensitive column may be a feature, the label may not
+        if self.label in names:
+            raise SchemaError(f"label column {self.label!r} is also a feature")
+        if self.label == self.sensitive:
+            raise SchemaError(f"label column {self.label!r} is also the "
+                              "sensitive column")
 
     @property
     def used_columns(self) -> list[str]:
@@ -118,7 +124,8 @@ def load_csv(path, schema: SchemaConfig) -> RawTable:
     shared string per distinct value, however many rows repeat it."""
     names = list(dict.fromkeys(schema.used_columns))
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        # utf-8-sig drops the byte-order mark a spreadsheet may write
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = [cell.strip() for cell in next(reader)]

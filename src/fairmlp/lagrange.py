@@ -11,7 +11,6 @@ audit pass.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -223,15 +222,3 @@ def fit(dataset: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[LogRow]]:
             if abs(curr - prev) < cfg.convergence_tol:
                 break
     return state.params, log
-
-
-def write_training_log(path, log: list[LogRow]) -> None:
-    """CSV log: epoch, objective, constraint_value, lambda, wall_ms."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "objective", "constraint_value",
-                         "lambda", "wall_ms"])
-        for row in log:
-            writer.writerow([row.epoch, repr(row.objective),
-                             repr(row.constraint_value), repr(row.lam),
-                             f"{row.wall_ms:.3f}"])

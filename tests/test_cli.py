@@ -53,9 +53,11 @@ class TestTrain:
         cfg = run_config(tmp_path, biased_csv, biased_schema_json)
         assert main(["train", "--config", str(cfg)]) == 0
         out = tmp_path / "out"
-        for name in ("model.json", "training_log.csv", "report.json",
-                     "encoder.json", "test_split.csv"):
+        for name in ("model.json", "report.json", "encoder.json",
+                     "test_split.csv"):
             assert (out / name).exists(), name
+        # report.json is the only training record
+        assert list(out.glob("training_log*.csv")) == []
         report = json.loads((out / "report.json").read_text())
         assert report["format"] == "fairmlp-report/1"
         assert report["mode"] == "train"
@@ -88,6 +90,35 @@ class TestCrossval:
         accs = [f["accuracy"] for f in report["folds"]]
         assert abs(report["aggregate"]["mean"]["accuracy"]
                    - float(np.mean(accs))) <= 1e-12
+
+    def test_byte_order_mark_gives_the_plain_report(self, tmp_path,
+                                                    biased_csv,
+                                                    biased_schema_json,
+                                                    capsys):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + biased_csv.read_bytes())
+        reports = []
+        for path in (biased_csv, bom):
+            cfg = run_config(tmp_path, path, biased_schema_json, max_epochs=3)
+            assert main(["crossval", "--config", str(cfg)]) == 0
+            report = json.loads(strip_metadata(tmp_path / "out" / "report.json"))
+            assert report["config"].pop("data") == str(path)
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    def test_epoch_wall_times_only_in_metadata(self, tmp_path, biased_csv,
+                                               biased_schema_json, capsys):
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json, folds=3,
+                         max_epochs=4)
+        assert main(["crossval", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        assert list(out.glob("training_log*.csv")) == []
+        report = json.loads((out / "report.json").read_text())
+        walls = report["metadata"]["epoch_wall_ms"]
+        assert [len(w) for w in walls] == [len(t) for t in report["training"]]
+        assert len(walls) == 3
+        assert all(ms >= 0.0 for w in walls for ms in w)
+        assert all("wall_ms" not in row for t in report["training"] for row in t)
 
     def test_aggregate_covers_every_metric_field(self, tmp_path, biased_csv,
                                                  biased_schema_json, capsys):
@@ -478,21 +509,51 @@ class TestAuditCommand:
         err = capsys.readouterr().err
         assert err.startswith("numeric error: ") and err.count("\n") == 1, err
 
-    def test_wrong_dims_exits_three(self, tmp_path, biased_csv,
-                                    biased_schema_json, capsys):
-        cfg = run_config(tmp_path, biased_csv, biased_schema_json)
-        assert main(["train", "--config", str(cfg)]) == 0
-        out = tmp_path / "out"
-        # re-audit against a dataset whose encoding has a different width
+    def test_wrong_dims_exits_three(
+            self, trained, tmp_path, biased_schema_json, capsys, monkeypatch):
+        # an encoder that fits its own schema but not the checkpoint's width
         bad_schema = tmp_path / "bad_schema.json"
         bad_schema.write_text(json.dumps({
             "numeric": ["f1"], "categorical": [], "label": "outcome",
             "positive_label": "yes", "sensitive": "grp",
             "protected_value": "f", "missing_token": "?"}), encoding="utf-8")
-        code = main(["audit", "--model", str(out / "model.json"),
-                     "--data", str(out / "test_split.csv"),
-                     "--schema", str(bad_schema)])
+        schema = data.resolve_schema(str(bad_schema))
+        data.encode(data.load_csv(trained / "test_split.csv", schema),
+                    schema).encoder.to_json(tmp_path / "encoder.json")
+        loads = []
+        monkeypatch.setattr(data, "load_csv",
+                            lambda *args, **kw: loads.append(args))
+        capsys.readouterr()
+        code = main(["audit", "--model", str(trained / "model.json"),
+                     "--data", str(trained / "test_split.csv"),
+                     "--schema", str(bad_schema),
+                     "--encoder", str(tmp_path / "encoder.json")])
         assert code == 3
+        err = capsys.readouterr().err
+        assert err == ("error: checkpoint expects 5 features but the data "
+                       "encodes to 1\n"), err
+        assert loads == []
+
+    def test_missing_encoder_exits_two_before_ingest(
+            self, trained, biased_schema_json, capsys, monkeypatch):
+        loads = []
+        monkeypatch.setattr(data, "load_csv",
+                            lambda *args, **kw: loads.append(args))
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--model", str(trained / "model.json"),
+                  "--data", str(trained / "test_split.csv"),
+                  "--schema", str(biased_schema_json)])
+        assert exc.value.code == 2
+        assert "--encoder" in capsys.readouterr().err
+        assert loads == []
+
+    def test_defaults_are_the_run_config_defaults(self):
+        args = build_parser().parse_args(
+            ["audit", "--model", "m.json", "--data", "d.csv",
+             "--schema", "adult", "--encoder", "e.json"])
+        defaults = lagrange.TrainConfig()
+        assert args.batch_size == defaults.batch_size
+        assert args.seed == defaults.seed
 
     def test_constant_model_has_zero_dp(self, tmp_path, biased_csv,
                                         biased_schema_json, capsys):
@@ -519,12 +580,18 @@ class TestAuditCommand:
 class TestEmptyTable:
     @pytest.fixture(scope="class")
     def checkpoint(self, tmp_path_factory):
+        """A checkpoint and an encoder JSON of the biased schema's width,
+        5, so only the empty table can make audit exit 3."""
         from fairmlp.model import MlpParams, save_checkpoint
-        path = tmp_path_factory.mktemp("empty") / "model.json"
-        save_checkpoint(path, MlpParams(
-            w1=np.zeros((4, 2)), b1=np.zeros(2), w2=np.zeros((2, 2)),
+        folder = tmp_path_factory.mktemp("empty")
+        data.Encoder(numeric_stats={"f1": (0.0, 1.0), "f2": (0.0, 1.0)},
+                     vocabulary={"shade": ["blue", "green", "red"]},
+                     feature_names=["f1", "f2", "shade=blue", "shade=green",
+                                    "shade=red"]).to_json(folder / "encoder.json")
+        save_checkpoint(folder / "model.json", MlpParams(
+            w1=np.zeros((5, 2)), b1=np.zeros(2), w2=np.zeros((2, 2)),
             b2=np.zeros(2), w_out=np.zeros((2, 2)), b_out=np.zeros(2)), seed=0)
-        return path
+        return folder / "model.json"
 
     @pytest.mark.parametrize("command", ["train", "crossval", "sweep", "audit"])
     @pytest.mark.parametrize("rows", [
@@ -536,7 +603,8 @@ class TestEmptyTable:
         write_csv(csv_path, ["f1", "f2", "shade", "grp", "outcome"], rows)
         if command == "audit":
             argv = ["audit", "--model", str(checkpoint), "--data",
-                    str(csv_path), "--schema", str(biased_schema_json)]
+                    str(csv_path), "--schema", str(biased_schema_json),
+                    "--encoder", str(checkpoint.parent / "encoder.json")]
         else:
             cfg = run_config(tmp_path, csv_path, biased_schema_json,
                              sweep=[0.05])
@@ -611,7 +679,7 @@ class TestNonFiniteCell:
         return tmp_path / "out"
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("command", ["crossval", "audit", "audit-encoder"])
+    @pytest.mark.parametrize("command", ["crossval", "audit-encoder"])
     def test_exits_three_naming_the_column(self, tmp_path, biased_csv,
                                            biased_schema_json, trained,
                                            command, cell, capsys):
@@ -625,9 +693,8 @@ class TestNonFiniteCell:
                     str(run_config(tmp_path, csv_path, biased_schema_json))]
         else:
             argv = ["audit", "--model", str(trained / "model.json"),
-                    "--data", str(csv_path), "--schema", str(biased_schema_json)]
-            if command == "audit-encoder":
-                argv += ["--encoder", str(trained / "encoder.json")]
+                    "--data", str(csv_path), "--schema", str(biased_schema_json),
+                    "--encoder", str(trained / "encoder.json")]
         capsys.readouterr()
         assert main(argv) == 3
         err = capsys.readouterr().err
@@ -819,6 +886,24 @@ class TestBadHyperparameters:
         assert main([command, "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: label must be ") and err.count("\n") == 1, err
+        assert loads == []
+
+    @pytest.mark.parametrize("change,named", [
+        ({"categorical": ["shade", "outcome"]}, "'outcome' is also a feature"),
+        ({"sensitive": "outcome"}, "'outcome' is also the sensitive column")],
+        ids=["label_as_feature", "label_as_sensitive"])
+    @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
+    def test_label_column_reused_exits_three_before_ingest(
+            self, tmp_path, biased_csv, biased_schema_json, loads, command,
+            change, named, capsys):
+        schema = {**json.loads(biased_schema_json.read_text()), **change}
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(schema))
+        cfg = run_config(tmp_path, biased_csv, path, sweep=[0.05])
+        assert main([command, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: label column ") and named in err, err
+        assert err.count("\n") == 1, err
         assert loads == []
 
     @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])

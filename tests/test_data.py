@@ -73,6 +73,19 @@ class TestLoadCsv:
         assert len(table) == 0
         assert table.columns == {name: [] for name in SCHEMA.used_columns}
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = small_csv(tmp_path, [["1", "a", "m", "yes"], ["2", "b", "f", "no"]])
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_csv(bom, SCHEMA) == load_csv(path, SCHEMA)
+
+    def test_non_utf8_after_byte_order_mark_is_data_error(self, tmp_path):
+        path = small_csv(tmp_path, [["1", "a", "m", "yes"]])
+        path.write_bytes(b"\xef\xbb\xbf"
+                         + path.read_bytes().replace(b",a,", b",\xff,"))
+        with pytest.raises(DataError, match="is not UTF-8 text"):
+            load_csv(path, SCHEMA)
+
     def test_take_then_to_csv_round_trips(self, tmp_path):
         path = small_csv(tmp_path, [["1", "a", "m", "yes"], ["2", "b", "f", "no"],
                                     ["3", "c", "f", "yes"]])
@@ -578,6 +591,22 @@ class TestSchema:
         with pytest.raises(SchemaError):
             SchemaConfig(numeric=["x"], categorical=["x"], label="l",
                          positive_label="1", sensitive="s", protected_value="1")
+
+    @pytest.mark.parametrize("features", [
+        {"numeric": ["amount", "outcome"]},
+        {"categorical": ["kind", "outcome"]}], ids=["numeric", "categorical"])
+    def test_label_among_features_rejected(self, features):
+        with pytest.raises(SchemaError, match="'outcome' is also a feature"):
+            dataclasses.replace(SCHEMA, **features)
+
+    def test_label_as_sensitive_rejected(self):
+        with pytest.raises(SchemaError,
+                           match="'outcome' is also the sensitive column"):
+            dataclasses.replace(SCHEMA, sensitive="outcome")
+
+    def test_sensitive_among_features_allowed(self):
+        schema = dataclasses.replace(SCHEMA, categorical=["kind", "grp"])
+        assert schema.used_columns.count("grp") == 2
 
     @pytest.mark.parametrize("key,value", [
         ("numeric", "amount"), ("categorical", "kind"), ("numeric", [1]),

@@ -8,8 +8,7 @@ import gradcheck
 from fairmlp.data import (UNSEEN, SchemaConfig, encode, epoch_batches,
                           load_csv)
 from fairmlp.errors import DataError, ParameterError
-from fairmlp.lagrange import (LogRow, TrainConfig, fit, init_state,
-                              train_step, write_training_log)
+from fairmlp.lagrange import TrainConfig, fit, init_state, train_step
 from fairmlp.model import MlpParams, backward, forward, predict_hard
 from fairmlp.numcore import AdamState, Rng, adam_step
 from fairmlp import fairloss
@@ -267,18 +266,3 @@ class TestCompositeGradient:
             err = gradcheck.max_rel_error(kind, objective, seed)
             assert err <= 1e-4, (kind, objective, seed, err)
 
-
-class TestTrainingLogCsv:
-    def test_roundtrip_columns(self, tmp_path):
-        log = [LogRow(epoch=0, objective=0.5, constraint_value=0.1,
-                      lam=0.0, wall_ms=12.0),
-               LogRow(epoch=1, objective=0.4, constraint_value=0.05,
-                      lam=0.2, wall_ms=11.0)]
-        path = tmp_path / "log.csv"
-        write_training_log(path, log)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,objective,constraint_value,lambda,wall_ms"
-        assert len(lines) == 3
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[1]) == 0.5
