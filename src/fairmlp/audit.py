@@ -2,12 +2,15 @@
 bounds, and the disparate-impact non-coverability counterexample.
 
 Soft fairness gaps are averaged over stratified batches of the
-evaluation set (the multi-batch empirical form); hard metrics come from
-0.5-thresholded predictions over the whole set, which is densified and
-forwarded in near-equal row blocks through one reused input buffer, so
-that only one block's dense rows and hidden activations are alive at a
-time. The bound calculator works in log space: raw covering numbers
-overflow for any realistic parameter count.
+evaluation set (the multi-batch empirical form). They come from one
+stacked pass: the batches form a (B, S) index matrix, and each batch's
+gaps are row sums over it, taken a bounded number of batches at a time;
+the whole set's probabilities and labels are validated once. Hard
+metrics come from 0.5-thresholded predictions over the whole set, which
+is densified and forwarded in near-equal row blocks through one reused
+input buffer, so that only one block's dense rows and hidden
+activations are alive at a time. The bound calculator works in log
+space: raw covering numbers overflow for any realistic parameter count.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ RATE_FLOOR = 1e-7
 # calls of at most 10^6 / (2 * h2) rows (10,000 at h2 = 50), so for
 # h2 >= 31 every block gives p bit for bit as one whole-set call does.
 EVAL_ROWS = 32768
+# Most gathered cells the soft-metric pass holds at once: the (B, S)
+# batch index matrix is taken in chunks of whole batches, so the pass
+# allocates no float array as large as the evaluation set.
+GATHER_CELLS = 65536
 
 
 @dataclass
@@ -59,6 +66,26 @@ def _conditional_rate(pred: np.ndarray, cond: np.ndarray) -> float:
     return float(pred[cond].sum() / n)
 
 
+def _soft_terms(whole: Batch, idx: np.ndarray) -> np.ndarray:
+    """Rows dp, fpr, fnr and q-mean of the batches ``whole`` takes
+    through the (k, S) index matrix ``idx``, one column per batch. Each
+    value is bit for bit the fairloss term on a ``Batch`` of that batch's
+    rows: the same products, each row summed along axis 1 (the pairwise
+    sum one batch's ``.sum()`` takes), and the same divisions."""
+    p, a, y = whole.p[idx], whole.a[idx], whole.y[idx]
+    not_a, not_y, miss = 1.0 - a, 1.0 - y, 1.0 - p
+    n1, n0 = a.sum(axis=1), not_a.sum(axis=1)
+
+    def gap(values):  # _Split.means over the groups, then |m1 - m0|
+        return np.abs((values * a).sum(axis=1) / n1
+                      - (values * not_a).sum(axis=1) / n0)
+
+    u = 1.0 - (y * p).sum(axis=1) / y.sum(axis=1)
+    v = 1.0 - (not_y * miss).sum(axis=1) / not_y.sum(axis=1)
+    return np.stack([gap(p), gap(p * not_y), gap(miss * y),
+                     np.sqrt(u * u + v * v)])
+
+
 def evaluate(params: MlpParams, dataset: Dataset, S: int,
              seed: int = 0) -> MetricsReport:
     """Full metrics report; deterministic given (params, dataset, S, seed).
@@ -81,14 +108,13 @@ def evaluate(params: MlpParams, dataset: Dataset, S: int,
 
     s_eff = min(S, dataset.n)
     batches = epoch_batches(a, y, s_eff, Rng(seed), need_classes=True)
-    dp_vals, eo_sum_vals, eo_max_vals, q_vals = [], [], [], []
-    for idx in batches:
-        b = Batch(p[idx], a[idx], y[idx])
-        fpr, fnr = fairloss.fpr_gap(b), fairloss.fnr_gap(b)
-        dp_vals.append(fairloss.const_dp(b))
-        eo_sum_vals.append(fpr + fnr)
-        eo_max_vals.append(max(fpr, fnr))
-        q_vals.append(fairloss.q_mean(b))
+    # every row lands in some audit batch, so validating the whole set
+    # checks every batch's rows
+    whole = Batch(p, a, y)
+    per = max(1, GATHER_CELLS // s_eff)
+    dp, fpr, fnr, q = np.concatenate(
+        [_soft_terms(whole, np.stack(batches[i:i + per]))
+         for i in range(0, len(batches), per)], axis=1)
 
     g1, g0 = a == 1, a == 0
     rate1, rate0 = _conditional_rate(yhat, g1), _conditional_rate(yhat, g0)
@@ -102,15 +128,15 @@ def evaluate(params: MlpParams, dataset: Dataset, S: int,
 
     return MetricsReport(
         accuracy=float((yhat == y).mean()),
-        dp_soft=float(np.mean(dp_vals)),
+        dp_soft=float(np.mean(dp)),
         dp_hard=abs(rate1 - rate0),
         fpr_by_group=fpr_by_group,
         fnr_by_group=fnr_by_group,
-        eo_sum_soft=float(np.mean(eo_sum_vals)),
-        eo_max_soft=float(np.mean(eo_max_vals)),
+        eo_sum_soft=float(np.mean(fpr + fnr)),
+        eo_max_soft=float(np.mean(np.maximum(fpr, fnr))),
         di_ratio=float(di_ratio),
         p_percent=float(100.0 * di_ratio),
-        q_mean=float(np.mean(q_vals)),
+        q_mean=float(np.mean(q)),
         n=dataset.n,
         n_group1=int(g1.sum()),
         n_group0=int(g0.sum()),

@@ -121,7 +121,9 @@ class RawTable:
 def load_csv(path, schema: SchemaConfig) -> RawTable:
     """Read a header CSV, keeping schema columns and dropping any row that
     has the missing-value token in a used column. Each column holds one
-    shared string per distinct value, however many rows repeat it."""
+    shared string per distinct value, however many rows repeat it. A used
+    column the header repeats, or a non-blank row whose cell count is not
+    the header's, is an error."""
     names = list(dict.fromkeys(schema.used_columns))
     try:
         # utf-8-sig drops the byte-order mark a spreadsheet may write
@@ -134,17 +136,20 @@ def load_csv(path, schema: SchemaConfig) -> RawTable:
             missing = [c for c in schema.used_columns if c not in header]
             if missing:
                 raise SchemaError(f"{path} lacks required columns: {missing}")
-            idx = [header.index(c) for c in names]
+            repeated = [c for c in names if header.count(c) > 1]
+            if repeated:
+                raise SchemaError(f"{path} repeats columns in its header: "
+                                  f"{repeated}")
+            idx, width = [header.index(c) for c in names], len(header)
             columns, n_dropped = [[] for _ in names], 0
             distinct = [{} for _ in names]
             for raw in reader:
                 if not raw or all(not cell.strip() for cell in raw):
                     continue
-                try:
-                    cells = [raw[j].strip() for j in idx]
-                except IndexError:
+                if len(raw) != width:
                     raise DataError(f"{path} line {reader.line_num} has {len(raw)} "
-                                    f"cells, the header has {len(header)}")
+                                    f"cells, the header has {width}")
+                cells = [raw[j].strip() for j in idx]
                 if schema.missing_token in cells:
                     n_dropped += 1
                     continue

@@ -1,7 +1,8 @@
 """Naive per-element loop implementations of every batch quantity, the
-separate value and gradient functions of each fairness term, the loop
-versions of the ingest, splits and batching, and the network passes
-that kept the ReLU pre-activations, all of which the package replaced.
+separate value and gradient functions of each fairness term, the
+audit's per-batch loop over its soft metrics, the loop versions of the
+ingest, splits and batching, and the network passes that kept the ReLU
+pre-activations, all of which the package replaced.
 
 These are intentionally written with plain Python loops and no shared
 code with the package beyond its containers and errors: they are the
@@ -16,7 +17,8 @@ import numpy as np
 from fairmlp.data import Dataset, Encoder, SchemaConfig
 from fairmlp.errors import (DataError, DegenerateBatchError, ParameterError,
                             SchemaError, ShapeError)
-from fairmlp.fairloss import Batch, MultiGroupBatch, _Split
+from fairmlp.fairloss import (Batch, MultiGroupBatch, _Split, const_dp,
+                              const_eo, q_mean)
 from fairmlp.model import MlpParams
 from fairmlp.numcore import Rng
 
@@ -305,6 +307,21 @@ TWIN_TERMS = {
     "ce": (lambda b: twin_cross_entropy(b.p, b.y), twin_grad_ce),
     "qmean": (lambda b: twin_q_mean(b), twin_grad_qmean),
 }
+
+
+# The per-batch loop that audit.evaluate's stacked pass replaced: one
+# Batch per audit batch, each soft metric read through the public term
+# functions and averaged over the batches.
+def loop_soft_metrics(p, a, y, batches) -> tuple[float, float, float, float]:
+    """(dp_soft, eo_sum_soft, eo_max_soft, q_mean) over ``batches``."""
+    dp, eo_sum, eo_max, q = [], [], [], []
+    for idx in batches:
+        b = Batch(p[idx], a[idx], y[idx])
+        dp.append(const_dp(b))
+        eo_sum.append(const_eo(b, "sum"))
+        eo_max.append(const_eo(b, "max"))
+        q.append(q_mean(b))
+    return tuple(float(np.mean(v)) for v in (dp, eo_sum, eo_max, q))
 
 
 # The set-based batching that data.epoch_batches replaced, kept verbatim

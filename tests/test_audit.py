@@ -4,12 +4,13 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 import oracles
 from fairmlp import audit, fairloss
 from fairmlp.audit import (BoundInputs, bound_sweep, covering_number,
                            di_counterexample, evaluate, full_bound, omega)
-from fairmlp.data import UNSEEN, Dataset, Encoder
+from fairmlp.data import UNSEEN, Dataset, Encoder, epoch_batches
 from fairmlp.errors import DataError, ParameterError
 from fairmlp.lagrange import TrainConfig, fit
 from fairmlp.model import MlpParams, forward, init_params
@@ -33,6 +34,30 @@ def dataset_with_probs(p_target, a, y) -> Dataset:
     p_target = np.asarray(p_target, dtype=np.float64)
     x = np.log(p_target / (1.0 - p_target))
     return numeric_dataset(x.reshape(-1, 1), a, y)
+
+
+def soft_metrics(report) -> tuple[float, float, float, float]:
+    return (report.dp_soft, report.eo_sum_soft, report.eo_max_soft,
+            report.q_mean)
+
+
+@st.composite
+def audit_sets(draw):
+    """(p, a, y, S) with S a divisor of n, a non-divisor (the final batch
+    is topped up by resampling) or at least n (clamped to one batch).
+    The first four rows hold every (a, y) pair, which the hard rates
+    need."""
+    n = draw(st.integers(8, 60))
+    prob = st.floats(1e-3, 1.0 - 1e-3)
+    cells = [(draw(prob), ai, yi) for ai in (0, 1) for yi in (0, 1)]
+    rows = st.tuples(prob, st.integers(0, 1), st.integers(0, 1))
+    p, a, y = map(np.array, zip(*cells, *draw(st.lists(
+        rows, min_size=n - 4, max_size=n - 4))))
+    S = draw(st.one_of(
+        st.sampled_from([s for s in range(4, n + 1) if n % s == 0]),
+        st.integers(4, n - 1).filter(lambda s: n % s),
+        st.integers(n, 2 * n)))
+    return p, a, y, S
 
 
 class TestEvaluate:
@@ -101,19 +126,27 @@ class TestEvaluate:
         params = sigmoid_network()
         p = forward(params, ds.num).p
         report = evaluate(params, ds, S=20, seed=3)
-        from fairmlp.data import epoch_batches
         batches = epoch_batches(ds.a, ds.y, 20, Rng(3), need_classes=True)
         expect = np.mean([oracles.loop_dp(p[idx].tolist(), ds.a[idx].tolist())
                           for idx in batches])
         assert abs(report.dp_soft - expect) <= 1e-12
-        # each soft metric is exactly the mean of its per-batch term
-        fbs = [fairloss.Batch(p[idx], ds.a[idx], ds.y[idx]) for idx in batches]
-        for got, term in [
-                (report.dp_soft, fairloss.const_dp),
-                (report.eo_sum_soft, lambda b: fairloss.const_eo(b, "sum")),
-                (report.eo_max_soft, lambda b: fairloss.const_eo(b, "max")),
-                (report.q_mean, fairloss.q_mean)]:
-            assert got == float(np.mean([term(b) for b in fbs]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(audit_sets(), st.integers(0, 2 ** 32 - 1))
+    def test_stacked_pass_equals_per_batch_loop(self, case, seed):
+        # each soft metric is bit for bit the mean of its per-batch term
+        probs, a, y, S = case
+        ds = dataset_with_probs(probs, a, y)
+        try:
+            batches = epoch_batches(ds.a, ds.y, min(S, ds.n), Rng(seed),
+                                    need_classes=True)
+        except DataError:  # a group or class too small to stratify
+            reject()
+        params = sigmoid_network()
+        report = evaluate(params, ds, S=S, seed=seed)
+        p = forward(params, ds.num).p
+        assert soft_metrics(report) == oracles.loop_soft_metrics(
+            p, ds.a, ds.y, batches)
 
     def test_missing_group_rejected(self):
         ds = dataset_with_probs([0.6, 0.4], [1, 1], [1, 0])
@@ -159,6 +192,24 @@ class TestBlockedEvaluate:
         whole = evaluate(params, ds, S=500, seed=2)
         assert rows[3:] == [ds.n]
         assert asdict(blocked) == asdict(whole)
+
+    @pytest.mark.parametrize("S", [500, 64])
+    def test_soft_metrics_equal_per_batch_loop(self, case, monkeypatch, S):
+        # 132 batches of 500 or 1,025 of 64: each spans two gather chunks
+        params, ds = case
+        blocks = []
+
+        def kept(params, x, out=None):
+            trace = forward(params, x, out)
+            blocks.append(trace.p.copy())
+            return trace
+
+        monkeypatch.setattr(audit, "forward", kept)
+        report = evaluate(params, ds, S=S, seed=2)
+        batches = epoch_batches(ds.a, ds.y, S, Rng(2), need_classes=True)
+        assert len(batches) > audit.GATHER_CELLS // S
+        assert soft_metrics(report) == oracles.loop_soft_metrics(
+            np.concatenate(blocks), ds.a, ds.y, batches)
 
     def test_peak_memory_well_below_whole_set_activations(self, case):
         params, ds = case

@@ -261,6 +261,21 @@ class TestAuditCommand:
         return {"--data": out / "bad.csv"}
 
     @classmethod
+    def _row_with_extra_cells(cls, out):
+        rows = cls._test_split_rows(out)
+        rows[3].append("EXTRA")
+        write_csv(out / "bad.csv", rows[0], rows[1:])
+        return {"--data": out / "bad.csv"}
+
+    @classmethod
+    def _repeated_header_column(cls, out):
+        rows = cls._test_split_rows(out)
+        for row in rows:
+            row.append(row[rows[0].index("shade")])
+        write_csv(out / "bad.csv", rows[0], rows[1:])
+        return {"--data": out / "bad.csv"}
+
+    @classmethod
     def _non_numeric_cell(cls, out):
         rows = cls._test_split_rows(out)
         rows[3][rows[0].index("f1")] = "abc"
@@ -375,7 +390,8 @@ class TestAuditCommand:
         return {"--encoder": out / "bad.json"}
 
     @pytest.mark.parametrize("corrupt", [
-        "_ragged_csv", "_non_numeric_cell", "_oversized_cell",
+        "_ragged_csv", "_row_with_extra_cells", "_repeated_header_column",
+        "_non_numeric_cell", "_oversized_cell",
         "_undecodable_csv",
         "_checkpoint_without_layer",
         "_checkpoint_short_bias", "_checkpoint_inferred_dim",

@@ -68,6 +68,29 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"small\.csv line 3: field larger"):
             load_csv(small_csv(tmp_path, rows), SCHEMA)
 
+    def test_repeated_used_column_is_schema_error_before_any_row(self, tmp_path):
+        # the short row would be a DataError if any row were read
+        path = small_csv(tmp_path, [["1", "a"]],
+                         header=("amount", "kind", "grp", "outcome", "kind"))
+        with pytest.raises(SchemaError,
+                           match=r"repeats columns in its header: \['kind'\]"):
+            load_csv(path, SCHEMA)
+
+    def test_repeated_unused_column_loads(self, tmp_path):
+        path = small_csv(tmp_path, [["1", "a", "m", "yes", "x", "y"]],
+                         header=("amount", "kind", "grp", "outcome", "note",
+                                 "note"))
+        assert load_csv(path, SCHEMA).columns["kind"] == ["a"]
+
+    @pytest.mark.parametrize("row", [["2", "b", "f", "no", "EXTRA"],
+                                     ["2", "b", "f"]])
+    def test_row_cell_count_other_than_header_is_data_error(self, tmp_path,
+                                                            row):
+        path = small_csv(tmp_path, [["1", "a", "m", "yes"], row])
+        with pytest.raises(DataError, match=rf"small\.csv line 3 has {len(row)} "
+                                            "cells, the header has 4$"):
+            load_csv(path, SCHEMA)
+
     def test_header_only_gives_empty_columns(self, tmp_path):
         table = load_csv(small_csv(tmp_path, []), SCHEMA)
         assert len(table) == 0
