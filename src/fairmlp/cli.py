@@ -5,8 +5,8 @@ Run configuration lives in a JSON file; command-line flags override
 individual keys. All outputs are deterministic given the seed, with
 wall-clock data confined to a separate metadata field.
 
-Exit codes: 0 success, 2 config/parameter/io, 3 schema/data,
-4 numeric failure.
+Exit codes: 0 success, 2 config/parameter/io or out of memory,
+3 schema/data, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -230,15 +230,16 @@ def cmd_audit(args) -> int:
     return 0
 
 
-def _finite_numbers(flag: str, text: str) -> list[float]:
+def _whole_numbers(flag: str, text: str) -> list[int]:
+    """The ','-separated whole numbers in ``text``; '1e3' is 1000."""
     try:
         values = [float(v) for v in text.split(",")]
     except ValueError:
         values = [math.nan]
-    if not all(math.isfinite(v) for v in values):
+    if not all(v.is_integer() for v in values):  # NaN and inf fail too
         raise ParameterError(
-            f"{flag} must be ','-separated finite numbers, got {text!r}")
-    return values
+            f"{flag} must be ','-separated whole numbers, got {text!r}")
+    return [int(v) for v in values]
 
 
 def cmd_bounds(args) -> int:
@@ -248,7 +249,7 @@ def cmd_bounds(args) -> int:
     inputs = audit.BoundInputs(R=args.r, D=args.d, W=args.w, L=args.l,
                                S=args.s, B=1, delta=args.delta, C=args.c,
                                radius_divisor=args.radius_divisor)
-    b_values = [int(v) for v in _finite_numbers("--b-values", args.b_values)]
+    b_values = _whole_numbers("--b-values", args.b_values)
     rows = audit.bound_sweep(inputs, b_values,
                              empirical_mean=args.empirical_mean)
     with (contextlib.nullcontext(sys.stdout) if args.out is None
@@ -348,6 +349,9 @@ def main(argv=None) -> int:
     except (ParameterError, OSError, json.JSONDecodeError,
             UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a network too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (SchemaError, DataError, DegenerateBatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

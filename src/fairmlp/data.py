@@ -363,7 +363,8 @@ def _shuffled_cells(a: np.ndarray, y: np.ndarray, seed: int):
     rng = Rng(seed)
     for ga in (0, 1):
         for gy in (0, 1):
-            yield (ga, gy), rng.shuffled(np.flatnonzero((a == ga) & (y == gy)))
+            yield (ga, gy), rng.permutation(
+                np.flatnonzero((a == ga) & (y == gy)))
 
 
 def kfold(dataset: Dataset, k: int, seed: int) -> list[np.ndarray]:
@@ -403,7 +404,8 @@ def holdout_split(a: np.ndarray, y: np.ndarray, test_fraction: float,
     return np.flatnonzero(~test), np.flatnonzero(test)
 
 
-def epoch_batches(a: np.ndarray, y: np.ndarray, size: int, rng: Rng,
+def epoch_batches(a: np.ndarray, y: np.ndarray, size: int,
+                  rng: np.random.Generator,
                   need_classes: bool = False) -> list[np.ndarray]:
     """One epoch of exactly-``size`` index batches covering all rows.
 
@@ -441,7 +443,7 @@ def epoch_batches(a: np.ndarray, y: np.ndarray, size: int, rng: Rng,
     used = np.zeros(n, dtype=bool)
     in_cell = np.zeros(n, dtype=bool)
     for k, cell in enumerate(required):
-        order = rng.shuffled(cell)
+        order = rng.permutation(cell)
         in_cell[:] = False
         in_cell[cell] = True
         placed = seeds[:, :k]
@@ -459,7 +461,7 @@ def epoch_batches(a: np.ndarray, y: np.ndarray, size: int, rng: Rng,
         used[rows] = True
 
     # each full batch is its seeds in cell order, then the shuffled pool
-    pool = rng.shuffled(np.where(~used)[0])
+    pool = rng.permutation(np.where(~used)[0])
     full = np.empty((n_seeded, size), dtype=np.int64)
     seeded = seeds >= 0
     n_seeds = seeded.sum(axis=1)
@@ -477,17 +479,17 @@ def epoch_batches(a: np.ndarray, y: np.ndarray, size: int, rng: Rng,
         for cell in required:
             if not in_final[cell].any():
                 # no row of the cell is in the final batch yet
-                fill = int(rng.shuffled(cell)[0])
+                fill = int(rng.permutation(cell)[0])
                 final.append(fill)
                 in_final[fill] = True
         short = size - len(final)
         if short < 0:
             raise DataError("dataset too small to stratify the final batch")
         if short > 0:
-            # every row not in the final batch sits in an earlier one
+            # every row not in the final batch sits in an earlier one; the
+            # final batch's rows are distinct and n >= size, so at least
+            # ``short`` rows are left to draw from
             candidates = np.flatnonzero(~in_final)
-            if candidates.size < short:
-                raise DataError("dataset too small to fill the final batch")
             final.extend(int(r) for r in rng.choice(candidates, size=short,
                                                     replace=False))
         batches.append(np.asarray(final, dtype=np.int64))

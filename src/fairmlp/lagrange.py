@@ -165,15 +165,15 @@ def train_step(state: TrainState, x: np.ndarray, a: np.ndarray,
     c_val, dc_dp = fairloss.CONSTRAINTS[cfg.constraint].value_and_grad(fb)
     l_k = c_val - cfg.slack
 
-    dL_dp = dobj_dp if cfg.lambda_zero else dobj_dp + state.lam * dc_dp
+    dL_dp = dobj_dp + state.lam * dc_dp
     backward(state.params, trace, dL_dp, out=state.back)  # into state.grad
 
-    # ascent on l_k == descent on -l_k; with a zero slot Adam leaves
-    # lambda exactly where it is (m = v = 0 gives a step of 0)
+    # ascent on l_k == descent on -l_k; a --lambda-zero run keeps a zero
+    # slot, so Adam leaves lambda at exactly 0.0 (m = v = 0 gives a step
+    # of 0) and the projection keeps it there
     state.grad[-1] = 0.0 if cfg.lambda_zero else -l_k
     adam_step(state.adam, state.vec, state.grad, state.lr)
-    if not cfg.lambda_zero:
-        state.vec[-1] = max(state.lam, 0.0)
+    state.vec[-1] = max(state.lam, 0.0)
 
     return StepInfo(objective=obj_val, constraint=c_val,
                     total=float(obj_val + state.lam * l_k))

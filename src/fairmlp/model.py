@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ParameterError, SchemaError, ShapeError, has_type
 from .fairloss import PROB_CLAMP
-from .numcore import Rng
 
 CHECKPOINT_FORMAT = "fairmlp-checkpoint/1"
 
@@ -78,7 +77,8 @@ def he_std(fan_in: int) -> float:
     return math.sqrt(2.0 / fan_in)
 
 
-def init_params(d: int, h1: int, h2: int, rng: Rng) -> MlpParams:
+def init_params(d: int, h1: int, h2: int,
+                rng: np.random.Generator) -> MlpParams:
     """He-initialized weights, zero biases; the weights are drawn in layer
     order."""
     if d < 1 or h1 < 1 or h2 < 1:

@@ -14,32 +14,15 @@ import numpy as np
 from .errors import NumericError, ParameterError, ShapeError
 
 
-class Rng:
-    """Seeded random source; identical seeds give identical streams."""
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {seed}")
-        self.gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def normal(self, mean: float, std: float, n: int) -> np.ndarray:
-        if std < 0:
-            raise ParameterError(f"std must be >= 0, got {std}")
-        if n < 0:
-            raise ParameterError(f"n must be >= 0, got {n}")
-        if std == 0:
-            return np.full(n, float(mean))
-        return self.gen.normal(mean, std, size=n)
-
-    def shuffled(self, values) -> np.ndarray:
-        """A permuted copy of ``values``."""
-        arr = np.asarray(values).copy()
-        self.gen.shuffle(arr)
-        return arr
-
-    def choice(self, values, size: int, replace: bool = False) -> np.ndarray:
-        return self.gen.choice(np.asarray(values), size=size, replace=replace)
+def Rng(seed: int) -> np.random.Generator:
+    """numpy's Generator on a seeded PCG64 stream; identical seeds give
+    identical streams. A function, not a subclass, because numpy 2 loads
+    numpy.random (~6 MB resident) on first use: `bounds` never loads it,
+    and the audit loads it only after the forward pass where its memory
+    peaks."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 # Adam's moment decay rates and the denominator's epsilon

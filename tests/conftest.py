@@ -7,7 +7,6 @@ import pytest
 
 from fairmlp.data import Dataset, Encoder
 from fairmlp.fairloss import Batch, MultiGroupBatch
-from fairmlp.numcore import Rng
 
 ADULT_ENV = "FAIRMLP_ADULT_CSV"
 
@@ -23,17 +22,17 @@ def adult_csv_path():
     return None
 
 
-def random_batch(rng: Rng, s_min=4, s_max=32, p_lo=0.05, p_hi=0.95,
-                 need_classes=True) -> Batch:
+def random_batch(rng: np.random.Generator, s_min=4, s_max=32, p_lo=0.05,
+                 p_hi=0.95, need_classes=True) -> Batch:
     """Random batch guaranteed to contain both groups (and classes)."""
-    size = int(rng.gen.integers(s_min, s_max + 1))
-    p = rng.gen.uniform(p_lo, p_hi, size)
+    size = int(rng.integers(s_min, s_max + 1))
+    p = rng.uniform(p_lo, p_hi, size)
     while True:
-        a = rng.gen.integers(0, 2, size)
+        a = rng.integers(0, 2, size)
         if 0 < a.sum() < size:
             break
     while True:
-        y = rng.gen.integers(0, 2, size)
+        y = rng.integers(0, 2, size)
         if not need_classes or 0 < y.sum() < size:
             break
     return Batch(p, a, y)

@@ -51,13 +51,13 @@ def make_instance(seed, s_min=4, s_max=32, d=3, h1=4, h2=3):
     """(params, x, a, y, lam) with all kink arguments clear of zero."""
     for attempt in range(200):
         rng = Rng(seed * 1000 + attempt)
-        size = int(rng.gen.integers(s_min, s_max + 1))
+        size = int(rng.integers(s_min, s_max + 1))
         params = init_params(d, h1, h2, rng)
         params.b1 += 0.05
         params.b2 += 0.05
-        x = rng.gen.normal(0.0, 1.0, size=(size, d))
-        a = rng.gen.integers(0, 2, size)
-        y = rng.gen.integers(0, 2, size)
+        x = rng.normal(0.0, 1.0, size=(size, d))
+        a = rng.integers(0, 2, size)
+        y = rng.integers(0, 2, size)
         if not (0 < a.sum() < size and 0 < y.sum() < size):
             continue
         z1 = x @ params.w1 + params.b1
@@ -69,7 +69,7 @@ def make_instance(seed, s_min=4, s_max=32, d=3, h1=4, h2=3):
             continue
         if min(_kink_margins(trace.p, a, y)) < 1e-5:
             continue
-        lam = float(rng.gen.uniform(0.2, 1.5))
+        lam = float(rng.uniform(0.2, 1.5))
         return params, x, a, y, lam
     raise RuntimeError("could not draw a kink-free instance")
 

@@ -324,11 +324,14 @@ def loop_soft_metrics(p, a, y, batches) -> tuple[float, float, float, float]:
     return tuple(float(np.mean(v)) for v in (dp, eo_sum, eo_max, q))
 
 
-# The set-based batching that data.epoch_batches replaced, kept verbatim
-# but for its name: the vectorised version must return the same batches,
-# make the same random draws and raise the same errors.
-def loop_epoch_batches(a: np.ndarray, y: np.ndarray, size: int, rng: Rng,
-                  need_classes: bool = False) -> list[np.ndarray]:
+# The set-based batching that data.epoch_batches replaced, kept as it
+# was but for its name and numpy's ``permutation`` in place of the old
+# shuffled copies, which drew the same way: the vectorised version must
+# return the same batches, make the same random draws and raise the same
+# errors.
+def loop_epoch_batches(a: np.ndarray, y: np.ndarray, size: int,
+                       rng: np.random.Generator,
+                       need_classes: bool = False) -> list[np.ndarray]:
     """One epoch of exactly-``size`` index batches covering all rows.
 
     Every batch is guaranteed to intersect each required cell: both
@@ -365,7 +368,7 @@ def loop_epoch_batches(a: np.ndarray, y: np.ndarray, size: int, rng: Rng,
     # already intersect (cells overlap, so a row can cover several)
     for cell in required:
         cell_set = {int(r) for r in cell}
-        order = (int(r) for r in rng.shuffled(cell))
+        order = (int(r) for r in rng.permutation(cell))
         for b in range(n_seeded):
             if batch_sets[b] & cell_set:
                 continue
@@ -380,7 +383,7 @@ def loop_epoch_batches(a: np.ndarray, y: np.ndarray, size: int, rng: Rng,
                 raise DataError(
                     f"batch size {size} cannot hold the required cells")
 
-    pool = rng.shuffled(np.where(~used)[0])
+    pool = rng.permutation(np.where(~used)[0])
     at = 0
     for b in range(n_seeded):
         take = size - len(batches[b])
@@ -393,7 +396,7 @@ def loop_epoch_batches(a: np.ndarray, y: np.ndarray, size: int, rng: Rng,
         in_final = set(final)
         for cell in required:
             if not any(int(r) in in_final for r in cell):
-                fill = next(int(r) for r in rng.shuffled(cell)
+                fill = next(int(r) for r in rng.permutation(cell)
                             if int(r) not in in_final)
                 final.append(fill)
                 in_final.add(fill)
@@ -532,7 +535,7 @@ def loop_kfold(dataset: Dataset, k: int, seed: int) -> list[np.ndarray]:
     rng = Rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
     for cell in sorted(cells):
-        order = rng.shuffled(cells[cell])
+        order = rng.permutation(cells[cell])
         for pos, row in enumerate(order):
             folds[pos % k].append(int(row))
     return [np.asarray(sorted(f), dtype=np.int64) for f in folds]
@@ -557,7 +560,7 @@ def loop_holdout_split(a: np.ndarray, y: np.ndarray, test_fraction: float,
         if idx.size < 2:
             raise DataError(
                 f"cell (a={cell[0]}, y={cell[1]}) needs >= 2 rows to split")
-        order = rng.shuffled(idx)
+        order = rng.permutation(idx)
         n_test = max(1, int(round(idx.size * test_fraction)))
         n_test = min(n_test, idx.size - 1)  # keep at least one row in train
         test.extend(int(i) for i in order[:n_test])

@@ -499,6 +499,27 @@ class TestAuditCommand:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert loads == []
 
+    def test_reordered_schema_exits_three_before_ingest(
+            self, trained, biased_schema_json, tmp_path, capsys, monkeypatch):
+        # the encoder's feature_names are its only record of the training
+        # column order; without the check the audit would permute columns
+        loads = []
+        monkeypatch.setattr(data, "load_csv",
+                            lambda *args, **kw: loads.append(args))
+        schema = json.loads(biased_schema_json.read_text())
+        assert schema["numeric"] == ["f1", "f2"]
+        schema["numeric"] = ["f2", "f1"]
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(schema))
+        capsys.readouterr()
+        assert main(["audit", "--model", str(trained / "model.json"),
+                     "--data", str(trained / "test_split.csv"),
+                     "--schema", str(path),
+                     "--encoder", str(trained / "encoder.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert loads == []
+
     def test_negative_seed_exits_two(self, trained, biased_schema_json,
                                      capsys):
         capsys.readouterr()
@@ -611,12 +632,16 @@ class TestEmptyTable:
 
     @pytest.mark.parametrize("command", ["train", "crossval", "sweep", "audit"])
     @pytest.mark.parametrize("rows", [
-        [], [["0.5", "?", "red", "f", "yes"], ["?", "1.0", "blue", "m", "no"]]],
-        ids=["header_only", "all_missing"])
+        None, [],
+        [["0.5", "?", "red", "f", "yes"], ["?", "1.0", "blue", "m", "no"]]],
+        ids=["no_header", "header_only", "all_missing"])
     def test_exits_three(self, tmp_path, biased_schema_json, checkpoint,
                          command, rows, capsys):
         csv_path = tmp_path / "empty.csv"
-        write_csv(csv_path, ["f1", "f2", "shade", "grp", "outcome"], rows)
+        if rows is None:  # a file of zero bytes
+            csv_path.write_bytes(b"")
+        else:
+            write_csv(csv_path, ["f1", "f2", "shade", "grp", "outcome"], rows)
         if command == "audit":
             argv = ["audit", "--model", str(checkpoint), "--data",
                     str(csv_path), "--schema", str(biased_schema_json),
@@ -628,6 +653,33 @@ class TestEmptyTable:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        if rows is None:
+            assert err == f"error: {csv_path} is empty\n", err
+
+
+class TestTooLargeToAllocate:
+    """A network whose weights cannot be allocated exits 2 with one line.
+    Each size below asks for more than 700 TiB, beyond any machine's
+    memory and beyond a 47-bit address space, so numpy's allocation is
+    refused at once and nothing is ever partly allocated."""
+
+    @pytest.mark.parametrize("dims", [{"h1": 10 ** 12, "h2": 4},
+                                      {"h1": 100, "h2": 10 ** 12}],
+                             ids=["h1", "h2"])
+    def test_exits_two_with_one_line(self, tmp_path, biased_csv,
+                                     biased_schema_json, dims, capsys):
+        # f1 as a category gives one column per row, so d > 800 and the
+        # first layer of 10**12 units needs d * 10**12 float64 weights
+        schema = json.loads(biased_schema_json.read_text())
+        schema.update(numeric=["f2"], categorical=["f1", "shade"])
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(schema))
+        cfg = run_config(tmp_path, biased_csv, path, **dims)
+        capsys.readouterr()
+        assert main(["crossval", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: "), err
+        assert err.count("\n") == 1, err
 
 
 class TestFileSystemErrors:
@@ -923,6 +975,22 @@ class TestBadHyperparameters:
         assert loads == []
 
     @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
+    def test_unknown_schema_key_exits_three_before_ingest(
+            self, tmp_path, biased_csv, biased_schema_json, loads, command,
+            capsys):
+        schema = {**json.loads(biased_schema_json.read_text()),
+                  "weights": "fnlwgt"}
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(schema))
+        cfg = run_config(tmp_path, biased_csv, path, sweep=[0.05])
+        assert main([command, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad schema file {path}: "), err
+        assert err.count("\n") == 1, err
+        assert "weights" in err
+        assert loads == []
+
+    @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
     def test_unknown_key_exits_two_before_ingest(self, tmp_path, biased_csv,
                                                  biased_schema_json, loads,
                                                  command, capsys):
@@ -998,6 +1066,15 @@ class TestBounds:
         assert capsys.readouterr().out == ""
         assert out.read_text(encoding="utf-8").splitlines() == printed.splitlines()
 
+    def test_b_in_exponent_notation_is_a_whole_number(self, capsys):
+        argv = ["bounds", "--d", "3", "--w", "0.5", "--l", "1", "--s", "10"]
+        capsys.readouterr()
+        assert main(argv + ["--b-values", "1e3"]) == 0
+        exponent = capsys.readouterr().out
+        assert main(argv + ["--b-values", "1000"]) == 0
+        assert exponent == capsys.readouterr().out
+        assert exponent.splitlines()[1].startswith("1000,")
+
     def test_bad_delta_exits_two(self, capsys):
         code = main(["bounds", "--d", "3", "--w", "0.5", "--l", "1",
                      "--s", "10", "--delta", "1.0"])
@@ -1028,6 +1105,9 @@ class TestBadBoundsValues:
         (["bounds", "--b-values", "1,x"], "--b-values"),
         (["bounds", "--b-values", "inf"], "--b-values"),
         (["bounds", "--b-values", "nan"], "--b-values"),
+        (["bounds", "--b-values", "2.5"], "--b-values"),
+        (["bounds", "--b-values", "100,100.9"], "--b-values"),
+        (["bounds", "--b-values", "0.5"], "--b-values"),
         (["counterexample", "nan"], "mu"),
         (["bounds", "--w", "nan"], "W"),
         (["bounds", "--l", "nan"], "L"),
@@ -1038,7 +1118,8 @@ class TestBadBoundsValues:
         (["bounds", "--s", "1" + "0" * 400], "S"),
         (["bounds", "--w", "10", "--r", "1" + "0" * 400], "R"),
     ], ids=["b-values-x", "b-values-inf",
-            "b-values-nan", "mu-nan", "w-nan", "l-nan", "c-nan",
+            "b-values-nan", "b-values-2.5", "b-values-100.9", "b-values-0.5",
+            "mu-nan", "w-nan", "l-nan", "c-nan",
             "empirical-mean-nan", "empirical-mean-inf", "d-401-digits",
             "s-401-digits", "r-401-digits"])
     def test_exits_two_with_one_line(self, argv, named, capsys):

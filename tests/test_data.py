@@ -91,6 +91,15 @@ class TestLoadCsv:
                                             "cells, the header has 4$"):
             load_csv(path, SCHEMA)
 
+    def test_blank_and_all_empty_rows_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("amount,kind,grp,outcome\n\n1,a,m,yes\n,,,\n"
+                        "  \n , , , \n3,b,f,no\n\n", encoding="utf-8")
+        table = load_csv(path, SCHEMA)
+        assert table.columns == {"amount": ["1", "3"], "kind": ["a", "b"],
+                                 "outcome": ["yes", "no"], "grp": ["m", "f"]}
+        assert table.n_dropped == 0
+
     def test_header_only_gives_empty_columns(self, tmp_path):
         table = load_csv(small_csv(tmp_path, []), SCHEMA)
         assert len(table) == 0

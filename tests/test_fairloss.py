@@ -27,11 +27,12 @@ def swap_groups(batch: Batch) -> Batch:
     return Batch(batch.p, 1 - batch.a.astype(int), batch.y.astype(int))
 
 
-def random_multi_group_batch(rng: Rng, m: int) -> MultiGroupBatch:
+def random_multi_group_batch(rng: np.random.Generator,
+                             m: int) -> MultiGroupBatch:
     """6-30 rows in (0.05, 0.95), each of the m groups present."""
-    n = int(rng.gen.integers(6, 30))
-    p = rng.gen.uniform(0.05, 0.95, n)
-    group = np.concatenate([np.arange(m), rng.gen.integers(0, m, n - m)])
+    n = int(rng.integers(6, 30))
+    p = rng.uniform(0.05, 0.95, n)
+    group = np.concatenate([np.arange(m), rng.integers(0, m, n - m)])
     return MultiGroupBatch(p, group, m)
 
 
@@ -87,6 +88,18 @@ class TestTrivialCases:
     def test_non_finite_probability_is_a_numeric_error(self):
         with pytest.raises(NumericError):
             Batch(np.array([0.5, np.nan]), np.array([1, 0]), np.array([0, 1]))
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5])
+    def test_finite_probability_outside_open_interval_rejected(self, p):
+        with pytest.raises(ParameterError, match=r"strictly in \(0, 1\)"):
+            Batch(np.array([0.5, p]), np.array([1, 0]), np.array([0, 1]))
+
+    @pytest.mark.parametrize("a,y", [([1, 2], [0, 1]), ([1, 0], [0, -1]),
+                                     ([1, 0], [0.5, 1])],
+                             ids=["a_has_2", "y_has_minus_1", "y_has_half"])
+    def test_non_binary_attribute_or_label_rejected(self, a, y):
+        with pytest.raises(ParameterError, match="binary"):
+            Batch(np.array([0.5, 0.6]), np.array(a), np.array(y))
 
     def test_single_class_qmean_rejected(self):
         b = Batch(np.array([0.5, 0.6]), np.array([1, 0]), np.array([1, 1]))

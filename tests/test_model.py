@@ -61,26 +61,26 @@ class TestForward:
         params = tiny_params()
         params.w_out[:] = 0.0
         params.b_out[:] = 7.3
-        trace = forward(params, Rng(1).gen.normal(size=(5, 3)))
+        trace = forward(params, Rng(1).normal(size=(5, 3)))
         np.testing.assert_allclose(trace.p, 0.5, atol=1e-15)
 
     def test_probabilities_stay_clamped(self):
         rng = Rng(2)
         for _ in range(100):
             params = init_params(4, 6, 5, rng)
-            x = rng.gen.normal(0, 5, size=(100, 4))
+            x = rng.normal(0, 5, size=(100, 4))
             p = forward(params, x).p
             assert np.all(p >= PROB_CLAMP) and np.all(p <= 1.0 - PROB_CLAMP)
 
     def test_softmax_rows_sum_to_one(self):
         rng = Rng(3)
         params = init_params(3, 4, 3, rng)
-        trace = forward(params, rng.gen.normal(size=(50, 3)))
+        trace = forward(params, rng.normal(size=(50, 3)))
         np.testing.assert_allclose(trace.probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_pure_function(self):
         params = tiny_params()
-        x = Rng(4).gen.normal(size=(8, 3))
+        x = Rng(4).normal(size=(8, 3))
         assert forward(params, x).p.tobytes() == forward(params, x).p.tobytes()
 
     def test_dim_mismatch(self):
@@ -106,7 +106,7 @@ def central_diff(loss_of_theta, theta, h=1e-5):
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
         params = tiny_params()
-        trace = forward(params, Rng(5).gen.normal(size=(6, 3)))
+        trace = forward(params, Rng(5).normal(size=(6, 3)))
         grads = backward(params, trace, np.zeros(6))
         assert not grads.flatten().any()
 
@@ -115,7 +115,7 @@ class TestBackward:
         # keep pre-activations clear of the ReLU kinks the FD step straddles
         params.b1[:] = 0.05
         params.b2[:] = 0.05
-        x = Rng(7).gen.normal(size=(5, 3))
+        x = Rng(7).normal(size=(5, 3))
         trace = forward(params, x)
         z1 = x @ params.w1 + params.b1
         z2 = np.maximum(z1, 0.0) @ params.w2 + params.b2
@@ -133,7 +133,7 @@ class TestBackward:
     def test_dead_relu_zero_grads(self):
         params = tiny_params()
         params.b1[:] = -100.0  # first hidden layer never fires
-        x = Rng(8).gen.uniform(0, 1, size=(6, 3))
+        x = Rng(8).uniform(0, 1, size=(6, 3))
         trace = forward(params, x)
         assert np.all(x @ params.w1 + params.b1 < 0)
         grads = backward(params, trace, np.ones(6))
@@ -190,15 +190,15 @@ def zero_rows_case():
     # zero biases and all-zero input rows: those rows' pre-activations
     # are exactly 0 in both hidden layers
     params = tiny_params(seed=12)
-    x = Rng(13).gen.normal(size=(6, 3))
+    x = Rng(13).normal(size=(6, 3))
     x[[1, 4]] = 0.0
-    return params, x, Rng(14).gen.normal(size=6)
+    return params, x, Rng(14).normal(size=6)
 
 
 def dead_layer_case(layer):
     params = tiny_params(seed=15)
     getattr(params, layer)[:] = -100.0  # that hidden layer never fires
-    x = Rng(16).gen.uniform(0, 1, size=(5, 3))
+    x = Rng(16).uniform(0, 1, size=(5, 3))
     return params, x, np.ones(5)
 
 

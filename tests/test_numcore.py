@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fairmlp.errors import ParameterError, ShapeError
+from fairmlp.errors import NumericError, ParameterError, ShapeError
 from fairmlp.numcore import AdamState, Rng, adam_step
 
 
@@ -15,9 +20,32 @@ class TestRng:
         out = Rng(1).normal(3.5, 0.0, 10)
         np.testing.assert_array_equal(out, np.full(10, 3.5))
 
-    def test_negative_std_rejected(self):
-        with pytest.raises(ParameterError):
-            Rng(1).normal(0.0, -1.0, 5)
+    def test_is_a_seeded_pcg64_generator(self):
+        rng = Rng(42)
+        assert type(rng) is np.random.Generator
+        twin = np.random.Generator(np.random.PCG64(42))
+        for draw in (lambda g: g.permutation(50),
+                     lambda g: g.normal(0.0, 1.0, 9)):
+            assert draw(rng).tobytes() == draw(twin).tobytes()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed"):
+            Rng(-1)
+
+    def test_importing_fairmlp_loads_no_numpy_random(self):
+        # numpy 2 loads numpy.random on first use; fairmlp leaves it
+        # unloaded until the first Rng is built
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+                "import fairmlp.cli; "
+                "print(before, 'numpy.random' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stdout.split()
+        assert after == before, proc.stdout
 
     def test_large_sample_mean(self):
         out = Rng(7).normal(0.0, 1.0, 10 ** 5)
@@ -51,7 +79,7 @@ class TestAdam:
     def test_hundred_steps_monotone(self):
         for seed in range(5):
             rng = Rng(seed)
-            x = rng.gen.uniform(-1.0, 1.0, 10)
+            x = rng.uniform(-1.0, 1.0, 10)
             state = AdamState.zeros(10)
             prev = float((x ** 2).sum())
             for _ in range(100):
@@ -63,6 +91,14 @@ class TestAdam:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             adam_step(AdamState.zeros(2), np.zeros(2), np.zeros(3), lr=0.1)
+
+    def test_nan_gradient_leaves_params_unchanged(self):
+        state = AdamState.zeros(3)
+        params = np.array([1.0, -2.0, 0.5])
+        before = params.tobytes()
+        with pytest.raises(NumericError):
+            adam_step(state, params, np.array([0.1, np.nan, 0.2]), lr=0.01)
+        assert params.tobytes() == before
 
     def test_bad_lr(self):
         with pytest.raises(ParameterError):
