@@ -2,8 +2,11 @@
 counterexample.
 
 Run configuration lives in a JSON file; command-line flags override
-individual keys. All outputs are deterministic given the seed, with
-wall-clock data confined to a separate metadata field.
+individual keys. All outputs are deterministic given the seed and the
+BLAS thread count, with wall-clock data confined to a separate metadata
+field. crossval and sweep train their folds in forked worker processes
+when the BLAS threads leave more than one usable CPU free (see
+``_fold_workers``); the outputs do not depend on how many.
 
 Exit codes: 0 success, 2 config/parameter/io or out of memory,
 3 schema/data, 4 numeric failure.
@@ -16,6 +19,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -95,9 +99,10 @@ def _aggregate(reports: list[audit.MetricsReport]) -> dict:
 
 def _report_run(cfg: RunConfig, mode: str,
                 fold_reports: list[audit.MetricsReport], training_logs: list,
-                t0: float) -> None:
+                t0: float, fold_workers: int) -> None:
     """Write report.json into ``cfg.out_dir`` and print the fold means;
-    ``t0`` is when the command began."""
+    ``t0`` is when the command began and ``fold_workers`` the number of
+    processes that trained the folds (1: this one)."""
     config = asdict(cfg)
     # where the report is written does not change what it reports
     out_dir = config.pop("out_dir")
@@ -114,6 +119,7 @@ def _report_run(cfg: RunConfig, mode: str,
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "epoch_wall_ms": [[r.wall_ms for r in log]
                               for log in training_logs],
+            "fold_workers": fold_workers,
             "out_dir": out_dir,
             "wall_ms_total": (time.perf_counter() - t0) * 1000.0,
         },
@@ -141,7 +147,7 @@ def cmd_train(cfg: RunConfig) -> int:
     model.save_checkpoint(out / "model.json", params, cfg.seed)
     ds_train.encoder.to_json(out / "encoder.json")
     test_table.to_csv(out / "test_split.csv")
-    _report_run(cfg, "train", [report], [log], t0)
+    _report_run(cfg, "train", [report], [log], t0, 1)
     return 0
 
 
@@ -154,23 +160,83 @@ def _load_folds(cfg: RunConfig) -> tuple[data.Dataset, list[np.ndarray]]:
     return dataset, data.kfold(dataset, cfg.folds, cfg.seed)
 
 
-def _crossval_reports(cfg: RunConfig, dataset: data.Dataset | None = None,
-                      folds=None):
-    """Train and audit each fold; ingests the CSV unless a sweep passes
-    the dataset and folds it already built."""
-    if dataset is None:
-        dataset, folds = _load_folds(cfg)
-    fold_reports, logs = [], []
-    for i, test_idx in enumerate(folds):
-        in_test = np.zeros(dataset.n, dtype=bool)
-        in_test[test_idx] = True
-        train_idx = np.flatnonzero(~in_test)
-        params, log = lagrange.fit(dataset.subset(train_idx),
-                                   replace(cfg, seed=cfg.seed + i))
-        fold_reports.append(audit.evaluate(params, dataset.subset(test_idx),
-                                           cfg.batch_size, seed=cfg.seed))
-        logs.append(log)
-    return fold_reports, logs
+# the encoded dataset and its folds while _run_folds runs; forked workers
+# inherit them, so they are never pickled
+_FOLD_INPUTS: tuple[data.Dataset, list[np.ndarray]] | None = None
+
+
+def _fold(task: tuple[RunConfig, int]
+          ) -> tuple[audit.MetricsReport, list[lagrange.LogRow]]:
+    """Train fold i of ``cfg`` at ``seed + i`` on the other folds' rows
+    and audit it on its own; returns the MetricsReport and the log."""
+    cfg, i = task
+    dataset, folds = _FOLD_INPUTS
+    in_test = np.zeros(dataset.n, dtype=bool)
+    in_test[folds[i]] = True
+    params, log = lagrange.fit(dataset.subset(np.flatnonzero(~in_test)),
+                               replace(cfg, seed=cfg.seed + i))
+    return audit.evaluate(params, dataset.subset(folds[i]), cfg.batch_size,
+                          seed=cfg.seed), log
+
+
+def _fold_workers(tasks: int) -> int:
+    """How many processes train ``tasks`` folds: one per usable CPU that
+    the BLAS threads leave free, and at most one per fold. The BLAS
+    thread count is the first of OPENBLAS_NUM_THREADS and OMP_NUM_THREADS
+    that holds a positive integer, as numpy's OpenBLAS reads them; without
+    one, the BLAS uses every usable CPU and the folds run in this
+    process."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else 1)
+    threads = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            threads = value
+            break
+    return max(1, min(tasks, cpus // threads))
+
+
+def _run_folds(tasks: list[tuple[RunConfig, int]], dataset: data.Dataset,
+               folds: list[np.ndarray]) -> list:
+    """``_fold`` of each task, in task order. With more than one worker
+    the tasks run in forked processes; a failing fold raises what the
+    serial loop would, the first failure in task order, and no worker
+    outlives the call."""
+    global _FOLD_INPUTS
+    workers = _fold_workers(len(tasks))
+    _FOLD_INPUTS = dataset, folds
+    try:
+        if workers == 1:
+            return list(map(_fold, tasks))
+        # imported here, as the pool's modules add ~2 MB resident that a
+        # command with one worker, and audit, does not pay
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, so the workers inherit _FOLD_INPUTS, numpy's errstate and
+        # the BLAS settings; OpenBLAS stops its own threads before a fork
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            try:
+                return list(pool.map(_fold, tasks))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    finally:
+        _FOLD_INPUTS = None
+
+
+def _crossval_reports(cfg: RunConfig):
+    """Ingest the CSV, then train and audit each fold; returns the
+    fold reports and the training logs."""
+    dataset, folds = _load_folds(cfg)
+    results = _run_folds([(cfg, i) for i in range(cfg.folds)], dataset,
+                         folds)
+    return [r for r, _ in results], [log for _, log in results]
 
 
 def cmd_crossval(cfg: RunConfig) -> int:
@@ -179,7 +245,8 @@ def cmd_crossval(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     fold_reports, logs = _crossval_reports(cfg)
-    _report_run(cfg, "crossval", fold_reports, logs, t0)
+    _report_run(cfg, "crossval", fold_reports, logs, t0,
+                _fold_workers(cfg.folds))
     return 0
 
 
@@ -192,12 +259,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     entry = CONSTRAINTS[cfg.constraint]
     dataset, folds = _load_folds(cfg)
-    # rows first, so a failed sweep leaves no partial tradeoff.csv
+    # every fold of every value in one pool; rows first, so a failed
+    # sweep leaves no partial tradeoff.csv
+    tasks = [(replace(cfg, **{entry.param: value}), i)
+             for value in cfg.sweep for i in range(cfg.folds)]
+    results = _run_folds(tasks, dataset, folds)
     rows = []
-    for value in cfg.sweep:
-        fold_reports, _ = _crossval_reports(
-            replace(cfg, **{entry.param: value}), dataset, folds)
-        agg = _aggregate(fold_reports)
+    for j, value in enumerate(cfg.sweep):
+        agg = _aggregate([r for r, _ in
+                          results[j * cfg.folds:(j + 1) * cfg.folds]])
         rows.append([repr(float(value)),
                      repr(agg["mean"]["accuracy"]),
                      repr(agg["stddev"]["accuracy"]),

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 import gradcheck
-from fairmlp import audit, data, fairloss, lagrange
+from fairmlp import audit, cli, data, fairloss, lagrange
 from fairmlp.audit import MetricsReport
+from fairmlp.errors import DataError
 from fairmlp.cli import RunConfig, _crossval_reports, build_parser, main
 from fairmlp.fairloss import CONSTRAINTS, OBJECTIVES
 from conftest import write_csv
@@ -198,6 +200,29 @@ class TestCrossval:
                 == report["folds"])
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_cli(argv, threads, one_cpu=False, script=None):
+    """Run the fairmlp CLI (or ``script``) in a fresh interpreter with
+    ``threads`` BLAS threads, on one usable CPU when ``one_cpu``."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+    cpu = min(os.sched_getaffinity(0))
+    args = (["-c", script, *argv] if script
+            else ["-m", "fairmlp.cli", *argv])
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True,
+        preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if one_cpu
+        else None, timeout=300)
+
+
+def two_cpus() -> bool:
+    return len(os.sched_getaffinity(0)) >= 2
+
+
 class TestThreadCountDeterminism:
     def test_reruns_byte_identical_at_each_thread_count(self, tmp_path,
                                                          biased_csv,
@@ -206,21 +231,150 @@ class TestThreadCountDeterminism:
         # agree byte for byte as long as the BLAS thread count is the same
         cfg = run_config(tmp_path, biased_csv, biased_schema_json,
                          h1=32, h2=16, max_epochs=3)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         for threads in ("1", "2"):
             reports = []
             for rerun in range(2):
                 out = tmp_path / f"threads{threads}"
-                env = dict(os.environ, PYTHONPATH=path,
-                           OPENBLAS_NUM_THREADS=threads)
-                proc = subprocess.run(
-                    [sys.executable, "-m", "fairmlp.cli", "crossval",
-                     "--config", str(cfg), "--out", str(out)],
-                    env=env, capture_output=True, text=True)
+                proc = run_cli(["crossval", "--config", str(cfg), "--out",
+                                str(out)], threads)
                 assert proc.returncode == 0, proc.stderr
                 reports.append(strip_metadata(out / "report.json"))
             assert reports[0] == reports[1], threads
+
+    def test_one_and_two_fold_workers_byte_identical(self, tmp_path,
+                                                     biased_csv,
+                                                     biased_schema_json):
+        # at one BLAS thread, one usable CPU trains the folds in-process
+        # and two train them in two forked workers
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json,
+                         h1=32, h2=16, max_epochs=3, sweep=[0.05, 0.1])
+        outputs, workers = [], []
+        for one_cpu in (True, False):
+            if not one_cpu and not two_cpus():
+                pytest.skip("the fold pool needs 2 usable CPUs")
+            out = tmp_path / f"one_cpu{one_cpu}"
+            for command in ("crossval", "sweep"):
+                proc = run_cli([command, "--config", str(cfg), "--out",
+                                str(out)], "1", one_cpu)
+                assert proc.returncode == 0, proc.stderr
+            report = json.loads((out / "report.json").read_text())
+            workers.append(report["metadata"]["fold_workers"])
+            outputs.append((strip_metadata(out / "report.json"),
+                            (out / "tradeoff.csv").read_bytes()))
+        assert workers == [1, 2]
+        assert outputs[0] == outputs[1]
+
+
+class TestFoldWorkers:
+    @pytest.mark.parametrize("env,cpus,tasks,expected", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 5, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 2, 2),
+        ({}, 2, 5, 1),
+        ({}, 8, 5, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, 5, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 8, 5, 4),
+        ({"OPENBLAS_NUM_THREADS": "4"}, 2, 5, 1),
+        ({"OMP_NUM_THREADS": "1"}, 2, 5, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 5, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 2, 5, 1),
+        ({"OPENBLAS_NUM_THREADS": "abc"}, 2, 5, 1),
+        ({"OPENBLAS_NUM_THREADS": "-1"}, 2, 5, 1),
+        ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 2, 5, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 5, 1),
+    ])
+    def test_one_per_cpu_the_blas_leaves_free(self, monkeypatch, env, cpus,
+                                              tasks, expected):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        assert cli._fold_workers(tasks) == expected
+
+    def test_importing_cli_loads_no_pool_modules(self):
+        # a command with one worker, and audit, never loads them
+        code = ("import sys, numpy; before = 'multiprocessing' in sys.modules; "
+                "import fairmlp.cli; "
+                "print(before, 'multiprocessing' in sys.modules)")
+        proc = run_cli([], "1", script=code)
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stdout.split()
+        assert after == before, proc.stdout
+
+    @staticmethod
+    def _fold_zero_ends_last(monkeypatch, fit):
+        # the forked workers inherit the patched fit; fold 0 of a run at
+        # seed 5 ends well after fold 1, which starts beside it
+        def slow_first(dataset, cfg):
+            if cfg.seed == 5:
+                time.sleep(1.0)
+            return fit(dataset, cfg)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(lagrange, "fit", slow_first)
+
+    @pytest.mark.skipif(not two_cpus(), reason="the fold pool needs 2 usable "
+                        "CPUs")
+    def test_reports_keep_fold_order_when_a_later_fold_ends_first(
+            self, tmp_path, biased_csv, biased_schema_json, monkeypatch,
+            capsys):
+        self._fold_zero_ends_last(monkeypatch, lagrange.fit)
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json,
+                         max_epochs=2)
+        assert main(["crossval", "--config", str(cfg)]) == 0
+        pooled = tmp_path / "out" / "report.json"
+        assert json.loads(pooled.read_text())["metadata"]["fold_workers"] == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(["crossval", "--config", str(cfg), "--out",
+                     str(tmp_path / "serial")]) == 0
+        assert (strip_metadata(pooled)
+                == strip_metadata(tmp_path / "serial" / "report.json"))
+
+    @pytest.mark.skipif(not two_cpus(), reason="the fold pool needs 2 usable "
+                        "CPUs")
+    def test_first_failing_fold_in_fold_order_is_reported(
+            self, tmp_path, biased_csv, biased_schema_json, monkeypatch,
+            capsys):
+        def failing(dataset, cfg):
+            raise DataError(f"fold at seed {cfg.seed}")
+        self._fold_zero_ends_last(monkeypatch, failing)
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json)
+        assert main(["crossval", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == "error: fold at seed 5\n"
+
+    # runs main in this interpreter, then reports its exit code and the
+    # worker processes still alive after it returned
+    MAIN = ("import json, multiprocessing, sys\n"
+            "from fairmlp.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(json.dumps([rc, len(multiprocessing.active_children())]))")
+
+    def _run(self, cfg, one_cpu=False):
+        proc = run_cli(["crossval", "--config", str(cfg)], "1", one_cpu,
+                       script=self.MAIN)
+        rc, alive = json.loads(proc.stdout.splitlines()[-1])
+        assert alive == 0
+        return rc, proc.stderr
+
+    @pytest.mark.skipif(not two_cpus(), reason="the fold pool needs 2 usable "
+                        "CPUs")
+    def test_success_and_failures_leave_no_worker(self, tmp_path, biased_csv,
+                                                  biased_schema_json):
+        ok = run_config(tmp_path, biased_csv, biased_schema_json,
+                        max_epochs=2)
+        assert self._run(ok) == (0, "")
+        overflow = run_config(tmp_path, biased_csv, biased_schema_json,
+                              lr_theta=1e200)
+        assert self._run(overflow) == (
+            4, "numeric error: probabilities must be finite\n")
+        # 500 rows is more than a fold's training rows, not than the data
+        too_big = run_config(tmp_path, biased_csv, biased_schema_json,
+                             batch_size=500)
+        rc, err = self._run(too_big)
+        assert rc == 3
+        assert err.startswith("error: batch size 500 exceeds dataset size ")
+        assert err.count("\n") == 1, err
+        assert (rc, err) == self._run(too_big, one_cpu=True)
 
 
 class TestAuditCommand:
