@@ -185,9 +185,11 @@ class BoundInputs:
 
 
 def covering_number(inputs: BoundInputs, mu: float) -> float:
-    """log of the network-class covering count
-    ceil(D*L*div*(2W)^(R+1)/mu)^D, where div is S or 2S as
-    ``radius_divisor`` says (the ball radius is mu / div)."""
+    """log of the network-class covering count max(1, ceil(inner))^D,
+    inner = D*L*div*(2W)^(R+1)/mu, where div is S or 2S as
+    ``radius_divisor`` says (the ball radius is mu / div); an underflowed
+    (2W)^(R+1) counts 1. An inner past the float range is summed in log
+    space, where the ceil no longer moves the value."""
     if mu <= 0:
         raise ParameterError("mu must be > 0")
     try:
@@ -195,13 +197,8 @@ def covering_number(inputs: BoundInputs, mu: float) -> float:
                  * (2.0 * inputs.W) ** (inputs.R + 1) / mu)
     except OverflowError:  # (2W)^(R+1) alone leaves the float range
         inner = math.inf
-    # inner may be astronomically large, so stay in logs
-    if inner <= 1.0:
-        return 0.0
-    if inner < 1e15:
-        return inputs.D * math.log(math.ceil(inner))
     if inner < math.inf:
-        return inputs.D * math.log(inner)
+        return inputs.D * math.log(max(1, math.ceil(inner)))
     return inputs.D * (math.log(inputs.D * inputs.L * inputs.divisor_value / mu)
                        + (inputs.R + 1) * math.log(2.0 * inputs.W))
 
@@ -268,12 +265,6 @@ class CounterexamplePair:
     const_h: float
     const_h_hat: float
     gap: float
-
-    def __post_init__(self):
-        if self.sup_distance > self.mu:
-            raise ParameterError("construction violated the sup-distance bound")
-        if self.gap < 0.5:
-            raise ParameterError("construction lost the constant DI gap")
 
 
 def di_counterexample(mu: float) -> CounterexamplePair:

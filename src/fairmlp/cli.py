@@ -204,8 +204,9 @@ def _run_folds(tasks: list[tuple[RunConfig, int]], dataset: data.Dataset,
                folds: list[np.ndarray]) -> list:
     """``_fold`` of each task, in task order. With more than one worker
     the tasks run in forked processes; a failing fold raises what the
-    serial loop would, the first failure in task order, and no worker
-    outlives the call."""
+    serial loop would, the first failure in task order, a worker that
+    ends without a result (killed, say) raises ChildProcessError, and no
+    worker outlives the call."""
     global _FOLD_INPUTS
     workers = _fold_workers(len(tasks))
     _FOLD_INPUTS = dataset, folds
@@ -216,16 +217,23 @@ def _run_folds(tasks: list[tuple[RunConfig, int]], dataset: data.Dataset,
         # command with one worker, and audit, does not pay
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         # fork, so the workers inherit _FOLD_INPUTS, numpy's errstate and
         # the BLAS settings; OpenBLAS stops its own threads before a fork
-        with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            try:
-                return list(pool.map(_fold, tasks))
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+        try:
+            with ProcessPoolExecutor(
+                    workers,
+                    mp_context=multiprocessing.get_context("fork")) as pool:
+                try:
+                    return list(pool.map(_fold, tasks))
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
+        except BrokenProcessPool:
+            # every worker is joined by now; main exits 2 on an OSError
+            raise ChildProcessError("a fold worker ended without a result "
+                                    "(for example, killed for memory)")
     finally:
         _FOLD_INPUTS = None
 

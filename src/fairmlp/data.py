@@ -328,7 +328,10 @@ def encode(table: RawTable, schema: SchemaConfig,
         if not np.isfinite(values).all():
             raise DataError(f"non-finite value in column {col!r}")
         if fit:
-            encoder.numeric_stats[col] = (float(values.mean()), float(values.std()))
+            stats = float(values.mean()), float(values.std())
+            if not all(map(math.isfinite, stats)):
+                raise DataError(f"column {col!r} overflows its mean or std")
+            encoder.numeric_stats[col] = stats
         mean, std = encoder.numeric_stats[col]
         if std > 0:  # zero-variance columns encode to all zeros
             num[:, j] = (values - mean) / std

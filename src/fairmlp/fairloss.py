@@ -190,8 +190,6 @@ def _qmean(batch: Batch) -> tuple[float, np.ndarray]:
     u = 1.0 - float((batch.y * batch.p).sum() / c.n_ones)
     v = 1.0 - float((c.zeros * (1.0 - batch.p)).sum() / c.n_zeros)
     q = float(np.sqrt(u * u + v * v))
-    if q == 0.0:
-        return q, np.zeros_like(batch.p)
     return q, (u * (-batch.y / c.n_ones) + v * (c.zeros / c.n_zeros)) / q
 
 

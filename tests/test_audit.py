@@ -153,6 +153,15 @@ class TestEvaluate:
         with pytest.raises(DataError):
             evaluate(sigmoid_network(), ds, S=2)
 
+    @pytest.mark.parametrize("a,y,match", [
+        ([1, 0], [1, 1], "both label classes"),
+        ([1, 1, 0, 0], [1, 1, 0, 1], "empty conditioning cell")],
+        ids=["one_class", "no_negative_in_group_1"])
+    def test_missing_class_or_cell_rejected(self, a, y, match):
+        ds = dataset_with_probs(np.linspace(0.3, 0.7, len(a)), a, y)
+        with pytest.raises(DataError, match=match):
+            evaluate(sigmoid_network(), ds, S=len(a))
+
 
 class TestBlockedEvaluate:
     """A set of more than EVAL_ROWS rows is densified and forwarded in
@@ -252,6 +261,13 @@ class TestCoveringNumber:
         with pytest.raises(ParameterError):
             covering_number(BoundInputs(**BOUND_EXAMPLE), 0.0)
 
+    @pytest.mark.parametrize("w,mu", [(0.5, 30.0), (0.5, 1e3), (1e-200, 0.1)],
+                             ids=["inner_1", "inner_below_1", "underflow"])
+    def test_one_ball_covers_when_inner_is_at_most_one(self, w, mu):
+        # D*L*S = 30 and (2W)^3 = 1 at W = 0.5; it underflows to 0 at 1e-200
+        inputs = BoundInputs(**{**BOUND_EXAMPLE, "W": w})
+        assert covering_number(inputs, mu) == 0.0
+
     @pytest.mark.parametrize("r", [400, 10 ** 6])
     def test_stays_in_logs_when_the_weight_power_overflows(self, r):
         # (2W)^(R+1) = 20^(R+1) leaves the float range at R = 236
@@ -321,6 +337,10 @@ class TestFullBound:
         with pytest.raises(ParameterError):
             BoundInputs(**{**BOUND_EXAMPLE, "delta": 1.0})
 
+    def test_bad_radius_divisor_rejected(self):
+        with pytest.raises(ParameterError, match="radius_divisor"):
+            BoundInputs(**{**BOUND_EXAMPLE, "radius_divisor": "3S"})
+
     @pytest.mark.parametrize("name", ["R", "D", "W", "L", "S", "B", "C"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0, 10 ** 400],
                              ids=["nan", "inf", "0", "401-digits"])
@@ -338,7 +358,7 @@ class TestFullBound:
 
 class TestDiCounterexample:
     def test_constant_gap_small_mu(self):
-        for mu in (1e-1, 1e-2, 1e-6):
+        for mu in (1e-1, 1e-2, 1e-6, 5e-324, math.inf):
             pair = di_counterexample(mu)
             assert pair.sup_distance <= mu
             assert abs(pair.const_h - (-1.0)) <= 1e-9

@@ -376,6 +376,22 @@ class TestFoldWorkers:
         assert err.count("\n") == 1, err
         assert (rc, err) == self._run(too_big, one_cpu=True)
 
+    @pytest.mark.skipif(not two_cpus(), reason="the fold pool needs 2 usable "
+                        "CPUs")
+    def test_dead_worker_exits_two_and_leaves_no_worker(self, tmp_path,
+                                                        biased_csv,
+                                                        biased_schema_json):
+        # os._exit stands in for a worker the kernel kills, say for memory;
+        # it runs in a child interpreter, as a serial run would end this one
+        dies = ("import os\n"
+                "from fairmlp import lagrange\n"
+                "lagrange.fit = lambda dataset, cfg: os._exit(1)\n" + self.MAIN)
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json)
+        proc = run_cli(["crossval", "--config", str(cfg)], "1", script=dies)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [2, 0]
+        assert proc.stderr == ("error: a fold worker ended without a result "
+                               "(for example, killed for memory)\n")
+
 
 class TestAuditCommand:
     def test_audit_matches_train_report(self, tmp_path, biased_csv,
@@ -923,6 +939,31 @@ class TestNonFiniteCell:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "'f2'" in err
 
+    @pytest.mark.parametrize("cells", [["1e200", "-1e200"], ["1.7e308"]],
+                             ids=["std", "mean"])
+    @pytest.mark.parametrize("command", ["train", "crossval"])
+    def test_overflowing_column_exits_three_before_training(
+            self, tmp_path, biased_csv, biased_schema_json, monkeypatch,
+            command, cells, capsys):
+        # every cell is finite, but the column's std or mean is not
+        with open(biased_csv, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        for i, row in enumerate(rows):
+            row[header.index("f2")] = cells[i % len(cells)]
+        csv_path = tmp_path / "overflow.csv"
+        write_csv(csv_path, header, rows)
+
+        def no_fit(*args):
+            raise AssertionError("fit ran")
+        monkeypatch.setattr(lagrange, "fit", no_fit)
+        cfg = run_config(tmp_path, csv_path, biased_schema_json)
+        assert main([command, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "'f2'" in err
+        # no encoder.json, nor any other file that could hold an Infinity
+        assert list((tmp_path / "out").iterdir()) == []
+
 
 def census_shaped_rows(n, seed):
     """Synthetic rows with the UCI census column layout, so the bundled
@@ -1049,7 +1090,8 @@ class TestBadHyperparameters:
         ("holdout_fraction", float("nan")), ("seed", -1),
         ("epsilon", float("inf")), ("lr_theta", float("inf")),
         ("lr_lambda", float("inf")), ("lambda_init", float("inf")),
-        ("p_percent", 80.0)])
+        ("p_percent", 80.0), ("batch_size", 1), ("max_epochs", 0),
+        ("objective", "hinge")])
     def test_exits_two_before_ingest(self, tmp_path, biased_csv,
                                      biased_schema_json, loads, command, key,
                                      value, capsys):
@@ -1059,6 +1101,17 @@ class TestBadHyperparameters:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert key in err
+        assert loads == []
+
+    @pytest.mark.parametrize("command", ["crossval", "sweep"])
+    def test_one_fold_exits_two_before_ingest(self, tmp_path, biased_csv,
+                                              biased_schema_json, loads,
+                                              command, capsys):
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json, folds=1,
+                         sweep=[0.05])
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (f"error: {command} requires "
+                                           "folds >= 2\n")
         assert loads == []
 
     @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])

@@ -178,6 +178,19 @@ class TestEncode:
         with pytest.raises(SchemaError, match=r"schema lacks: \['color'\]"):
             encode(table, SCHEMA, enc)
 
+    @pytest.mark.parametrize("change,error", [
+        (lambda ds: {"num": ds.num[:, 0]}, ShapeError),
+        (lambda ds: {"a": ds.a[:1]}, ShapeError),
+        (lambda ds: {"num": ds.num[:0], "cols": ds.cols[:0], "a": ds.a[:0],
+                     "y": ds.y[:0]}, DataError),
+        (lambda ds: {"num": np.where(np.arange(2)[:, None], np.nan, ds.num)},
+         DataError)], ids=["1d_num", "short_a", "no_rows", "nan_num"])
+    def test_malformed_dataset_rejected(self, tmp_path, change, error):
+        table = self.table(tmp_path, [["1", "a", "m", "yes"], ["3", "b", "f", "no"]])
+        ds = encode(table, SCHEMA)
+        with pytest.raises(error):
+            dataclasses.replace(ds, **change(ds))
+
     @pytest.mark.parametrize("code", [0, 4, -2])
     def test_column_code_out_of_range_rejected(self, tmp_path, code):
         table = self.table(tmp_path, [["1", "a", "m", "yes"], ["3", "b", "f", "no"]])

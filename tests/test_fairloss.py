@@ -85,6 +85,10 @@ class TestTrivialCases:
         with pytest.raises(DegenerateBatchError):
             Batch(np.array([0.5, 0.6]), np.array([1, 1]), np.array([0, 1]))
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ShapeError):
+            Batch(np.array([0.5, 0.6]), np.array([1, 0]), np.array([0, 1, 0]))
+
     def test_non_finite_probability_is_a_numeric_error(self):
         with pytest.raises(NumericError):
             Batch(np.array([0.5, np.nan]), np.array([1, 0]), np.array([0, 1]))
@@ -111,6 +115,16 @@ class TestTrivialCases:
         b = Batch(np.array([1 - eps, 1 - eps, eps, eps]),
                   np.array([1, 0, 1, 0]), np.array([1, 1, 0, 0]))
         assert q_mean(b) <= 1e-6
+
+    def test_qmean_stays_positive_at_the_most_extreme_probabilities(self):
+        # Batch admits p < 1 only, so the y=1 mean stays at most 1 - 2^-53
+        # and q >= 2^-53: the gradient never divides by zero
+        top = np.nextafter(1.0, 0.0)
+        b = Batch(np.array([top, top, top, 5e-324, 5e-324]),
+                  np.array([1, 0, 1, 0, 1]), np.array([1, 1, 1, 0, 0]))
+        q, grad = OBJECTIVES["qmean"].value_and_grad(b)
+        assert q == 2.0 ** -53
+        assert np.all(np.isfinite(grad))
 
 
 class TestSlack:
@@ -267,6 +281,8 @@ class TestGradients:
             grad_wrt_p("nope", DP_BATCH)
         with pytest.raises(ParameterError):
             constraint_value(DP_BATCH, "nope")
+        with pytest.raises(ParameterError, match="EO variant"):
+            const_eo(EO_BATCH, "min")
 
 
 class TestMultiGroup:
@@ -278,6 +294,13 @@ class TestMultiGroup:
     def test_missing_group_rejected(self):
         with pytest.raises(DegenerateBatchError):
             MultiGroupBatch(np.array([0.5, 0.5]), np.array([0, 0]), 2)
+
+    @pytest.mark.parametrize("group,m,error", [
+        ([0, 0], 1, ParameterError), ([0, 2], 2, ParameterError),
+        ([0, 1, 1], 2, ShapeError)], ids=["m_1", "index_m", "lengths"])
+    def test_malformed_batch_rejected(self, group, m, error):
+        with pytest.raises(error):
+            MultiGroupBatch(np.array([0.5, 0.5]), np.array(group), m)
 
     def test_binary_dp_multi_is_exactly_twice_dp(self):
         rng = Rng(45)

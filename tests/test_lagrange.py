@@ -241,6 +241,13 @@ class TestFit:
         with pytest.raises(DataError):
             fit(ds, toy_config())
 
+    def test_missing_class_rejected(self):
+        gen = np.random.default_rng(0)
+        ds = numeric_dataset(gen.normal(size=(50, 2)), gen.integers(0, 2, 50),
+                             np.ones(50, dtype=int))
+        with pytest.raises(DataError, match="both label classes"):
+            fit(ds, toy_config())
+
     def test_batch_larger_than_data_rejected_before_workspace(self,
                                                                monkeypatch):
         def no_workspace(*args):

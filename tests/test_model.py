@@ -46,6 +46,11 @@ class TestInit:
         back = MlpParams.unflatten(params.flatten(), *params.dims)
         assert back.flatten().tobytes() == params.flatten().tobytes()
 
+    def test_unflatten_wrong_length_rejected(self):
+        params = tiny_params()
+        with pytest.raises(ShapeError, match="flat vector"):
+            MlpParams.unflatten(params.flatten()[1:], *params.dims)
+
 
 class TestForward:
     def test_zero_params_give_half(self):

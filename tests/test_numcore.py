@@ -16,10 +16,6 @@ class TestRng:
         s2 = Rng(42).normal(0.0, 1.0, 1000)
         assert s1.tobytes() == s2.tobytes()
 
-    def test_zero_std_constant(self):
-        out = Rng(1).normal(3.5, 0.0, 10)
-        np.testing.assert_array_equal(out, np.full(10, 3.5))
-
     def test_is_a_seeded_pcg64_generator(self):
         rng = Rng(42)
         assert type(rng) is np.random.Generator
@@ -46,10 +42,6 @@ class TestRng:
         assert proc.returncode == 0, proc.stderr
         before, after = proc.stdout.split()
         assert after == before, proc.stdout
-
-    def test_large_sample_mean(self):
-        out = Rng(7).normal(0.0, 1.0, 10 ** 5)
-        assert abs(out.mean()) < 0.02
 
 
 class TestAdam:
@@ -99,6 +91,11 @@ class TestAdam:
         with pytest.raises(NumericError):
             adam_step(state, params, np.array([0.1, np.nan, 0.2]), lr=0.01)
         assert params.tobytes() == before
+
+    def test_float32_params_rejected(self):
+        with pytest.raises(ParameterError, match="float64"):
+            adam_step(AdamState.zeros(2), np.zeros(2, np.float32),
+                      np.zeros(2), lr=0.1)
 
     def test_bad_lr(self):
         with pytest.raises(ParameterError):
