@@ -7,10 +7,11 @@ stacked pass: the batches form a (B, S) index matrix, and each batch's
 gaps are row sums over it, taken a bounded number of batches at a time;
 the whole set's probabilities and labels are validated once. Hard
 metrics come from 0.5-thresholded predictions over the whole set, which
-is densified and forwarded in near-equal row blocks through one reused
-input buffer, so that only one block's dense rows and hidden
-activations are alive at a time. The bound calculator works in log
-space: raw covering numbers overflow for any realistic parameter count.
+is densified and forwarded in near-equal row blocks through one input
+buffer and one activation trace, allocated once, so that only one
+block's dense rows and hidden activations are alive at a time. The
+bound calculator works in log space: raw covering numbers overflow for
+any realistic parameter count.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import fairloss
 from .data import Dataset, epoch_batches
 from .errors import DataError, ParameterError
 from .fairloss import Batch
-from .model import MlpParams, forward, predict_hard
+from .model import ForwardTrace, MlpParams, forward, predict_hard
 from .numcore import Rng
 
 RATE_FLOOR = 1e-7
@@ -86,6 +87,22 @@ def _soft_terms(whole: Batch, idx: np.ndarray) -> np.ndarray:
                      np.sqrt(u * u + v * v)])
 
 
+def _probabilities(params: MlpParams, dataset: Dataset) -> np.ndarray:
+    """p of every row, forwarded in near-equal row blocks through the
+    leading rows of one input buffer and one trace, which are freed on
+    return; each block's p is written in place into the result."""
+    blocks = np.array_split(np.arange(dataset.n), -(-dataset.n // EVAL_ROWS))
+    x = np.empty((blocks[0].size, dataset.d))  # the first block is the largest
+    buf = ForwardTrace.empty(x, *params.dims[1:])
+    p = np.empty(dataset.n)
+    for rows in blocks:
+        m, lo = rows.size, rows[0]
+        forward(params, dataset.densify(rows, x[:m]),
+                ForwardTrace(x=x[:m], a1=buf.a1[:m], a2=buf.a2[:m],
+                             probs=buf.probs[:m], p=p[lo:lo + m]))
+    return p
+
+
 def evaluate(params: MlpParams, dataset: Dataset, S: int,
              seed: int = 0) -> MetricsReport:
     """Full metrics report; deterministic given (params, dataset, S, seed).
@@ -100,10 +117,7 @@ def evaluate(params: MlpParams, dataset: Dataset, S: int,
     if y.sum() < 1 or (1 - y).sum() < 1:
         raise DataError("evaluation set must contain both label classes")
 
-    blocks = np.array_split(np.arange(dataset.n), -(-dataset.n // EVAL_ROWS))
-    x = np.empty((blocks[0].size, dataset.d))  # the first block is the largest
-    p = np.concatenate([forward(params, dataset.densify(rows, x[:rows.size])).p
-                        for rows in blocks])
+    p = _probabilities(params, dataset)
     yhat = predict_hard(p)
 
     s_eff = min(S, dataset.n)

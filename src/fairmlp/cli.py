@@ -291,6 +291,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
+def _release_freed_heap() -> None:
+    """Return the pages of freed heap chunks to the OS (glibc's
+    malloc_trim; nothing elsewhere). Chunks freed below live data stay
+    resident otherwise, and whether a later allocation reuses them
+    depends on the sizes of earlier ones, so the peak would too."""
+    import ctypes  # numpy has loaded it already
+
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (OSError, AttributeError, TypeError):  # not glibc
+        pass
+
+
 def cmd_audit(args) -> int:
     params = model.load_checkpoint(args.model)
     schema = data.resolve_schema(args.schema)
@@ -300,9 +313,10 @@ def cmd_audit(args) -> int:
     if width != params.dims[0]:
         raise SchemaError(f"checkpoint expects {params.dims[0]} features but "
                           f"the data encodes to {width}")
-    # no reference to the raw table outlives encode, so it is freed
-    # before the evaluation
+    # no reference to the raw table outlives encode, so it is freed, and
+    # its pages released, before the evaluation
     dataset = data.encode(data.load_csv(args.data, schema), schema, encoder)
+    _release_freed_heap()
     report = audit.evaluate(params, dataset, args.batch_size, seed=args.seed)
     print(json.dumps(asdict(report), indent=1, sort_keys=True))
     return 0

@@ -232,6 +232,29 @@ class TestBlockedEvaluate:
         # the (n, D) dense rows as well as the activations
         assert peak < ds.n * (self.D + self.H1 + self.H2) * 8 / 2
 
+    def test_blocks_share_one_input_buffer_and_trace(self, case, monkeypatch):
+        params, ds = case
+        calls = []
+
+        def kept(params, x, out=None):
+            calls.append((x, out))
+            return forward(params, x, out)
+
+        monkeypatch.setattr(audit, "forward", kept)
+        evaluate(params, ds, S=500, seed=2)
+
+        def start(array):
+            return array.__array_interface__["data"][0]
+
+        (x0, out0), *rest = calls
+        for x, out in rest:
+            assert start(x) == start(x0)
+            for name in ("a1", "a2", "probs"):
+                assert start(getattr(out, name)) == start(getattr(out0, name))
+        # each block's p is written straight into the whole-set result
+        assert [start(out.p) - start(out0.p) for _, out in calls] == [
+            0, 21846 * 8, 2 * 21846 * 8]
+
 
 BOUND_EXAMPLE = dict(R=2, D=3, W=0.5, L=1.0, S=10, B=10 ** 4,
                      radius_divisor="S")

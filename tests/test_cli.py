@@ -411,6 +411,21 @@ class TestAuditCommand:
         audited = json.loads(capsys.readouterr().out)
         assert audited == report["folds"][0]
 
+    def test_freed_heap_released_between_encode_and_evaluate(
+            self, trained, biased_schema_json, monkeypatch, capsys):
+        order = []
+        for mod, name in ((data, "encode"), (audit, "evaluate"),
+                          (cli, "_release_freed_heap")):
+            def logged(*args, _f=getattr(mod, name), _name=name, **kwargs):
+                order.append(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(mod, name, logged)
+        assert main(["audit", "--model", str(trained / "model.json"),
+                     "--data", str(trained / "test_split.csv"),
+                     "--schema", str(biased_schema_json),
+                     "--encoder", str(trained / "encoder.json")]) == 0
+        assert order == ["encode", "_release_freed_heap", "evaluate"]
+
     @pytest.fixture(scope="class")
     def trained(self, tmp_path_factory, biased_csv, biased_schema_json):
         tmp_path = tmp_path_factory.mktemp("trained")
@@ -782,6 +797,37 @@ class TestAuditCommand:
         assert code == 0
         audited = json.loads(capsys.readouterr().out)
         assert audited["dp_soft"] == 0.0
+
+
+class TestReleaseFreedHeap:
+    def test_trims_through_the_libc(self, monkeypatch):
+        import ctypes
+
+        calls = []
+
+        class Libc:
+            def malloc_trim(self, pad):
+                calls.append(pad)
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        cli._release_freed_heap()
+        assert calls == [0]
+
+    @pytest.mark.parametrize("error", [None, OSError, TypeError])
+    def test_a_libc_without_malloc_trim_is_left_alone(self, monkeypatch,
+                                                      error):
+        # None: a libc with no malloc_trim; OSError: none loads;
+        # TypeError: CDLL(None) where that is not the running program
+        import ctypes
+
+        def cdll(name):
+            if error is not None:
+                raise error("no libc")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert cli._release_freed_heap() is None
 
 
 class TestEmptyTable:
