@@ -4,9 +4,10 @@ counterexample.
 Run configuration lives in a JSON file; command-line flags override
 individual keys. All outputs are deterministic given the seed and the
 BLAS thread count, with wall-clock data confined to a separate metadata
-field. crossval and sweep train their folds in forked worker processes
+field. crossval, sweep and audit read a large CSV in byte-range parts,
+and crossval and sweep train their folds, in forked worker processes
 when the BLAS threads leave more than one usable CPU free (see
-``_fold_workers``); the outputs do not depend on how many.
+``_workers``); the outputs do not depend on how many.
 
 Exit codes: 0 success, 2 config/parameter/io or out of memory,
 3 schema/data, 4 numeric failure.
@@ -151,12 +152,36 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
+def _ingest_part(task: tuple) -> data.RowCodes:
+    """Load and row-encode bytes [lo, hi) of a CSV: one ingest task."""
+    path, schema, lo, hi = task
+    return data.encode_rows(data.load_csv(path, schema, lo, hi), schema)
+
+
+def _ingest(path, schema: data.SchemaConfig,
+            encoder: data.Encoder | None = None) -> data.Dataset:
+    """``data.encode(data.load_csv(path, schema), schema, encoder)``, with
+    the file read in byte-range parts (``data.byte_parts``), one per
+    worker, and only their row codes held here. The Dataset, and any
+    error, is the same for any part count."""
+    tasks = [(path, schema, lo, hi)
+             for lo, hi in data.byte_parts(path, _workers(sys.maxsize))]
+    try:
+        parts = _fork_map(_ingest_part, tasks)
+    except DataError:
+        if len(tasks) > 1:
+            # a part numbers its lines from its own first byte, and decodes
+            # all of it before its first row; the one-part read raises the
+            # error it meets first, as it is numbered there
+            data.load_csv(path, schema)
+        raise
+    return data.encode_parts(parts, schema, encoder)
+
+
 def _load_folds(cfg: RunConfig) -> tuple[data.Dataset, list[np.ndarray]]:
     """The encoded dataset and its k folds; these depend on the seed but
     not on the constraint, so a sweep builds them once."""
-    schema = data.resolve_schema(cfg.schema)
-    table = data.load_csv(cfg.data, schema)
-    dataset = data.encode(table, schema)
+    dataset = _ingest(cfg.data, data.resolve_schema(cfg.schema))
     return dataset, data.kfold(dataset, cfg.folds, cfg.seed)
 
 
@@ -179,13 +204,13 @@ def _fold(task: tuple[RunConfig, int]
                           seed=cfg.seed), log
 
 
-def _fold_workers(tasks: int) -> int:
-    """How many processes train ``tasks`` folds: one per usable CPU that
-    the BLAS threads leave free, and at most one per fold. The BLAS
-    thread count is the first of OPENBLAS_NUM_THREADS and OMP_NUM_THREADS
-    that holds a positive integer, as numpy's OpenBLAS reads them; without
-    one, the BLAS uses every usable CPU and the folds run in this
-    process."""
+def _workers(tasks: int) -> int:
+    """How many processes run ``tasks`` tasks, folds or ingest parts: one
+    per usable CPU that the BLAS threads leave free, and at most one per
+    task. The BLAS thread count is the first of OPENBLAS_NUM_THREADS and
+    OMP_NUM_THREADS that holds a positive integer, as numpy's OpenBLAS
+    reads them; without one, the BLAS uses every usable CPU and the tasks
+    run in this process."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else 1)
     threads = cpus
@@ -200,40 +225,46 @@ def _fold_workers(tasks: int) -> int:
     return max(1, min(tasks, cpus // threads))
 
 
+def _fork_map(fn, tasks: list) -> list:
+    """``fn`` of each task, in task order. With more than one worker the
+    tasks run in forked processes; a failing task raises what the serial
+    loop would, the first failure in task order, a worker that ends
+    without a result (killed, say) raises ChildProcessError, and no
+    worker outlives the call."""
+    workers = _workers(len(tasks))
+    if workers == 1:
+        return list(map(fn, tasks))
+    # imported here, as the pool's modules add ~2 MB resident that a
+    # command with one worker does not pay
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, so the workers inherit module state such as _FOLD_INPUTS,
+    # numpy's errstate and the BLAS settings; OpenBLAS stops its own
+    # threads before a fork
+    try:
+        with ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            try:
+                return list(pool.map(fn, tasks))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    except BrokenProcessPool:
+        # every worker is joined by now; main exits 2 on an OSError
+        raise ChildProcessError("a fold or ingest worker ended without a "
+                                "result (for example, killed for memory)")
+
+
 def _run_folds(tasks: list[tuple[RunConfig, int]], dataset: data.Dataset,
                folds: list[np.ndarray]) -> list:
-    """``_fold`` of each task, in task order. With more than one worker
-    the tasks run in forked processes; a failing fold raises what the
-    serial loop would, the first failure in task order, a worker that
-    ends without a result (killed, say) raises ChildProcessError, and no
-    worker outlives the call."""
+    """``_fold`` of each task, in task order, through ``_fork_map``."""
     global _FOLD_INPUTS
-    workers = _fold_workers(len(tasks))
     _FOLD_INPUTS = dataset, folds
     try:
-        if workers == 1:
-            return list(map(_fold, tasks))
-        # imported here, as the pool's modules add ~2 MB resident that a
-        # command with one worker, and audit, does not pay
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        # fork, so the workers inherit _FOLD_INPUTS, numpy's errstate and
-        # the BLAS settings; OpenBLAS stops its own threads before a fork
-        try:
-            with ProcessPoolExecutor(
-                    workers,
-                    mp_context=multiprocessing.get_context("fork")) as pool:
-                try:
-                    return list(pool.map(_fold, tasks))
-                except BaseException:
-                    pool.shutdown(cancel_futures=True)
-                    raise
-        except BrokenProcessPool:
-            # every worker is joined by now; main exits 2 on an OSError
-            raise ChildProcessError("a fold worker ended without a result "
-                                    "(for example, killed for memory)")
+        return _fork_map(_fold, tasks)
     finally:
         _FOLD_INPUTS = None
 
@@ -254,7 +285,7 @@ def cmd_crossval(cfg: RunConfig) -> int:
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     fold_reports, logs = _crossval_reports(cfg)
     _report_run(cfg, "crossval", fold_reports, logs, t0,
-                _fold_workers(cfg.folds))
+                _workers(cfg.folds))
     return 0
 
 
@@ -313,9 +344,8 @@ def cmd_audit(args) -> int:
     if width != params.dims[0]:
         raise SchemaError(f"checkpoint expects {params.dims[0]} features but "
                           f"the data encodes to {width}")
-    # no reference to the raw table outlives encode, so it is freed, and
-    # its pages released, before the evaluation
-    dataset = data.encode(data.load_csv(args.data, schema), schema, encoder)
+    # what ingest freed has its pages released before the evaluation
+    dataset = _ingest(args.data, schema, encoder)
     _release_freed_heap()
     report = audit.evaluate(params, dataset, args.batch_size, seed=args.seed)
     print(json.dumps(asdict(report), indent=1, sort_keys=True))

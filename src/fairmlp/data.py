@@ -14,8 +14,11 @@ needs — the constraint formulas are undefined on single-group batches.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import mmap
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -118,12 +121,48 @@ class RawTable:
             writer.writerows(zip(*self.columns.values()))
 
 
-def load_csv(path, schema: SchemaConfig) -> RawTable:
+# the fewest bytes worth a part of their own: a MiB takes a CPU ~70 ms to
+# parse (2 vCPUs, 1 BLAS thread), and starting a worker pool ~40 ms
+PART_BYTES = 1 << 20
+
+
+def byte_parts(path, n: int) -> list[tuple[int, int | None]]:
+    """Cut the file at ``path`` into byte ranges [lo, hi), for ``load_csv``
+    to read one each: at most ``n`` of them and at most one per PART_BYTES
+    of the file, of about equal size, the first from byte 0 and each
+    ending just after a '\\n' byte. A file that holds a '"' byte is one
+    part, (0, None), as a quoted field may span lines; so is a file too
+    short to cut."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        n = min(n, size // PART_BYTES)
+        if n < 2:
+            return [(0, None)]
+        # a map, so the scan copies nothing onto the heap
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
+            if view.find(b'"') >= 0:
+                return [(0, None)]
+            cuts = [0]
+            for k in range(1, n):
+                end = view.find(b"\n", max(size * k // n, cuts[-1])) + 1
+                if end in (0, size):
+                    break
+                cuts.append(end)
+    return list(zip(cuts, cuts[1:] + [size]))
+
+
+def load_csv(path, schema: SchemaConfig, lo: int = 0,
+             hi: int | None = None) -> RawTable:
     """Read a header CSV, keeping schema columns and dropping any row that
     has the missing-value token in a used column. Each column holds one
     shared string per distinct value, however many rows repeat it. A used
     column the header repeats, or a non-blank row whose cell count is not
-    the header's, is an error."""
+    the header's, is an error.
+
+    With ``hi``, only the rows in bytes [lo, hi) of the file are read: a
+    part from ``byte_parts``, where part 0 also holds the header and the
+    others start at a record. The header is checked all the same; the
+    line numbers in a part's errors count from ``lo``."""
     names = list(dict.fromkeys(schema.used_columns))
     try:
         # utf-8-sig drops the byte-order mark a spreadsheet may write
@@ -140,6 +179,13 @@ def load_csv(path, schema: SchemaConfig) -> RawTable:
             if repeated:
                 raise SchemaError(f"{path} repeats columns in its header: "
                                   f"{repeated}")
+            if hi is not None:
+                # the text layer is done with, so its byte buffer may move
+                fh.buffer.seek(lo)
+                reader = csv.reader(io.StringIO(
+                    fh.buffer.read(hi - lo).decode("utf-8"), newline=""))
+                if lo == 0:
+                    next(reader)  # the header, checked above
             idx, width = [header.index(c) for c in names], len(header)
             columns, n_dropped = [[] for _ in names], 0
             distinct = [{} for _ in names]
@@ -301,19 +347,55 @@ class Dataset:
         return out
 
 
-def encode(table: RawTable, schema: SchemaConfig,
-           encoder: Encoder | None = None) -> Dataset:
-    """Encode a table into a Dataset: the z-scored numeric columns and the
-    dense column of each categorical cell's one. Fits the encoder on the
-    table itself unless one (from the training split) is supplied."""
+@dataclass
+class RowCodes:
+    """The row-local half of encoding one part of a table: what needs no
+    other part. ``numeric`` holds each numeric column as float64, or the
+    ValueError of its first non-numeric cell; ``categorical`` holds each
+    categorical column as its sorted distinct values and each row's index
+    into them; ``a`` and ``y`` are as ``extract_labels`` gives them."""
+
+    numeric: list[np.ndarray | ValueError]
+    categorical: list[tuple[list[str], np.ndarray]]
+    a: np.ndarray
+    y: np.ndarray
+
+
+def encode_rows(table: RawTable, schema: SchemaConfig) -> RowCodes:
+    """The row-local half of ``encode``, on one part of a table."""
     n = len(table)
+    numeric = []
+    for col in schema.numeric:
+        try:
+            numeric.append(np.fromiter(map(float, table.columns[col]),
+                                       np.float64, n))
+        except ValueError as exc:
+            numeric.append(exc)
+    categorical = []
+    for col in schema.categorical:
+        cells = table.columns[col]
+        values = sorted(set(cells))
+        at = {v: i for i, v in enumerate(values)}
+        categorical.append((values, np.fromiter(
+            map(at.__getitem__, cells), np.min_scalar_type(len(values)), n)))
+    return RowCodes(numeric, categorical, *extract_labels(table, schema))
+
+
+def encode_parts(parts: list[RowCodes], schema: SchemaConfig,
+                 encoder: Encoder | None = None) -> Dataset:
+    """The whole-set half of ``encode``: the Dataset of the parts' rows,
+    in part order. Fits the encoder on those rows unless one is supplied.
+    The first bad numeric column in schema order, and its first bad row,
+    is the error, as if the parts were one table."""
+    n = sum(len(part.a) for part in parts)
     if n == 0:
         raise DataError("cannot encode an empty table")
     fit = encoder is None
     if fit:
-        # numeric_stats are filled in below, as each column is parsed
-        vocabulary = {col: sorted(set(table.columns[col]))
-                      for col in schema.categorical}
+        # numeric_stats are filled in below, as each column is checked
+        vocabulary = {col: sorted(set().union(*(part.categorical[k][0]
+                                                for part in parts)))
+                      for k, col in enumerate(schema.categorical)}
         names = _feature_names(schema, vocabulary)
         encoder = Encoder(vocabulary=vocabulary, feature_names=names)
         d = len(names)
@@ -321,10 +403,11 @@ def encode(table: RawTable, schema: SchemaConfig,
         d = encoder.width(schema)
     num = np.zeros((n, len(schema.numeric)))
     for j, col in enumerate(schema.numeric):
-        try:
-            values = np.fromiter(map(float, table.columns[col]), np.float64, n)
-        except ValueError as exc:
-            raise DataError(f"non-numeric value in column {col!r}: {exc}")
+        for part in parts:
+            if isinstance(part.numeric[j], ValueError):
+                raise DataError(f"non-numeric value in column {col!r}: "
+                                f"{part.numeric[j]}")
+        values = np.concatenate([part.numeric[j] for part in parts])
         if not np.isfinite(values).all():
             raise DataError(f"non-finite value in column {col!r}")
         if fit:
@@ -335,6 +418,8 @@ def encode(table: RawTable, schema: SchemaConfig,
         mean, std = encoder.numeric_stats[col]
         if std > 0:  # zero-variance columns encode to all zeros
             num[:, j] = (values - mean) / std
+            if not np.isfinite(num[:, j]).all():
+                raise DataError(f"column {col!r} overflows its z-score")
     # the smallest signed type holding -d - 1 holds UNSEEN and every column
     # below d
     cols = np.empty((n, len(schema.categorical)), np.min_scalar_type(-d - 1))
@@ -342,11 +427,27 @@ def encode(table: RawTable, schema: SchemaConfig,
     for k, col in enumerate(schema.categorical):
         vocab = encoder.vocabulary[col]
         pos = {v: j + i for i, v in enumerate(vocab)}
-        cols[:, k] = np.fromiter((pos.get(v, UNSEEN) for v in table.columns[col]),
-                                 cols.dtype, n)
+        row = 0
+        for part in parts:
+            # each of the part's values to its dense column, or UNSEEN
+            values, codes = part.categorical[k]
+            dense = np.fromiter((pos.get(v, UNSEEN) for v in values),
+                                cols.dtype, len(values))
+            cols[row:row + len(codes), k] = dense[codes]
+            row += len(codes)
         j += len(vocab)
-    a, y = extract_labels(table, schema)
-    return Dataset(num=num, cols=cols, a=a, y=y, encoder=encoder)
+    return Dataset(num=num, cols=cols,
+                   a=np.concatenate([part.a for part in parts]),
+                   y=np.concatenate([part.y for part in parts]),
+                   encoder=encoder)
+
+
+def encode(table: RawTable, schema: SchemaConfig,
+           encoder: Encoder | None = None) -> Dataset:
+    """Encode a table into a Dataset: the z-scored numeric columns and the
+    dense column of each categorical cell's one. Fits the encoder on the
+    table itself unless one (from the training split) is supplied."""
+    return encode_parts([encode_rows(table, schema)], schema, encoder)
 
 
 def extract_labels(table: RawTable, schema: SchemaConfig) -> tuple[np.ndarray, np.ndarray]:

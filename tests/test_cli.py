@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -11,11 +12,12 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gradcheck
 from fairmlp import audit, cli, data, fairloss, lagrange
 from fairmlp.audit import MetricsReport
-from fairmlp.errors import DataError
+from fairmlp.errors import DataError, SchemaError
 from fairmlp.cli import RunConfig, _crossval_reports, build_parser, main
 from fairmlp.fairloss import CONSTRAINTS, OBJECTIVES
 from conftest import write_csv
@@ -47,6 +49,19 @@ def strip_metadata(report_path) -> str:
     payload = json.loads(Path(report_path).read_text(encoding="utf-8"))
     payload.pop("metadata")
     return json.dumps(payload, sort_keys=True)
+
+
+def record_ingest(monkeypatch) -> list:
+    """Patch both ways a command reads its CSV, ``cli._ingest`` (crossval,
+    sweep and audit) and ``data.load_csv`` (train), to record the name of
+    each call before making it; returns the list of names."""
+    calls = []
+    for owner, name in ((cli, "_ingest"), (data, "load_csv")):
+        def recorded(*args, _real=getattr(owner, name), _name=name, **kw):
+            calls.append(_name)
+            return _real(*args, **kw)
+        monkeypatch.setattr(owner, name, recorded)
+    return calls
 
 
 class TestTrain:
@@ -290,7 +305,7 @@ class TestFoldWorkers:
             monkeypatch.setenv(var, value)
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
-        assert cli._fold_workers(tasks) == expected
+        assert cli._workers(tasks) == expected
 
     def test_importing_cli_loads_no_pool_modules(self):
         # a command with one worker, and audit, never loads them
@@ -389,8 +404,8 @@ class TestFoldWorkers:
         cfg = run_config(tmp_path, biased_csv, biased_schema_json)
         proc = run_cli(["crossval", "--config", str(cfg)], "1", script=dies)
         assert json.loads(proc.stdout.splitlines()[-1]) == [2, 0]
-        assert proc.stderr == ("error: a fold worker ended without a result "
-                               "(for example, killed for memory)\n")
+        assert proc.stderr == ("error: a fold or ingest worker ended without "
+                               "a result (for example, killed for memory)\n")
 
 
 class TestAuditCommand:
@@ -414,7 +429,7 @@ class TestAuditCommand:
     def test_freed_heap_released_between_encode_and_evaluate(
             self, trained, biased_schema_json, monkeypatch, capsys):
         order = []
-        for mod, name in ((data, "encode"), (audit, "evaluate"),
+        for mod, name in ((cli, "_ingest"), (audit, "evaluate"),
                           (cli, "_release_freed_heap")):
             def logged(*args, _f=getattr(mod, name), _name=name, **kwargs):
                 order.append(_name)
@@ -424,7 +439,18 @@ class TestAuditCommand:
                      "--data", str(trained / "test_split.csv"),
                      "--schema", str(biased_schema_json),
                      "--encoder", str(trained / "encoder.json")]) == 0
-        assert order == ["encode", "_release_freed_heap", "evaluate"]
+        assert order == ["_ingest", "_release_freed_heap", "evaluate"]
+
+    def test_record_ingest_sees_a_good_audit(self, trained,
+                                             biased_schema_json, monkeypatch,
+                                             capsys):
+        # the control for the before-ingest tests below
+        loads = record_ingest(monkeypatch)
+        assert main(["audit", "--model", str(trained / "model.json"),
+                     "--data", str(trained / "test_split.csv"),
+                     "--schema", str(biased_schema_json),
+                     "--encoder", str(trained / "encoder.json")]) == 0
+        assert loads == ["_ingest", "load_csv"]
 
     @pytest.fixture(scope="class")
     def trained(self, tmp_path_factory, biased_csv, biased_schema_json):
@@ -669,9 +695,7 @@ class TestAuditCommand:
         "_encoder_feature_names_disagree"])
     def test_wrong_encoder_exits_three_before_ingest(
             self, trained, biased_schema_json, corrupt, capsys, monkeypatch):
-        loads = []
-        monkeypatch.setattr(data, "load_csv",
-                            lambda *args, **kw: loads.append(args))
+        loads = record_ingest(monkeypatch)
         args = {"--model": trained / "model.json",
                 "--data": trained / "test_split.csv",
                 "--schema": biased_schema_json,
@@ -688,9 +712,7 @@ class TestAuditCommand:
             self, trained, biased_schema_json, tmp_path, capsys, monkeypatch):
         # the encoder's feature_names are its only record of the training
         # column order; without the check the audit would permute columns
-        loads = []
-        monkeypatch.setattr(data, "load_csv",
-                            lambda *args, **kw: loads.append(args))
+        loads = record_ingest(monkeypatch)
         schema = json.loads(biased_schema_json.read_text())
         assert schema["numeric"] == ["f1", "f2"]
         schema["numeric"] = ["f2", "f1"]
@@ -742,9 +764,7 @@ class TestAuditCommand:
         schema = data.resolve_schema(str(bad_schema))
         data.encode(data.load_csv(trained / "test_split.csv", schema),
                     schema).encoder.to_json(tmp_path / "encoder.json")
-        loads = []
-        monkeypatch.setattr(data, "load_csv",
-                            lambda *args, **kw: loads.append(args))
+        loads = record_ingest(monkeypatch)
         capsys.readouterr()
         code = main(["audit", "--model", str(trained / "model.json"),
                      "--data", str(trained / "test_split.csv"),
@@ -758,9 +778,7 @@ class TestAuditCommand:
 
     def test_missing_encoder_exits_two_before_ingest(
             self, trained, biased_schema_json, capsys, monkeypatch):
-        loads = []
-        monkeypatch.setattr(data, "load_csv",
-                            lambda *args, **kw: loads.append(args))
+        loads = record_ingest(monkeypatch)
         with pytest.raises(SystemExit) as exc:
             main(["audit", "--model", str(trained / "model.json"),
                   "--data", str(trained / "test_split.csv"),
@@ -797,6 +815,215 @@ class TestAuditCommand:
         assert code == 0
         audited = json.loads(capsys.readouterr().out)
         assert audited["dp_soft"] == 0.0
+
+
+PART_SCHEMA = data.SchemaConfig(numeric=["n1", "n2"], categorical=["c1"],
+                                label="outcome", positive_label="yes",
+                                sensitive="grp", protected_value="f")
+PART_HEADER = "n1,c1,grp,n2,outcome,note"
+PART_NUMBERS = st.one_of(st.integers(-9, 9).map(str),
+                         st.floats(-1e3, 1e3, allow_nan=False).map(repr))
+
+
+@st.composite
+def part_csvs(draw):
+    """CSV bytes in PART_SCHEMA's columns plus an unused one: LF or CRLF
+    line ends, blank and all-empty lines, rows with the missing token,
+    categories the saved encoder never saw, now and then a byte-order
+    mark, a bad numeric cell or a row of the wrong width."""
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [PART_HEADER]
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.integers(0, 24))
+        if kind == 0:
+            lines.append("")
+            continue
+        if kind == 1:
+            lines.append(" , ,,, , ")
+            continue
+        row = [draw(PART_NUMBERS), draw(st.sampled_from(["a", "b", "c", "日本"])),
+               draw(st.sampled_from(["f", "m"])), draw(PART_NUMBERS),
+               draw(st.sampled_from(["yes", "no"])), "x"]
+        if kind == 2:
+            row[draw(st.integers(0, 5))] = "?"
+        elif kind == 3:
+            row[draw(st.sampled_from([0, 3]))] = draw(
+                st.sampled_from(["abc", "nan", "-inf"]))
+        elif kind == 4:
+            row = row[:draw(st.integers(1, 5))]
+        lines.append(",".join(row))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return b"\xef\xbb\xbf" * draw(st.booleans()) + text.encode()
+
+
+def ingested(ingest):
+    """Everything ``ingest()`` returns, as bytes, dtypes and encoder JSON,
+    or the type and message of the error it raised."""
+    try:
+        ds = ingest()
+    except (DataError, SchemaError) as exc:
+        return type(exc), str(exc)
+    arrays = (ds.num, ds.cols, ds.a, ds.y)
+    return ([(x.dtype.str, x.shape, x.tobytes()) for x in arrays],
+            json.dumps(asdict(ds.encoder), sort_keys=True))
+
+
+def cut_in_process(mp, parts):
+    """Make ``cli._ingest`` cut any file into up to ``parts`` parts and
+    read them in this process, in order."""
+    mp.setattr(data, "PART_BYTES", 1)
+    mp.setattr(cli, "_workers", lambda tasks: min(tasks, parts))
+    mp.setattr(cli, "_fork_map", lambda fn, tasks: list(map(fn, tasks)))
+
+
+class TestIngestParts:
+    @staticmethod
+    def _same_as_one_part(path, parts, encoder=None):
+        one = ingested(lambda: data.encode(data.load_csv(path, PART_SCHEMA),
+                                           PART_SCHEMA, encoder))
+        with pytest.MonkeyPatch.context() as mp:
+            cut_in_process(mp, parts)
+            assert ingested(lambda: cli._ingest(path, PART_SCHEMA,
+                                                encoder)) == one
+        return one
+
+    # a saved encoder's std can scale a cell past the largest double
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(part_csvs(), st.integers(1, 4), st.booleans())
+    def test_any_part_count_gives_the_one_part_dataset(self, raw, parts,
+                                                       saved):
+        encoder = None
+        if saved:
+            fitted = data.RawTable({"n1": ["1", "4"], "n2": ["0", "2"],
+                                    "c1": ["a", "b"], "outcome": ["yes", "no"],
+                                    "grp": ["f", "m"]})
+            encoder = data.encode(fitted, PART_SCHEMA).encoder
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "parts.csv"
+            path.write_bytes(raw)
+            self._same_as_one_part(path, parts, encoder)
+
+    @staticmethod
+    def _rows(n):
+        return [f"{i},{'ab'[i % 2]},{'fm'[i % 3 % 2]},{i % 7},"
+                f"{('yes', 'no')[i % 5 % 2]},x" for i in range(n)]
+
+    def _write(self, tmp_path, rows):
+        path = tmp_path / "parts.csv"
+        path.write_text("\n".join([PART_HEADER, *rows, ""]), encoding="utf-8")
+        return path
+
+    def test_bad_count_in_the_last_part_names_its_line_in_the_file(
+            self, tmp_path):
+        rows = self._rows(30)
+        rows[-1] = "1,a,f"
+        path = self._write(tmp_path, rows)
+        assert self._same_as_one_part(path, 4) == (
+            DataError, f"{path} line 31 has 3 cells, the header has 6")
+
+    def test_bad_count_in_part_two_beats_non_numeric_in_part_one(
+            self, tmp_path):
+        rows = self._rows(40)
+        rows[2] = rows[2].replace("2,", "abc,", 1)
+        rows[30] += ",extra"
+        path = self._write(tmp_path, rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "PART_BYTES", 1)
+            (_, hi), _ = data.byte_parts(path, 2)
+        raw = path.read_bytes()
+        assert raw.index(b"abc,") < hi < raw.index(b",extra")
+        assert self._same_as_one_part(path, 2) == (
+            DataError, f"{path} line 32 has 7 cells, the header has 6")
+
+    def test_non_utf8_in_a_later_part_is_the_one_part_error(self, tmp_path):
+        # past the 8 KiB that reading the header decodes; the position in
+        # the message counts from the start of a decoded chunk
+        path = self._write(tmp_path, self._rows(2000))
+        raw = path.read_bytes()
+        assert len(raw) > 3 * 8192
+        path.write_bytes(raw[:-30] + b"\xff" + raw[-29:])
+        error, message = self._same_as_one_part(path, 3)
+        assert error is DataError and "is not UTF-8 text" in message
+
+    def test_quoted_newline_is_one_part_and_the_same_table(self, tmp_path):
+        rows = [row.split(",") for row in self._rows(40)]
+        rows[25][5] = "two\nlines"
+        path = tmp_path / "quoted.csv"
+        write_csv(path, PART_HEADER.split(","), rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "PART_BYTES", 1)
+            assert data.byte_parts(path, 4) == [(0, None)]
+        assert isinstance(self._same_as_one_part(path, 4)[0], list)
+
+    # the audit's stdout from two ingest workers, and the part count on
+    # stderr; then from encode(load_csv(...)) in this process
+    FORKED = ("import sys\n"
+              "from fairmlp import cli, data\n"
+              "cut = data.byte_parts\n"
+              "def counted(path, n):\n"
+              "    parts = cut(path, n)\n"
+              "    print(len(parts), file=sys.stderr)\n"
+              "    return parts\n"
+              "data.byte_parts = counted\n"
+              "sys.exit(cli.main(sys.argv[1:]))")
+    SERIAL = ("import sys\n"
+              "from fairmlp import cli, data\n"
+              "cli._ingest = lambda path, schema, encoder: data.encode(\n"
+              "    data.load_csv(path, schema), schema, encoder)\n"
+              "sys.exit(cli.main(sys.argv[1:]))")
+
+    @pytest.mark.skipif(not two_cpus(), reason="the ingest pool needs 2 "
+                        "usable CPUs")
+    def test_forked_audit_matches_the_serial_audit(self, tmp_path, capsys):
+        gen = str(Path(__file__).resolve().parent.parent / "perfbench"
+                  / "gen_adult.py")
+        # ~2.6 MB: two parts of more than data.PART_BYTES each
+        for name, rows, seed in (("train.csv", 3000, 1),
+                                 ("audit.csv", 24_000, 2)):
+            subprocess.run([sys.executable, gen, str(rows), str(seed),
+                            str(tmp_path / name)], check=True)
+        assert (tmp_path / "audit.csv").stat().st_size >= 2 * data.PART_BYTES
+        cfg = run_config(tmp_path, tmp_path / "train.csv", "adult",
+                         max_epochs=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        argv = ["audit", "--model", str(out / "model.json"),
+                "--data", str(tmp_path / "audit.csv"), "--schema", "adult",
+                "--encoder", str(out / "encoder.json"), "--batch-size", "500"]
+        forked = run_cli(argv, "1", script=self.FORKED)
+        serial = run_cli(argv, "1", script=self.SERIAL)
+        assert forked.returncode == serial.returncode == 0, forked.stderr
+        assert forked.stderr == "2\n"
+        assert json.loads(serial.stdout)["n"] > 20_000
+        assert forked.stdout == serial.stdout
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory, biased_csv, biased_schema_json):
+        tmp_path = tmp_path_factory.mktemp("trained")
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json, max_epochs=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+        return tmp_path / "out"
+
+    @pytest.mark.skipif(not two_cpus(), reason="the ingest pool needs 2 "
+                        "usable CPUs")
+    def test_dead_worker_exits_two_and_leaves_no_worker(
+            self, trained, biased_schema_json):
+        # os._exit stands in for a worker the kernel kills; each of the
+        # test split's two parts goes to its own worker
+        dies = ("import os\n"
+                "from fairmlp import data\n"
+                "data.PART_BYTES = 1\n"
+                "data.encode_rows = lambda table, schema: os._exit(1)\n"
+                + TestFoldWorkers.MAIN)
+        proc = run_cli(["audit", "--model", str(trained / "model.json"),
+                        "--data", str(trained / "test_split.csv"),
+                        "--schema", str(biased_schema_json),
+                        "--encoder", str(trained / "encoder.json")], "1",
+                       script=dies)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [2, 0]
+        assert proc.stderr == ("error: a fold or ingest worker ended without "
+                               "a result (for example, killed for memory)\n")
 
 
 class TestReleaseFreedHeap:
@@ -1010,6 +1237,25 @@ class TestNonFiniteCell:
         # no encoder.json, nor any other file that could hold an Infinity
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_overflowing_z_score_exits_three_naming_the_column(
+            self, trained, biased_schema_json, tmp_path, capsys):
+        # the cell is finite, but a saved std of 0.1 scales it past the
+        # largest double
+        payload = json.loads((trained / "encoder.json").read_text())
+        payload["numeric_stats"]["f2"] = [0.2, 0.1]
+        (tmp_path / "encoder.json").write_text(json.dumps(payload))
+        with open(trained / "test_split.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        rows[3][header.index("f2")] = "1.7e308"
+        write_csv(tmp_path / "big.csv", header, rows)
+        capsys.readouterr()
+        assert main(["audit", "--model", str(trained / "model.json"),
+                     "--data", str(tmp_path / "big.csv"),
+                     "--schema", str(biased_schema_json),
+                     "--encoder", str(tmp_path / "encoder.json")]) == 3
+        assert capsys.readouterr().err == ("error: column 'f2' overflows its "
+                                           "z-score\n")
+
 
 def census_shaped_rows(n, seed):
     """Synthetic rows with the UCI census column layout, so the bundled
@@ -1079,17 +1325,17 @@ class TestSweep:
     def test_ingests_once_and_rows_match_crossval(self, tmp_path, biased_csv,
                                                   biased_schema_json, capsys,
                                                   monkeypatch):
-        calls = {"load_csv": 0, "encode": 0}
-        for name in calls:
-            def counted(*args, _name=name, _real=getattr(data, name), **kw):
+        calls = {"_ingest": 0, "encode_parts": 0}
+        for owner, name in ((cli, "_ingest"), (data, "encode_parts")):
+            def counted(*args, _name=name, _real=getattr(owner, name), **kw):
                 calls[_name] += 1
                 return _real(*args, **kw)
-            monkeypatch.setattr(data, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         values = [0.01, 0.05, 0.1]
         cfg = run_config(tmp_path, biased_csv, biased_schema_json,
                          max_epochs=4, sweep=values)
         assert main(["sweep", "--config", str(cfg)]) == 0
-        assert calls == {"load_csv": 1, "encode": 1}
+        assert calls == {"_ingest": 1, "encode_parts": 1}
         with open(tmp_path / "out" / "tradeoff.csv") as fh:
             rows = list(csv.DictReader(fh))
         for value, row in zip(values, rows):
@@ -1115,14 +1361,18 @@ class TestSweep:
 class TestBadHyperparameters:
     @pytest.fixture
     def loads(self, monkeypatch):
-        calls = []
-        real = data.load_csv
+        return record_ingest(monkeypatch)
 
-        def counted(*args, **kw):
-            calls.append(args)
-            return real(*args, **kw)
-        monkeypatch.setattr(data, "load_csv", counted)
-        return calls
+    @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
+    def test_loads_records_a_good_run_s_ingest(self, tmp_path, biased_csv,
+                                               biased_schema_json, loads,
+                                               command, capsys):
+        # the control for the tests below: their empty ``loads`` would
+        # mean nothing if the patch missed the command's ingest
+        cfg = run_config(tmp_path, biased_csv, biased_schema_json,
+                         max_epochs=1, sweep=[0.05])
+        assert main([command, "--config", str(cfg)]) == 0
+        assert loads[0] == ("load_csv" if command == "train" else "_ingest")
 
     @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
     @pytest.mark.parametrize("key,value", [
@@ -1445,9 +1695,7 @@ class TestConstraintRegistry:
     def test_unknown_constraint_exits_two(self, tmp_path, biased_csv,
                                           biased_schema_json, constraint,
                                           command, capsys, monkeypatch):
-        loads = []
-        monkeypatch.setattr(data, "load_csv",
-                            lambda *args, **kw: loads.append(args))
+        loads = record_ingest(monkeypatch)
         cfg = run_config(tmp_path, biased_csv, biased_schema_json,
                          constraint=constraint, sweep=[0.1])
         assert main([command, "--config", str(cfg)]) == 2

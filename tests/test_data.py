@@ -9,9 +9,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
-from fairmlp import audit
+from fairmlp import audit, data
 from fairmlp.data import (Encoder, RawTable, SchemaConfig, adult_schema,
-                          encode, epoch_batches, extract_labels,
+                          byte_parts, encode, epoch_batches, extract_labels,
                           holdout_split, kfold, load_csv, resolve_schema)
 from fairmlp.errors import DataError, ParameterError, SchemaError, ShapeError
 from fairmlp.fairloss import Batch
@@ -127,6 +127,64 @@ class TestLoadCsv:
         assert load_csv(tmp_path / "taken.csv", SCHEMA) == taken
 
 
+class TestByteParts:
+    ROWS = [[str(i), "ab"[i % 2], "mf"[i % 3 % 2], ("yes", "no")[i % 5 % 2]]
+            for i in range(40)]
+
+    def test_a_file_under_part_bytes_is_one_part(self, tmp_path):
+        path = small_csv(tmp_path, self.ROWS)
+        assert path.stat().st_size < data.PART_BYTES
+        assert byte_parts(path, 4) == [(0, None)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_parts_tile_the_file_and_end_after_a_newline(self, tmp_path,
+                                                         monkeypatch, n):
+        monkeypatch.setattr(data, "PART_BYTES", 1)
+        path = small_csv(tmp_path, self.ROWS)
+        raw = path.read_bytes()
+        parts = byte_parts(path, n)
+        if n == 1:
+            assert parts == [(0, None)]
+            return
+        assert len(parts) == n
+        assert parts[0][0] == 0 and parts[-1][1] == len(raw)
+        for (lo, hi), (next_lo, _) in zip(parts, parts[1:]):
+            assert lo < hi == next_lo
+            assert raw[hi - 1:hi] == b"\n"
+        # about equal: no part is two rows longer than the mean
+        sizes = [hi - lo for lo, hi in parts]
+        assert max(sizes) - len(raw) / n < 2 * max(map(len, raw.split(b"\n")))
+
+    def test_at_most_one_part_per_part_bytes(self, tmp_path, monkeypatch):
+        path = small_csv(tmp_path, self.ROWS)
+        monkeypatch.setattr(data, "PART_BYTES", path.stat().st_size // 3)
+        assert len(byte_parts(path, 8)) == 3
+
+    def test_a_quote_anywhere_makes_one_part(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "PART_BYTES", 1)
+        rows = [row[:] for row in self.ROWS]
+        rows[30][1] = "a\nb"  # written quoted, over two lines
+        assert byte_parts(small_csv(tmp_path, rows), 4) == [(0, None)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_part_tables_concatenate_to_the_whole(self, tmp_path,
+                                                  monkeypatch, n):
+        monkeypatch.setattr(data, "PART_BYTES", 1)
+        rows = [row[:] for row in self.ROWS]
+        rows[9][0] = rows[21][2] = "?"
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + "\r\n".join(
+            ["amount,kind,grp,outcome", ""]
+            + [",".join(row) for row in rows] + [""]).encode())
+        whole = load_csv(path, SCHEMA)
+        tables = [load_csv(path, SCHEMA, lo, hi)
+                  for lo, hi in byte_parts(path, n)]
+        assert len(tables) == n
+        for name, cells in whole.columns.items():
+            assert sum((t.columns[name] for t in tables), []) == cells
+        assert sum(t.n_dropped for t in tables) == whole.n_dropped == 2
+
+
 class TestEncode:
     def table(self, tmp_path, rows):
         return load_csv(small_csv(tmp_path, rows), SCHEMA)
@@ -207,6 +265,19 @@ class TestEncode:
         for out in (np.empty((2, ds.d)), np.empty((ds.d, 3)).T):
             with pytest.raises(ShapeError):
                 ds.densify(rows, out)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_z_score_names_its_column(self, tmp_path):
+        # the cell is finite, but a std of 0.1 scales it past the largest
+        # double
+        train = self.table(tmp_path, [["0.1", "a", "m", "yes"],
+                                      ["0.3", "b", "f", "no"]])
+        enc = encode(train, SCHEMA).encoder
+        test = self.table(tmp_path, [["0.2", "a", "m", "yes"],
+                                     ["1.7e308", "b", "f", "no"]])
+        with pytest.raises(DataError,
+                           match=r"^column 'amount' overflows its z-score$"):
+            encode(test, SCHEMA, enc)
 
     def test_extract_labels_matches_encode(self, tmp_path):
         table = self.table(tmp_path, [["1", "a", "m", "yes"], ["3", "a", "f", "no"]])
