@@ -7,10 +7,12 @@ stacked pass: the batches form a (B, S) index matrix, and each batch's
 gaps are row sums over it, taken a bounded number of batches at a time;
 the whole set's probabilities and labels are validated once. Hard
 metrics come from 0.5-thresholded predictions over the whole set, which
-is densified and forwarded in near-equal row blocks through one input
-buffer and one activation trace, allocated once, so that only one
-block's dense rows and hidden activations are alive at a time. The
-bound calculator works in log space: raw covering numbers overflow for
+is forwarded in near-equal row blocks: each block's rows are densified
+and run through the hidden layers a fixed-size sub-block at a time, and
+its output layer in one call, through buffers allocated once, so that
+only one sub-block's dense rows and first-layer activations and one
+block's second-layer activations are alive at a time. The bound
+calculator works in log space: raw covering numbers overflow for
 any realistic parameter count.
 """
 
@@ -25,16 +27,38 @@ from . import fairloss
 from .data import Dataset, epoch_batches
 from .errors import DataError, ParameterError
 from .fairloss import Batch
-from .model import ForwardTrace, MlpParams, forward, predict_hard
+# forward is no longer called here, but perfbench's traced runs wrap it
+# under this module's name
+from .model import (MlpParams, forward, hidden_layers,
+                    output_layer, predict_hard)
 from .numcore import Rng
 
 RATE_FLOOR = 1e-7
-# Most rows one forward call takes. A larger set is split into near-equal
-# blocks of more than EVAL_ROWS / 2 rows, not fixed blocks and a short
-# tail: OpenBLAS 0.3.31 rounds the h2 -> 2 output matmul differently on
-# calls of at most 10^6 / (2 * h2) rows (10,000 at h2 = 50), so for
-# h2 >= 31 every block gives p bit for bit as one whole-set call does.
+# Most rows one output-layer call takes. A larger set is split into
+# near-equal blocks of more than EVAL_ROWS / 2 rows, not fixed blocks and
+# a short tail: OpenBLAS 0.3.31 takes its small-matrix kernel, which
+# rounds differently, on calls of M * N * K <= SMALL_GEMM, so the h2 -> 2
+# output matmul must not run on blocks of at most 10^6 / (2 * h2) rows
+# (10,000 at h2 = 50). For h2 >= 31 every block thus rounds its output
+# layer as one whole-set call would; the hidden layers' matmuls still
+# round with the call's row count: at 1 BLAS thread on the audit-200k
+# input, the blocked p equalled one whole-set forward on every row at
+# h1 = 100, h2 = 50, but at h1 = 300, h2 = 200 differed in 2 of the
+# first 70,001 rows.
 EVAL_ROWS = 32768
+# Rows of one hidden-layer call: each block is cut from its first row
+# into SUB_ROWS-row sub-blocks, the last one taking the remainder, so a
+# block's dense input and a1 are never alive whole. 1536 is a multiple
+# of the 192-row dgemm panel of OpenBLAS 0.3.31's SkylakeX kernels, and
+# of 256 and 512, so at one BLAS thread every sub-block gives a1 and a2
+# bit for bit as one call over the block does (also on the Haswell,
+# Sandybridge and SapphireRapids kernels; 1024- and 2048-row sub-blocks
+# did not at h1 = 300, h2 = 200). With more threads OpenBLAS rounds a
+# wide network's call by its row count whatever the sub-block size. A
+# network so narrow that a SUB_ROWS-row hidden matmul is a small-matrix
+# call keeps one hidden-layer call per block.
+SUB_ROWS = 1536
+SMALL_GEMM = 10 ** 6
 # Most gathered cells the soft-metric pass holds at once: the (B, S)
 # batch index matrix is taken in chunks of whole batches, so the pass
 # allocates no float array as large as the evaluation set.
@@ -88,18 +112,27 @@ def _soft_terms(whole: Batch, idx: np.ndarray) -> np.ndarray:
 
 
 def _probabilities(params: MlpParams, dataset: Dataset) -> np.ndarray:
-    """p of every row, forwarded in near-equal row blocks through the
-    leading rows of one input buffer and one trace, which are freed on
-    return; each block's p is written in place into the result."""
+    """p of every row, forwarded in near-equal row blocks. Each block's
+    sub-blocks are densified into the leading rows of one input buffer
+    and run through the hidden layers into one a1 buffer and the block's
+    rows of one a2 buffer; the block's output layer then writes its p in
+    place into the result. The buffers are freed on return."""
+    d, h1, h2 = params.dims
     blocks = np.array_split(np.arange(dataset.n), -(-dataset.n // EVAL_ROWS))
-    x = np.empty((blocks[0].size, dataset.d))  # the first block is the largest
-    buf = ForwardTrace.empty(x, *params.dims[1:])
+    big = blocks[0].size  # the first block is the largest
+    step = SUB_ROWS if SUB_ROWS * h1 * min(d, h2) > SMALL_GEMM else big
+    x = np.empty((min(big, 2 * step - 1), d))
+    a1 = np.empty((x.shape[0], h1))
+    a2, probs = np.empty((big, h2)), np.empty((big, 2))
     p = np.empty(dataset.n)
     for rows in blocks:
         m, lo = rows.size, rows[0]
-        forward(params, dataset.densify(rows, x[:m]),
-                ForwardTrace(x=x[:m], a1=buf.a1[:m], a2=buf.a2[:m],
-                             probs=buf.probs[:m], p=p[lo:lo + m]))
+        k = max(1, m // step)  # the last sub-block takes the remainder
+        cuts = [*range(0, k * step, step), m]
+        for i, j in zip(cuts, cuts[1:]):
+            hidden_layers(params, dataset.densify(rows[i:j], x[:j - i]),
+                          a1[:j - i], a2[i:j])
+        output_layer(params, a2[:m], probs[:m], p[lo:lo + m])
     return p
 
 

@@ -336,6 +336,11 @@ def _release_freed_heap() -> None:
 
 
 def cmd_audit(args) -> int:
+    # what RunConfig rejects on the run commands, before any file is read
+    if args.batch_size < 2:
+        raise ParameterError(f"--batch-size must be >= 2, got {args.batch_size}")
+    if args.seed < 0:
+        raise ParameterError(f"--seed must be >= 0, got {args.seed}")
     params = model.load_checkpoint(args.model)
     schema = data.resolve_schema(args.schema)
     # the run's encoder fixes the width, so a wrong one fails before ingest

@@ -151,13 +151,27 @@ def forward(params: MlpParams, x: np.ndarray,
         raise ShapeError(
             f"trace holds {out.p.shape[0]} rows, the batch {x.shape[0]}")
     out.x = x
-    a1, a2, probs, p = out.a1, out.a2, out.probs, out.p
+    hidden_layers(params, x, out.a1, out.a2)
+    output_layer(params, out.a2, out.probs, out.p)
+    return out
+
+
+def hidden_layers(params: MlpParams, x: np.ndarray, a1: np.ndarray,
+                  a2: np.ndarray) -> None:
+    """The two ReLU layers of ``forward``, written in place into the
+    (S, h1) ``a1`` and the (S, h2) ``a2``."""
     np.matmul(x, params.w1, out=a1)
     a1 += params.b1
     np.maximum(a1, 0.0, out=a1)
     np.matmul(a1, params.w2, out=a2)
     a2 += params.b2
     np.maximum(a2, 0.0, out=a2)
+
+
+def output_layer(params: MlpParams, a2: np.ndarray, probs: np.ndarray,
+                 p: np.ndarray) -> None:
+    """The softmax layer of ``forward`` on the hidden activations ``a2``,
+    written in place into the (S, 2) ``probs`` and the (S,) clamped ``p``."""
     # softmax of the logits in probs; p, overwritten last, holds each
     # row's max and then its sum
     row = p[:, None]
@@ -169,7 +183,6 @@ def forward(params: MlpParams, x: np.ndarray,
     np.sum(probs, axis=1, keepdims=True, out=row)
     probs /= row
     np.clip(probs[:, 1], PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
-    return out
 
 
 def backward(params: MlpParams, trace: ForwardTrace, dL_dp: np.ndarray,

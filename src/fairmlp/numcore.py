@@ -17,9 +17,10 @@ from .errors import NumericError, ParameterError, ShapeError
 def Rng(seed: int) -> np.random.Generator:
     """numpy's Generator on a seeded PCG64 stream; identical seeds give
     identical streams. A function, not a subclass, because numpy 2 loads
-    numpy.random (~6 MB resident) on first use: `bounds` never loads it,
-    and the audit loads it only after the forward pass where its memory
-    peaks."""
+    numpy.random (~6 MB resident) on first use: `bounds` never loads it.
+    The audit loads it after its forward pass, for the soft-metric
+    batches, and its resident set peaks in that pass, numpy.random
+    included."""
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))

@@ -1,5 +1,7 @@
 import csv
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,24 @@ from fairmlp.data import Dataset, Encoder
 from fairmlp.fairloss import Batch, MultiGroupBatch
 
 ADULT_ENV = "FAIRMLP_ADULT_CSV"
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_cli(argv, threads, one_cpu=False, script=None):
+    """Run the fairmlp CLI (or ``script``) in a fresh interpreter with
+    ``threads`` BLAS threads, on one usable CPU when ``one_cpu``."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+    cpu = min(os.sched_getaffinity(0))
+    args = (["-c", script, *argv] if script
+            else ["-m", "fairmlp.cli", *argv])
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True,
+        preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if one_cpu
+        else None, timeout=300)
 
 
 def adult_csv_path():

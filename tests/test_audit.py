@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from fairmlp.errors import DataError, ParameterError
 from fairmlp.lagrange import TrainConfig, fit
 from fairmlp.model import MlpParams, forward, init_params
 from fairmlp.numcore import Rng
-from conftest import numeric_dataset
+from conftest import numeric_dataset, run_cli
+
+TESTS = str(Path(__file__).resolve().parent)
 
 
 def sigmoid_network() -> MlpParams:
@@ -164,57 +167,84 @@ class TestEvaluate:
 
 
 class TestBlockedEvaluate:
-    """A set of more than EVAL_ROWS rows is densified and forwarded in
-    near-equal row blocks, on the benchmark's layout and network
-    dimensions: 6 numeric columns, 7 one-hot blocks of 97 columns."""
+    """A set of more than EVAL_ROWS rows is forwarded in near-equal row
+    blocks, each block's hidden layers in SUB_ROWS-row sub-blocks, on the
+    benchmark's layout and network dimensions: 6 numeric columns, 7
+    one-hot blocks of 97 columns."""
 
     SIZES = (8, 16, 7, 14, 6, 5, 41)
     D, H1, H2 = 6 + sum(SIZES), 100, 50
+    # each block's hidden-layer calls: 13 sub-blocks of 1,536 rows, and a
+    # last one that also takes the remainder
+    HIDDEN_ROWS = [[1536] * 13 + [1878], [1536] * 13 + [1878],
+                   [1536] * 13 + [1877]]
 
-    @pytest.fixture(scope="class")
-    def case(self):
+    @classmethod
+    def dataset(cls) -> Dataset:
         n = 2 * audit.EVAL_ROWS + 1
         gen = np.random.default_rng(11)
-        starts = 6 + np.cumsum((0,) + self.SIZES[:-1])
-        cols = starts + gen.integers(0, self.SIZES, (n, len(self.SIZES)))
+        starts = 6 + np.cumsum((0,) + cls.SIZES[:-1])
+        cols = starts + gen.integers(0, cls.SIZES, (n, len(cls.SIZES)))
         cols[gen.random(cols.shape) < 0.01] = UNSEEN
         vocabulary = {f"c{k}": [str(v) for v in range(size)]
-                      for k, size in enumerate(self.SIZES)}
+                      for k, size in enumerate(cls.SIZES)}
         ds = Dataset(num=gen.normal(size=(n, 6)), cols=cols.astype(np.int8),
                      a=gen.integers(0, 2, n), y=gen.integers(0, 2, n),
                      encoder=Encoder(vocabulary=vocabulary))
-        assert ds.d == self.D
-        return init_params(self.D, self.H1, self.H2, Rng(3)), ds
+        assert ds.d == cls.D
+        return ds
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        return init_params(self.D, self.H1, self.H2, Rng(3)), self.dataset()
+
+    @staticmethod
+    def record_layers(monkeypatch) -> list:
+        """Patch both forward steps to record each call as ("hidden", x,
+        a1, a2) or ("output", a2, probs, p) before making it."""
+        calls = []
+        for name in ("hidden_layers", "output_layer"):
+            def recorded(params, *arrays, _real=getattr(audit, name),
+                         _tag=name.split("_")[0]):
+                calls.append((_tag, *arrays))
+                return _real(params, *arrays)
+            monkeypatch.setattr(audit, name, recorded)
+        return calls
+
+    @classmethod
+    def rows_per_block(cls, calls) -> list:
+        """[(output rows, [hidden-layer rows, ...]), ...], one per block."""
+        blocks, hidden = [], []
+        for tag, *arrays in calls:
+            if tag == "hidden":
+                hidden.append(arrays[0].shape[0])
+            else:
+                blocks.append((arrays[2].shape[0], hidden))
+                hidden = []
+        assert hidden == []
+        return blocks
 
     def test_report_equals_whole_set_forward(self, case, monkeypatch):
         params, ds = case
-        rows = []
-
-        def counted(params, x, out=None):
-            rows.append(x.shape[0])
-            return forward(params, x, out)
-
-        monkeypatch.setattr(audit, "forward", counted)
+        calls = self.record_layers(monkeypatch)
         blocked = evaluate(params, ds, S=500, seed=2)
-        assert rows == [21846, 21846, 21845]
+        assert self.rows_per_block(calls) == list(
+            zip([21846, 21846, 21845], self.HIDDEN_ROWS))
+        del calls[:]
         monkeypatch.setattr(audit, "EVAL_ROWS", ds.n)
         whole = evaluate(params, ds, S=500, seed=2)
-        assert rows[3:] == [ds.n]
+        [(rows, _)] = self.rows_per_block(calls)
+        assert rows == ds.n
         assert asdict(blocked) == asdict(whole)
 
     @pytest.mark.parametrize("S", [500, 64])
     def test_soft_metrics_equal_per_batch_loop(self, case, monkeypatch, S):
         # 132 batches of 500 or 1,025 of 64: each spans two gather chunks
         params, ds = case
-        blocks = []
-
-        def kept(params, x, out=None):
-            trace = forward(params, x, out)
-            blocks.append(trace.p.copy())
-            return trace
-
-        monkeypatch.setattr(audit, "forward", kept)
+        calls = self.record_layers(monkeypatch)
         report = evaluate(params, ds, S=S, seed=2)
+        blocks = [p.copy() for tag, _, _, p in calls if tag == "output"]
+        assert len(blocks) == 3
         batches = epoch_batches(ds.a, ds.y, S, Rng(2), need_classes=True)
         assert len(batches) > audit.GATHER_CELLS // S
         assert soft_metrics(report) == oracles.loop_soft_metrics(
@@ -228,32 +258,62 @@ class TestBlockedEvaluate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # evaluate densifies its input too, so a whole-set pass would hold
-        # the (n, D) dense rows as well as the activations
-        assert peak < ds.n * (self.D + self.H1 + self.H2) * 8 / 2
+        # under half of what one block's dense rows, a1 and a2 would hold:
+        # only a sub-block's dense rows and a1 are alive at a time
+        assert peak < 21846 * (self.D + self.H1 + self.H2) * 8 / 2
 
     def test_blocks_share_one_input_buffer_and_trace(self, case, monkeypatch):
         params, ds = case
-        calls = []
-
-        def kept(params, x, out=None):
-            calls.append((x, out))
-            return forward(params, x, out)
-
-        monkeypatch.setattr(audit, "forward", kept)
+        calls = self.record_layers(monkeypatch)
         evaluate(params, ds, S=500, seed=2)
 
         def start(array):
             return array.__array_interface__["data"][0]
 
-        (x0, out0), *rest = calls
-        for x, out in rest:
-            assert start(x) == start(x0)
-            for name in ("a1", "a2", "probs"):
-                assert start(getattr(out, name)) == start(getattr(out0, name))
-        # each block's p is written straight into the whole-set result
-        assert [start(out.p) - start(out0.p) for _, out in calls] == [
+        hidden = [arrays for tag, *arrays in calls if tag == "hidden"]
+        output = [arrays for tag, *arrays in calls if tag == "output"]
+        assert len(hidden) == 3 * 14 and len(output) == 3
+        # every sub-block shares one input and one a1 buffer
+        (x0, a1_0, _), (a2_0, probs0, p0) = hidden[0], output[0]
+        for x, a1, _ in hidden:
+            assert start(x) == start(x0) and start(a1) == start(a1_0)
+        # every block shares one a2 and one probs buffer, its sub-blocks
+        # write their a2 rows in place, and each block's p is written
+        # straight into the whole-set result
+        for k, (a2, probs, _) in enumerate(output):
+            assert start(a2) == start(a2_0) and start(probs) == start(probs0)
+            cuts = np.cumsum([0] + self.HIDDEN_ROWS[k][:-1])
+            assert [start(sub) - start(a2) for _, _, sub in
+                    hidden[14 * k:14 * (k + 1)]] == list(cuts * self.H2 * 8)
+        assert [start(p) - start(p0) for _, _, p in output] == [
             0, 21846 * 8, 2 * 21846 * 8]
+
+    @classmethod
+    def rows_off_one_forward_per_block(cls, h1: int, h2: int) -> int:
+        """Rows whose p differs in any bit from one forward call per
+        block, the blocking's reference."""
+        ds = cls.dataset()
+        params = init_params(cls.D, h1, h2, Rng(3))
+        expect = np.concatenate([
+            forward(params, ds.densify(rows, np.empty((rows.size, cls.D)))).p
+            for rows in np.array_split(np.arange(ds.n), 3)])
+        got = audit._probabilities(params, ds)
+        return int((got.view(np.int64) != expect.view(np.int64)).sum())
+
+    @pytest.mark.parametrize("h1,h2", [(2, 2), (16, 8), (100, 50),
+                                       (300, 200)])
+    def test_p_equals_one_forward_per_block(self, h1, h2):
+        # the sub-blocks round the hidden layers as one call per block
+        # does, and networks whose sub-block calls would take OpenBLAS's
+        # small-matrix kernel keep one call per block. Checked at one BLAS
+        # thread: with more, OpenBLAS rounds h1 = 300, h2 = 200 by the
+        # call's row count whatever the sub-block size.
+        proc = run_cli([], "1", script=(
+            f"import sys; sys.path.insert(0, {TESTS!r}); import test_audit; "
+            f"print(test_audit.TestBlockedEvaluate"
+            f".rows_off_one_forward_per_block({h1}, {h2}))"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
 
 BOUND_EXAMPLE = dict(R=2, D=3, W=0.5, L=1.0, S=10, B=10 ** 4,

@@ -20,7 +20,7 @@ from fairmlp.audit import MetricsReport
 from fairmlp.errors import DataError, SchemaError
 from fairmlp.cli import RunConfig, _crossval_reports, build_parser, main
 from fairmlp.fairloss import CONSTRAINTS, OBJECTIVES
-from conftest import write_csv
+from conftest import run_cli, write_csv
 
 
 def run_config(tmp_path, csv_path, schema_path, **overrides):
@@ -213,25 +213,6 @@ class TestCrossval:
         assert len(logs) == 2
         assert (json.loads(json.dumps([asdict(r) for r in reports]))
                 == report["folds"])
-
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-
-
-def run_cli(argv, threads, one_cpu=False, script=None):
-    """Run the fairmlp CLI (or ``script``) in a fresh interpreter with
-    ``threads`` BLAS threads, on one usable CPU when ``one_cpu``."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    env.update(PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
-    cpu = min(os.sched_getaffinity(0))
-    args = (["-c", script, *argv] if script
-            else ["-m", "fairmlp.cli", *argv])
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True,
-        preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if one_cpu
-        else None, timeout=300)
 
 
 def two_cpus() -> bool:
@@ -736,7 +717,23 @@ class TestAuditCommand:
                      "--encoder", str(trained / "encoder.json"),
                      "--seed", "-1"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: seed") and err.count("\n") == 1, err
+        assert err.startswith("error: --seed must be >= 0") and err.count(
+            "\n") == 1, err
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--batch-size", "1", "error: --batch-size must be >= 2, got 1\n"),
+        ("--seed", "-1", "error: --seed must be >= 0, got -1\n")])
+    def test_bad_batch_size_or_seed_exits_two_before_ingest(
+            self, trained, biased_schema_json, tmp_path, flag, value, message,
+            capsys):
+        # a --data path that does not exist shows that no ingest ran
+        capsys.readouterr()
+        assert main(["audit", "--model", str(trained / "model.json"),
+                     "--data", str(tmp_path / "missing.csv"),
+                     "--schema", str(biased_schema_json),
+                     "--encoder", str(trained / "encoder.json"),
+                     flag, value]) == 2
+        assert capsys.readouterr().err == message
 
     def test_overflowing_checkpoint_exits_four(self, trained,
                                                biased_schema_json, capsys):
