@@ -153,19 +153,24 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _ingest_part(task: tuple) -> data.RowCodes:
-    """Load and row-encode bytes [lo, hi) of a CSV: one ingest task."""
+    """The row codes of bytes [lo, hi) of a CSV, one ingest task:
+    ``data.row_codes``, which tokenizes a plain window in numpy and reads
+    any other through ``data.load_csv``, to the same codes."""
     path, schema, lo, hi = task
-    return data.encode_rows(data.load_csv(path, schema, lo, hi), schema)
+    return data.row_codes(path, schema, lo, hi)
 
 
 def _ingest(path, schema: data.SchemaConfig,
             encoder: data.Encoder | None = None) -> data.Dataset:
     """``data.encode(data.load_csv(path, schema), schema, encoder)``, with
-    the file read in byte-range parts (``data.byte_parts``), one per
-    worker, and only their row codes held here. The Dataset, and any
-    error, is the same for any part count."""
+    the file read in line-aligned windows of about ``data.PART_BYTES``
+    (``data.byte_parts``), spread over the workers, and only their row
+    codes held here. numpy reads each plain window, the csv module any
+    other: one with a '"', '\\r' or NUL byte, a blank or short line, text
+    that is not UTF-8 or no row kept (``data.row_codes``). The Dataset,
+    and any error, is the same for any window count and either reader."""
     tasks = [(path, schema, lo, hi)
-             for lo, hi in data.byte_parts(path, _workers(sys.maxsize))]
+             for lo, hi in data.byte_parts(path, sys.maxsize)]
     try:
         parts = _fork_map(_ingest_part, tasks)
     except DataError:

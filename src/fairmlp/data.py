@@ -9,6 +9,12 @@ only into a buffer the caller passes, one batch or row block at a time.
 Batching is stratified so that every mini-batch contains the sensitive
 groups (and, when requested, label classes) that the active constraint
 needs — the constraint formulas are undefined on single-group batches.
+
+A CSV is read in line-aligned windows (``byte_parts``). ``row_codes``
+tokenizes a plain window, one without quotes, carriage returns, NULs,
+blank or short lines or text that is not UTF-8, in numpy, and hands
+each distinct value of a used column to Python once; any other window
+goes to the csv module (``load_csv``), to the same row codes.
 """
 
 from __future__ import annotations
@@ -121,18 +127,19 @@ class RawTable:
             writer.writerows(zip(*self.columns.values()))
 
 
-# the fewest bytes worth a part of their own: a MiB takes a CPU ~70 ms to
-# parse (2 vCPUs, 1 BLAS thread), and starting a worker pool ~40 ms
+# the size of an ingest window, which bounds a reader's temporaries: a
+# plain MiB takes ``row_codes`` ~30 ms and the csv module ~100 ms (2
+# vCPUs, 1 BLAS thread), and starting a worker pool ~40 ms
 PART_BYTES = 1 << 20
 
 
 def byte_parts(path, n: int) -> list[tuple[int, int | None]]:
-    """Cut the file at ``path`` into byte ranges [lo, hi), for ``load_csv``
-    to read one each: at most ``n`` of them and at most one per PART_BYTES
-    of the file, of about equal size, the first from byte 0 and each
-    ending just after a '\\n' byte. A file that holds a '"' byte is one
-    part, (0, None), as a quoted field may span lines; so is a file too
-    short to cut."""
+    """Cut the file at ``path`` into byte ranges [lo, hi), for
+    ``row_codes`` to read one each: at most ``n`` of them and at most one
+    per PART_BYTES of the file, of about equal size, the first from byte
+    0 and each ending just after a '\\n' byte. A file that holds a '"'
+    byte is one part, (0, None), as a quoted field may span lines; so is
+    a file too short to cut."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         n = min(n, size // PART_BYTES)
@@ -149,6 +156,23 @@ def byte_parts(path, n: int) -> list[tuple[int, int | None]]:
                     break
                 cuts.append(end)
     return list(zip(cuts, cuts[1:] + [size]))
+
+
+def _header(reader, path, schema: SchemaConfig) -> list[str]:
+    """The stripped cells of the header, the first record of ``reader``,
+    once each used column is in it exactly once."""
+    try:
+        header = [cell.strip() for cell in next(reader)]
+    except StopIteration:
+        raise SchemaError(f"{path} is empty")
+    missing = [c for c in schema.used_columns if c not in header]
+    if missing:
+        raise SchemaError(f"{path} lacks required columns: {missing}")
+    repeated = [c for c in dict.fromkeys(schema.used_columns)
+                if header.count(c) > 1]
+    if repeated:
+        raise SchemaError(f"{path} repeats columns in its header: {repeated}")
+    return header
 
 
 def load_csv(path, schema: SchemaConfig, lo: int = 0,
@@ -168,17 +192,7 @@ def load_csv(path, schema: SchemaConfig, lo: int = 0,
         # utf-8-sig drops the byte-order mark a spreadsheet may write
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
-            try:
-                header = [cell.strip() for cell in next(reader)]
-            except StopIteration:
-                raise SchemaError(f"{path} is empty")
-            missing = [c for c in schema.used_columns if c not in header]
-            if missing:
-                raise SchemaError(f"{path} lacks required columns: {missing}")
-            repeated = [c for c in names if header.count(c) > 1]
-            if repeated:
-                raise SchemaError(f"{path} repeats columns in its header: "
-                                  f"{repeated}")
+            header = _header(reader, path, schema)
             if hi is not None:
                 # the text layer is done with, so its byte buffer may move
                 fh.buffer.seek(lo)
@@ -379,6 +393,185 @@ def encode_rows(table: RawTable, schema: SchemaConfig) -> RowCodes:
         categorical.append((values, np.fromiter(
             map(at.__getitem__, cells), np.min_scalar_type(len(values)), n)))
     return RowCodes(numeric, categorical, *extract_labels(table, schema))
+
+
+def row_codes(path, schema: SchemaConfig, lo: int = 0,
+              hi: int | None = None) -> RowCodes:
+    """``encode_rows(load_csv(path, schema, lo, hi), schema)``. A plain
+    range is tokenized in numpy, so that Python meets each distinct field
+    of a used column once rather than each cell: plain means no '"', '\\r'
+    or NUL byte, valid UTF-8, each line holding the header's width - 1
+    commas and a visible ASCII byte other than ',', no field over
+    ``csv.field_size_limit()``, and a row kept. Any other range, as well
+    as two distinct fields that share a key, goes to ``load_csv``."""
+    codes = _plain_row_codes(path, schema, lo, hi)
+    if codes is None:
+        codes = encode_rows(load_csv(path, schema, lo, hi), schema)
+    return codes
+
+
+# the low r bytes of a little-endian word, for r = 0..8
+_LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)
+# an odd multiplier, so that each word of a field moves all of its key
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+# the most ASCII digits a field may have for numpy to convert it: any
+# 15-digit integer is a float64 exactly
+_BARE_DIGITS = 15
+
+
+def _plain_row_codes(path, schema: SchemaConfig, lo: int,
+                     hi: int | None) -> RowCodes | None:
+    """``row_codes`` of a plain range, or None for any other."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            header = _header(csv.reader(fh), path, schema)
+            fh.buffer.seek(lo)
+            raw = fh.buffer.read(-1 if hi is None else hi - lo)
+    except (UnicodeDecodeError, csv.Error):
+        return None
+    if b'"' in raw or b"\r" in raw or b"\0" in raw:
+        return None
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    start = raw.find(b"\n") + 1 if lo == 0 else 0  # after part 0's header
+    if (lo == 0 and start == 0) or start == len(raw):
+        return None
+    # the rows, a '\n' ending the last, then zeros: every field's words
+    # lie in the buffer
+    n = len(raw) - start + (raw[-1] != ord("\n"))
+    buf = np.zeros(n + 8, np.uint8)
+    buf[:len(raw) - start] = np.frombuffer(raw, np.uint8, offset=start)
+    buf[n - 1] = ord("\n")
+    text = buf[:n]
+    ends = np.flatnonzero(text == ord("\n"))
+    commas = np.flatnonzero(text == ord(","))
+    width = len(header)
+    if commas.size != ends.size * (width - 1):
+        return None
+    # line i's fields lie between bounds[i, j] and bounds[i, j + 1]
+    bounds = np.empty((ends.size, width + 1), np.int64)
+    bounds[0, 0] = -1
+    bounds[1:, 0] = ends[:-1]
+    bounds[:, 1:-1] = commas.reshape(-1, width - 1)
+    bounds[:, -1] = ends
+    lengths = np.diff(bounds, axis=1) - 1
+    if lengths.min() < 0 or lengths.max() > csv.field_size_limit():
+        return None  # a line without its width - 1 commas, or a long field
+    shifted = text - np.uint8(ord("!"))  # '!' to '~' is 0 to 93, ',' 11
+    visible = (shifted < 94) & (shifted != 11)
+    if not np.logical_or.reduceat(visible, bounds[:, 0] + 1).all():
+        return None  # csv reads a line of blank cells as no row
+    # words[k] is the little-endian word of bytes k to k + 7
+    words = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
+
+    def field(col):
+        j = header.index(col)
+        return bounds[:, j] + 1, lengths[:, j]
+
+    token = schema.missing_token
+    missing = np.zeros(ends.size, bool)
+    texts = {}
+    for col in dict.fromkeys(schema.categorical
+                             + [schema.label, schema.sensitive]):
+        found = _distinct_fields(buf, words, *field(col))
+        if found is None:
+            return None
+        texts[col] = found
+        missing |= np.array([t == token for t in found[0]], bool)[found[1]]
+    numbers = []
+    for col in schema.numeric:
+        starts, sizes = field(col)
+        if token.isascii() and token.isdigit():
+            # such a token would hide among the bare numbers
+            values, bare = np.zeros(ends.size), np.zeros(ends.size, bool)
+        else:
+            values, bare = _bare_numbers(buf, starts, sizes)
+        rest = np.flatnonzero(~bare)
+        found = _distinct_fields(buf, words, starts[rest], sizes[rest])
+        if found is None:
+            return None
+        missing[rest] |= np.array([t == token for t in found[0]],
+                                  bool)[found[1]]
+        numbers.append((values, rest, *found))
+    keep = ~missing
+    if not keep.any():
+        return None
+
+    numeric = []
+    for values, rest, distinct, inverse in numbers:
+        parsed, errors = np.zeros(len(distinct)), {}
+        for i, t in enumerate(distinct):
+            try:
+                parsed[i] = float(t)
+            except ValueError as exc:
+                errors[i] = exc
+        failed = np.zeros(len(distinct), bool)
+        failed[list(errors)] = True
+        kept = inverse[keep[rest]]  # in row order
+        bad = np.flatnonzero(failed[kept])
+        values[rest] = parsed[inverse]
+        numeric.append(errors[int(kept[bad[0]])] if bad.size
+                       else values[keep])
+    categorical = []
+    for col in schema.categorical:
+        distinct, inverse = texts[col]
+        kept = inverse[keep]
+        used = np.zeros(len(distinct), bool)
+        used[kept] = True
+        values = sorted({t for t, u in zip(distinct, used) if u})
+        at = {v: i for i, v in enumerate(values)}
+        codes = np.array([at.get(t, 0) for t in distinct],
+                         np.min_scalar_type(len(values)))
+        categorical.append((values, codes[kept]))
+
+    def flags(col, value):
+        distinct, inverse = texts[col]
+        return np.array([t == value for t in distinct],
+                        np.int64)[inverse[keep]]
+
+    return RowCodes(numeric, categorical,
+                    flags(schema.sensitive, schema.protected_value),
+                    flags(schema.label, schema.positive_label))
+
+
+def _distinct_fields(buf: np.ndarray, words: np.ndarray, starts: np.ndarray,
+                     sizes: np.ndarray) -> tuple[list[str], np.ndarray] | None:
+    """The distinct fields of ``buf`` at ``starts``/``sizes``, decoded and
+    stripped, and each field's index into them. Fields are keyed by their
+    size and words, and each is checked word for word against the first
+    field with its key; None when two different fields share a key."""
+    key = sizes.astype(np.uint64)
+    chunks = []
+    for at in range(0, int(sizes.max(initial=0)), 8):
+        chunk = words[np.minimum(starts + at, words.size - 1)]
+        chunk &= _LOW_BYTES[np.clip(sizes - at, 0, 8)]
+        chunks.append(chunk)
+        key = (key * _MIX) ^ chunk
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    same = first[inverse]
+    if not all((x[same] == x).all() for x in [sizes, *chunks]):
+        return None
+    return [buf[s:s + m].tobytes().decode("utf-8").strip()
+            for s, m in zip(starts[first].tolist(), sizes[first].tolist())
+            ], inverse
+
+
+def _bare_numbers(buf: np.ndarray, starts: np.ndarray,
+                  sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each field's value as float64 where it is 1 to _BARE_DIGITS ASCII
+    digits, which is the value ``float`` gives, and a mask of those
+    fields."""
+    value = np.zeros(starts.size, np.int64)
+    bare = (sizes >= 1) & (sizes <= _BARE_DIGITS)
+    for at in range(min(int(sizes.max(initial=0)), _BARE_DIGITS)):
+        inside = at < sizes
+        digit = buf[np.minimum(starts + at, buf.size - 1)] - np.uint8(ord("0"))
+        bare &= ~inside | (digit < 10)
+        value = np.where(inside, value * 10 + digit, value)
+    return value.astype(np.float64), bare
 
 
 def encode_parts(parts: list[RowCodes], schema: SchemaConfig,

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -6,7 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -853,6 +854,111 @@ def part_csvs(draw):
     return b"\xef\xbb\xbf" * draw(st.booleans()) + text.encode()
 
 
+# numeric cells of a plain CSV: bare digits of 1 to 17 (numpy converts up
+# to 15, float the rest), leading zeros, and cells that are not bare,
+# among them the bytes either side of '0' to '9'
+PLAIN_NUMBERS = st.one_of(
+    st.integers(0, 10**17).map(str),
+    st.text("0123456789", min_size=1, max_size=16),
+    st.sampled_from([" 7", "7 ", "1.5", "-2", "+3", "1e3", "1_0", "nan",
+                     "-inf", "abc", "", "12:30", "1/2", "٣", "日本",
+                     "12345678901234567"]))
+# categories unseen by PART_SCHEMA's other tests, non-ASCII ones, and ones
+# that strip to the same value
+PLAIN_CATEGORIES = st.sampled_from(["a", "b", " a", "b ", "c", "日本", "é",
+                                    "", " "])
+
+
+@st.composite
+def plain_csvs(draw):
+    """A missing token and CSV bytes in PART_SCHEMA's columns that
+    ``data.row_codes`` tokenizes in numpy: LF line ends, no blank, short
+    or quoted rows, and a visible ASCII byte in every row's unused cell.
+    Now and then a row has the token in any column, and the file a
+    byte-order mark or no final '\\n'. One row is kept."""
+    token = draw(st.sampled_from(["?", "0", ""]))
+    lines = [PART_HEADER]
+    n = draw(st.integers(1, 30))
+    kept = draw(st.integers(0, n - 1))
+    for i in range(n):
+        row = [draw(PLAIN_NUMBERS), draw(PLAIN_CATEGORIES),
+               draw(st.sampled_from(["f", "m", " f"])), draw(PLAIN_NUMBERS),
+               draw(st.sampled_from(["yes", "no", "yes "])),
+               draw(st.sampled_from(["x", "ü x"]))]
+        if i == kept:
+            row = ["1", "a", "f", "2", "yes", "x"]
+        elif draw(st.integers(0, 5)) == 0:
+            row[draw(st.integers(0, 5))] = token
+        lines.append(",".join(row))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return token, b"\xef\xbb\xbf" * draw(st.booleans()) + text.encode()
+
+
+def code_fields(codes: data.RowCodes):
+    """Everything a RowCodes holds, dtypes included, with each numeric
+    column's error as its type and message."""
+    def array(x):
+        return x.dtype.str, x.shape, x.tobytes()
+    return ([(type(x), str(x)) if isinstance(x, ValueError) else array(x)
+             for x in codes.numeric],
+            [(values, array(c)) for values, c in codes.categorical],
+            array(codes.a), array(codes.y))
+
+
+class TestRowCodes:
+    @settings(max_examples=300, deadline=None)
+    @given(plain_csvs(), st.integers(1, 4))
+    def test_plain_windows_match_the_csv_path_without_calling_it(self, plain,
+                                                                parts):
+        token, raw = plain
+        schema = replace(PART_SCHEMA, missing_token=token)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "plain.csv"
+            path.write_bytes(raw)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(data, "PART_BYTES", max(1, len(raw) // parts))
+                windows = data.byte_parts(path, sys.maxsize)
+            csv_path = [data.encode_rows(data.load_csv(path, schema, lo, hi),
+                                         schema) for lo, hi in windows]
+
+            def unread(*args):
+                raise AssertionError("a plain window went to load_csv")
+
+            # a window whose rows are all dropped goes to the csv path
+            read = [(lo, hi) for (lo, hi), codes in zip(windows, csv_path)
+                    if len(codes.a)]
+            assert read
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(data, "load_csv", unread)
+                fast = [code_fields(data.row_codes(path, schema, lo, hi))
+                        for lo, hi in read]
+        assert fast == [code_fields(codes) for codes in csv_path
+                        if len(codes.a)]
+
+    def test_fields_that_share_a_key_go_to_the_csv_path(self, tmp_path,
+                                                        monkeypatch):
+        # with no mixing, a field's key is its last word: these two c1
+        # values share one
+        path = tmp_path / "collide.csv"
+        path.write_text("\n".join([PART_HEADER, "1,aaaaaaaaX,f,2,yes,x",
+                                   "3,bbbbbbbbX,m,4,no,x", ""]),
+                        encoding="utf-8")
+        csv_path = data.encode_rows(data.load_csv(path, PART_SCHEMA),
+                                    PART_SCHEMA)
+        real, calls = data.load_csv, []
+
+        def recorded(*args):
+            calls.append(args[2:])
+            return real(*args)
+
+        monkeypatch.setattr(data, "_MIX", np.uint64(0))
+        monkeypatch.setattr(data, "load_csv", recorded)
+        assert code_fields(data.row_codes(path, PART_SCHEMA)) == code_fields(
+            csv_path)
+        assert calls == [(0, None)]
+        assert csv_path.categorical[0][0] == ["aaaaaaaaX", "bbbbbbbbX"]
+
+
 def ingested(ingest):
     """Everything ``ingest()`` returns, as bytes, dtypes and encoder JSON,
     or the type and message of the error it raised."""
@@ -865,11 +971,11 @@ def ingested(ingest):
             json.dumps(asdict(ds.encoder), sort_keys=True))
 
 
-def cut_in_process(mp, parts):
-    """Make ``cli._ingest`` cut any file into up to ``parts`` parts and
-    read them in this process, in order."""
-    mp.setattr(data, "PART_BYTES", 1)
-    mp.setattr(cli, "_workers", lambda tasks: min(tasks, parts))
+def cut_in_process(mp, path, parts):
+    """Make ``cli._ingest`` cut the file at ``path`` into about ``parts``
+    parts, exactly that many when it has parts**2 bytes and the lines to
+    cut at, and read them in this process, in order."""
+    mp.setattr(data, "PART_BYTES", max(1, path.stat().st_size // parts))
     mp.setattr(cli, "_fork_map", lambda fn, tasks: list(map(fn, tasks)))
 
 
@@ -879,7 +985,7 @@ class TestIngestParts:
         one = ingested(lambda: data.encode(data.load_csv(path, PART_SCHEMA),
                                            PART_SCHEMA, encoder))
         with pytest.MonkeyPatch.context() as mp:
-            cut_in_process(mp, parts)
+            cut_in_process(mp, path, parts)
             assert ingested(lambda: cli._ingest(path, PART_SCHEMA,
                                                 encoder)) == one
         return one
@@ -910,6 +1016,53 @@ class TestIngestParts:
         path = tmp_path / "parts.csv"
         path.write_text("\n".join([PART_HEADER, *rows, ""]), encoding="utf-8")
         return path
+
+    # row 30 of 40 as each case writes it, sending its window to the csv
+    # module; the last case drops rows 15 to 39, the whole second window
+    @pytest.mark.parametrize("end,row_30,drop_from", [
+        (b"\n", b'30,"a",f,2,yes,x', 40),
+        (b"\n", b"30,a,f,2,yes,x\r31,b,m,3,no,x", 40),
+        (b"\r\n", b"30,a,f,2,yes,x", 40),
+        (b"\n", b"30,a,f,2,yes,\0", 40),
+        (b"\n", b"30,\xff,f,2,yes,x", 40),
+        (b"\n", b"30,a,f,2,yes,\xff", 40),
+        (b"\n", b"1,a,f", 40),
+        (b"\n", b"30,a,f,2,yes,x,,,,\n1,a", 40),
+        (b"\n", b"", 40),
+        (b"\n", b" , ,,, , ", 40),
+        (b"\n", b"30,a,f,2,yes," + b"x" * (csv.field_size_limit() + 1), 40),
+        (b"\n", b"30,a,f,2,?,x", 15)],
+        ids=["quote", "lone CR", "CRLF", "NUL", "invalid UTF-8 in a used "
+             "column", "invalid UTF-8 in the unused column", "short row",
+             "long then short row", "blank row", "all-blank row",
+             "field over the limit", "all rows dropped"])
+    def test_a_window_the_numpy_reader_leaves_gives_the_csv_path_result(
+            self, tmp_path, end, row_30, drop_from):
+        rows = [row.encode() for row in self._rows(40)]
+        rows[drop_from:] = [row.replace(b",yes,", b",?,").replace(
+            b",no,", b",?,") for row in rows[drop_from:]]
+        at = len(end.join([PART_HEADER.encode(), *rows[:30], b""]))
+        rows[30] = row_30
+        path = tmp_path / "plain_but_one.csv"
+        path.write_bytes(end.join([PART_HEADER.encode(), *rows, b""]))
+        one = ingested(lambda: data.encode(data.load_csv(path, PART_SCHEMA),
+                                           PART_SCHEMA))
+        real, calls = data.load_csv, []
+
+        def recorded(*args):
+            calls.append(args[2:])
+            return real(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            cut_in_process(mp, path, 2)
+            windows = data.byte_parts(path, sys.maxsize)
+            assert ingested(lambda: cli._ingest(path, PART_SCHEMA)) == one
+            lo, hi = next((lo, hi) for lo, hi in windows
+                          if lo <= at < (hi or path.stat().st_size))
+            mp.setattr(data, "load_csv", recorded)
+            with contextlib.suppress(DataError):
+                data.row_codes(path, PART_SCHEMA, lo, hi)
+        assert calls == [(lo, hi)]
 
     def test_bad_count_in_the_last_part_names_its_line_in_the_file(
             self, tmp_path):
@@ -1006,12 +1159,12 @@ class TestIngestParts:
                         "usable CPUs")
     def test_dead_worker_exits_two_and_leaves_no_worker(
             self, trained, biased_schema_json):
-        # os._exit stands in for a worker the kernel kills; each of the
-        # test split's two parts goes to its own worker
+        # os._exit stands in for a worker the kernel kills; each line of
+        # the test split is a window, and each worker dies on its first
         dies = ("import os\n"
                 "from fairmlp import data\n"
                 "data.PART_BYTES = 1\n"
-                "data.encode_rows = lambda table, schema: os._exit(1)\n"
+                "data.row_codes = lambda *window: os._exit(1)\n"
                 + TestFoldWorkers.MAIN)
         proc = run_cli(["audit", "--model", str(trained / "model.json"),
                         "--data", str(trained / "test_split.csv"),
