@@ -152,10 +152,9 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _ingest_part(task: tuple) -> data.RowCodes:
-    """The row codes of bytes [lo, hi) of a CSV, one ingest task:
-    ``data.row_codes``, which tokenizes a plain window in numpy and reads
-    any other through ``data.load_csv``, to the same codes."""
+def _ingest_part(task: tuple) -> data.RowCodes | None:
+    """The row codes of bytes [lo, hi) of a CSV, one ingest task, or None
+    for a window numpy does not read (``data.row_codes``)."""
     path, schema, lo, hi = task
     return data.row_codes(path, schema, lo, hi)
 
@@ -165,21 +164,18 @@ def _ingest(path, schema: data.SchemaConfig,
     """``data.encode(data.load_csv(path, schema), schema, encoder)``, with
     the file read in line-aligned windows of about ``data.PART_BYTES``
     (``data.byte_parts``), spread over the workers, and only their row
-    codes held here. numpy reads each plain window, the csv module any
-    other: one with a '"', '\\r' or NUL byte, a blank or short line, text
-    that is not UTF-8 or no row kept (``data.row_codes``). The Dataset,
-    and any error, is the same for any window count and either reader."""
+    codes held here. numpy reads each window (``data.row_codes``); if any
+    is not plain (a '"', a lone '\\r' or NUL byte, a short or
+    whitespace-only line, text that is not UTF-8, ...), the csv module
+    reads the whole file instead, and raises any load error as the
+    one-part read does. The Dataset, and any error, is the same for any
+    window count and either reader."""
     tasks = [(path, schema, lo, hi)
              for lo, hi in data.byte_parts(path, sys.maxsize)]
-    try:
-        parts = _fork_map(_ingest_part, tasks)
-    except DataError:
-        if len(tasks) > 1:
-            # a part numbers its lines from its own first byte, and decodes
-            # all of it before its first row; the one-part read raises the
-            # error it meets first, as it is numbered there
-            data.load_csv(path, schema)
-        raise
+    parts = _fork_map(_ingest_part, tasks)
+    if any(codes is None for codes in parts):
+        del parts  # no window's codes live through the whole-file read
+        return data.encode(data.load_csv(path, schema), schema, encoder)
     return data.encode_parts(parts, schema, encoder)
 
 

@@ -11,19 +11,18 @@ groups (and, when requested, label classes) that the active constraint
 needs — the constraint formulas are undefined on single-group batches.
 
 A CSV is read in line-aligned windows (``byte_parts``). ``row_codes``
-tokenizes a plain window, one without quotes, carriage returns, NULs,
-blank or short lines or text that is not UTF-8, in numpy, and hands
-each distinct value of a used column to Python once; any other window
-goes to the csv module (``load_csv``), to the same row codes.
+tokenizes a plain window in numpy, LF or CRLF lines without quotes,
+lone carriage returns, NULs, short or whitespace-only lines or text
+that is not UTF-8, and hands each distinct value of a used column to
+Python once; it gives None for any other window, and then the csv
+module reads the whole file (``load_csv``), to the same codes.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
-import mmap
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -127,9 +126,9 @@ class RawTable:
             writer.writerows(zip(*self.columns.values()))
 
 
-# the size of an ingest window, which bounds a reader's temporaries: a
-# plain MiB takes ``row_codes`` ~30 ms and the csv module ~100 ms (2
-# vCPUs, 1 BLAS thread), and starting a worker pool ~40 ms
+# the size of an ingest window, which bounds the reader's temporaries: a
+# MiB takes ``row_codes`` ~30 ms (2 vCPUs, 1 BLAS thread), and starting
+# a worker pool ~40 ms
 PART_BYTES = 1 << 20
 
 
@@ -137,24 +136,21 @@ def byte_parts(path, n: int) -> list[tuple[int, int | None]]:
     """Cut the file at ``path`` into byte ranges [lo, hi), for
     ``row_codes`` to read one each: at most ``n`` of them and at most one
     per PART_BYTES of the file, of about equal size, the first from byte
-    0 and each ending just after a '\\n' byte. A file that holds a '"'
-    byte is one part, (0, None), as a quoted field may span lines; so is
-    a file too short to cut."""
+    0 and each ending just after a '\\n' byte. A file too short to cut
+    is one part, (0, None)."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         n = min(n, size // PART_BYTES)
         if n < 2:
             return [(0, None)]
-        # a map, so the scan copies nothing onto the heap
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
-            if view.find(b'"') >= 0:
-                return [(0, None)]
-            cuts = [0]
-            for k in range(1, n):
-                end = view.find(b"\n", max(size * k // n, cuts[-1])) + 1
-                if end in (0, size):
-                    break
-                cuts.append(end)
+        cuts = [0]
+        for k in range(1, n):
+            # the rest of the line that the cut lands in, and no more
+            fh.seek(max(size * k // n, cuts[-1]))
+            end = fh.tell() + len(fh.readline())
+            if end == size:
+                break
+            cuts.append(end)
     return list(zip(cuts, cuts[1:] + [size]))
 
 
@@ -175,31 +171,18 @@ def _header(reader, path, schema: SchemaConfig) -> list[str]:
     return header
 
 
-def load_csv(path, schema: SchemaConfig, lo: int = 0,
-             hi: int | None = None) -> RawTable:
+def load_csv(path, schema: SchemaConfig) -> RawTable:
     """Read a header CSV, keeping schema columns and dropping any row that
     has the missing-value token in a used column. Each column holds one
     shared string per distinct value, however many rows repeat it. A used
     column the header repeats, or a non-blank row whose cell count is not
-    the header's, is an error.
-
-    With ``hi``, only the rows in bytes [lo, hi) of the file are read: a
-    part from ``byte_parts``, where part 0 also holds the header and the
-    others start at a record. The header is checked all the same; the
-    line numbers in a part's errors count from ``lo``."""
+    the header's, is an error."""
     names = list(dict.fromkeys(schema.used_columns))
     try:
         # utf-8-sig drops the byte-order mark a spreadsheet may write
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = _header(reader, path, schema)
-            if hi is not None:
-                # the text layer is done with, so its byte buffer may move
-                fh.buffer.seek(lo)
-                reader = csv.reader(io.StringIO(
-                    fh.buffer.read(hi - lo).decode("utf-8"), newline=""))
-                if lo == 0:
-                    next(reader)  # the header, checked above
             idx, width = [header.index(c) for c in names], len(header)
             columns, n_dropped = [[] for _ in names], 0
             distinct = [{} for _ in names]
@@ -395,21 +378,6 @@ def encode_rows(table: RawTable, schema: SchemaConfig) -> RowCodes:
     return RowCodes(numeric, categorical, *extract_labels(table, schema))
 
 
-def row_codes(path, schema: SchemaConfig, lo: int = 0,
-              hi: int | None = None) -> RowCodes:
-    """``encode_rows(load_csv(path, schema, lo, hi), schema)``. A plain
-    range is tokenized in numpy, so that Python meets each distinct field
-    of a used column once rather than each cell: plain means no '"', '\\r'
-    or NUL byte, valid UTF-8, each line holding the header's width - 1
-    commas and a visible ASCII byte other than ',', no field over
-    ``csv.field_size_limit()``, and a row kept. Any other range, as well
-    as two distinct fields that share a key, goes to ``load_csv``."""
-    codes = _plain_row_codes(path, schema, lo, hi)
-    if codes is None:
-        codes = encode_rows(load_csv(path, schema, lo, hi), schema)
-    return codes
-
-
 # the low r bytes of a little-endian word, for r = 0..8
 _LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)
 # an odd multiplier, so that each word of a field moves all of its key
@@ -419,9 +387,18 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 _BARE_DIGITS = 15
 
 
-def _plain_row_codes(path, schema: SchemaConfig, lo: int,
-                     hi: int | None) -> RowCodes | None:
-    """``row_codes`` of a plain range, or None for any other."""
+def row_codes(path, schema: SchemaConfig, lo: int = 0,
+              hi: int | None = None) -> RowCodes | None:
+    """``encode_rows`` of the rows in bytes [lo, hi) of a CSV, a window
+    from ``byte_parts`` (part 0 also holds the header), or None when the
+    window is not plain. It is tokenized in numpy, so that Python meets
+    each distinct field of a used column once rather than each cell.
+    Plain means LF or CRLF line ends and no other '\\r', no '"' or NUL
+    byte, valid UTF-8, a row line, each non-empty line holding the
+    header's width - 1 commas and a visible ASCII byte other than ',',
+    no field over ``csv.field_size_limit()``, and no two distinct fields
+    of a used column that share a key. Empty lines are skipped, as the
+    csv module skips them."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             header = _header(csv.reader(fh), path, schema)
@@ -429,6 +406,8 @@ def _plain_row_codes(path, schema: SchemaConfig, lo: int,
             raw = fh.buffer.read(-1 if hi is None else hi - lo)
     except (UnicodeDecodeError, csv.Error):
         return None
+    if b"\r" in raw:  # a memchr; replace scans ~1.5 ms a MiB for nothing
+        raw = raw.replace(b"\r\n", b"\n")
     if b'"' in raw or b"\r" in raw or b"\0" in raw:
         return None
     if not raw.isascii():
@@ -447,14 +426,18 @@ def _plain_row_codes(path, schema: SchemaConfig, lo: int,
     buf[n - 1] = ord("\n")
     text = buf[:n]
     ends = np.flatnonzero(text == ord("\n"))
+    after = np.concatenate(([-1], ends[:-1]))  # the '\n' before each line
+    rows = ends - after > 1  # the non-empty lines
+    ends, after = ends[rows], after[rows]
+    if not ends.size:
+        return None
     commas = np.flatnonzero(text == ord(","))
     width = len(header)
     if commas.size != ends.size * (width - 1):
         return None
-    # line i's fields lie between bounds[i, j] and bounds[i, j + 1]
+    # row i's fields lie between bounds[i, j] and bounds[i, j + 1]
     bounds = np.empty((ends.size, width + 1), np.int64)
-    bounds[0, 0] = -1
-    bounds[1:, 0] = ends[:-1]
+    bounds[:, 0] = after
     bounds[:, 1:-1] = commas.reshape(-1, width - 1)
     bounds[:, -1] = ends
     lengths = np.diff(bounds, axis=1) - 1
@@ -462,7 +445,7 @@ def _plain_row_codes(path, schema: SchemaConfig, lo: int,
         return None  # a line without its width - 1 commas, or a long field
     shifted = text - np.uint8(ord("!"))  # '!' to '~' is 0 to 93, ',' 11
     visible = (shifted < 94) & (shifted != 11)
-    if not np.logical_or.reduceat(visible, bounds[:, 0] + 1).all():
+    if not np.logical_or.reduceat(visible, after + 1).all():
         return None  # csv reads a line of blank cells as no row
     # words[k] is the little-endian word of bytes k to k + 7
     words = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
@@ -497,8 +480,6 @@ def _plain_row_codes(path, schema: SchemaConfig, lo: int,
                                   bool)[found[1]]
         numbers.append((values, rest, *found))
     keep = ~missing
-    if not keep.any():
-        return None
 
     numeric = []
     for values, rest, distinct, inverse in numbers:

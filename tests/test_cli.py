@@ -1,5 +1,4 @@
 import argparse
-import contextlib
 import csv
 import json
 import os
@@ -432,7 +431,7 @@ class TestAuditCommand:
                      "--data", str(trained / "test_split.csv"),
                      "--schema", str(biased_schema_json),
                      "--encoder", str(trained / "encoder.json")]) == 0
-        assert loads == ["_ingest", "load_csv"]
+        assert loads == ["_ingest"]
 
     @pytest.fixture(scope="class")
     def trained(self, tmp_path_factory, biased_csv, biased_schema_json):
@@ -872,25 +871,27 @@ PLAIN_CATEGORIES = st.sampled_from(["a", "b", " a", "b ", "c", "日本", "é",
 @st.composite
 def plain_csvs(draw):
     """A missing token and CSV bytes in PART_SCHEMA's columns that
-    ``data.row_codes`` tokenizes in numpy: LF line ends, no blank, short
-    or quoted rows, and a visible ASCII byte in every row's unused cell.
-    Now and then a row has the token in any column, and the file a
-    byte-order mark or no final '\\n'. One row is kept."""
+    ``data.row_codes`` tokenizes in numpy: LF or CRLF line ends, empty
+    lines, no whitespace-only, short or quoted rows, and a visible ASCII
+    byte in every row's unused cell. Now and then a row has the token in
+    any column, every row from some point on has it, and the file has a
+    byte-order mark or no final line end."""
     token = draw(st.sampled_from(["?", "0", ""]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
     lines = [PART_HEADER]
     n = draw(st.integers(1, 30))
-    kept = draw(st.integers(0, n - 1))
+    dropped_from = draw(st.integers(0, n))
     for i in range(n):
+        if draw(st.integers(0, 7)) == 0:
+            lines.append("")
         row = [draw(PLAIN_NUMBERS), draw(PLAIN_CATEGORIES),
                draw(st.sampled_from(["f", "m", " f"])), draw(PLAIN_NUMBERS),
                draw(st.sampled_from(["yes", "no", "yes "])),
                draw(st.sampled_from(["x", "ü x"]))]
-        if i == kept:
-            row = ["1", "a", "f", "2", "yes", "x"]
-        elif draw(st.integers(0, 5)) == 0:
+        if i >= dropped_from or draw(st.integers(0, 5)) == 0:
             row[draw(st.integers(0, 5))] = token
         lines.append(",".join(row))
-    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
     return token, b"\xef\xbb\xbf" * draw(st.booleans()) + text.encode()
 
 
@@ -912,28 +913,33 @@ class TestRowCodes:
                                                                 parts):
         token, raw = plain
         schema = replace(PART_SCHEMA, missing_token=token)
+        header = raw[:raw.index(b"\n") + 1]
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "plain.csv"
+            path, alone = Path(tmp) / "plain.csv", Path(tmp) / "window.csv"
             path.write_bytes(raw)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(data, "PART_BYTES", max(1, len(raw) // parts))
                 windows = data.byte_parts(path, sys.maxsize)
-            csv_path = [data.encode_rows(data.load_csv(path, schema, lo, hi),
-                                         schema) for lo, hi in windows]
 
             def unread(*args):
-                raise AssertionError("a plain window went to load_csv")
+                raise AssertionError("row_codes called load_csv")
 
-            # a window whose rows are all dropped goes to the csv path
-            read = [(lo, hi) for (lo, hi), codes in zip(windows, csv_path)
-                    if len(codes.a)]
-            assert read
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(data, "load_csv", unread)
-                fast = [code_fields(data.row_codes(path, schema, lo, hi))
-                        for lo, hi in read]
-        assert fast == [code_fields(codes) for codes in csv_path
-                        if len(codes.a)]
+            for lo, hi in windows:
+                # the window's rows under the header, read by the csv module
+                alone.write_bytes((b"" if lo == 0 else header)
+                                  + raw[lo:hi])
+                csv_path = data.encode_rows(data.load_csv(alone, schema),
+                                            schema)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(data, "load_csv", unread)
+                    codes = data.row_codes(path, schema, lo, hi)
+                if codes is None:
+                    # only a window with no row line, such as a part 0
+                    # that holds the header alone
+                    rows = raw[len(header) if lo == 0 else lo:hi]
+                    assert not rows.strip(b"\r\n")
+                else:
+                    assert code_fields(codes) == code_fields(csv_path)
 
     def test_fields_that_share_a_key_go_to_the_csv_path(self, tmp_path,
                                                         monkeypatch):
@@ -943,20 +949,13 @@ class TestRowCodes:
         path.write_text("\n".join([PART_HEADER, "1,aaaaaaaaX,f,2,yes,x",
                                    "3,bbbbbbbbX,m,4,no,x", ""]),
                         encoding="utf-8")
-        csv_path = data.encode_rows(data.load_csv(path, PART_SCHEMA),
-                                    PART_SCHEMA)
-        real, calls = data.load_csv, []
-
-        def recorded(*args):
-            calls.append(args[2:])
-            return real(*args)
-
+        one = ingested(lambda: data.encode(data.load_csv(path, PART_SCHEMA),
+                                           PART_SCHEMA))
         monkeypatch.setattr(data, "_MIX", np.uint64(0))
-        monkeypatch.setattr(data, "load_csv", recorded)
-        assert code_fields(data.row_codes(path, PART_SCHEMA)) == code_fields(
-            csv_path)
-        assert calls == [(0, None)]
-        assert csv_path.categorical[0][0] == ["aaaaaaaaX", "bbbbbbbbX"]
+        assert data.row_codes(path, PART_SCHEMA) is None
+        assert ingested(lambda: cli._ingest(path, PART_SCHEMA)) == one
+        assert json.loads(one[1])["vocabulary"]["c1"] == ["aaaaaaaaX",
+                                                          "bbbbbbbbX"]
 
 
 def ingested(ingest):
@@ -1017,27 +1016,29 @@ class TestIngestParts:
         path.write_text("\n".join([PART_HEADER, *rows, ""]), encoding="utf-8")
         return path
 
-    # row 30 of 40 as each case writes it, sending its window to the csv
-    # module; the last case drops rows 15 to 39, the whole second window
-    @pytest.mark.parametrize("end,row_30,drop_from", [
-        (b"\n", b'30,"a",f,2,yes,x', 40),
-        (b"\n", b"30,a,f,2,yes,x\r31,b,m,3,no,x", 40),
-        (b"\r\n", b"30,a,f,2,yes,x", 40),
-        (b"\n", b"30,a,f,2,yes,\0", 40),
-        (b"\n", b"30,\xff,f,2,yes,x", 40),
-        (b"\n", b"30,a,f,2,yes,\xff", 40),
-        (b"\n", b"1,a,f", 40),
-        (b"\n", b"30,a,f,2,yes,x,,,,\n1,a", 40),
-        (b"\n", b"", 40),
-        (b"\n", b" , ,,, , ", 40),
-        (b"\n", b"30,a,f,2,yes," + b"x" * (csv.field_size_limit() + 1), 40),
-        (b"\n", b"30,a,f,2,?,x", 15)],
+    # row 30 of 40 as each case writes it; numpy reads the plain cases,
+    # and for any other the csv module reads the whole file. The last case
+    # drops rows 15 to 39, the whole second window
+    @pytest.mark.parametrize("end,row_30,drop_from,plain", [
+        (b"\n", b'30,"a",f,2,yes,x', 40, False),
+        (b"\n", b"30,a,f,2,yes,x\r31,b,m,3,no,x", 40, False),
+        (b"\r\n", b"30,a,f,2,yes,x", 40, True),
+        (b"\n", b"30,a,f,2,yes,\0", 40, False),
+        (b"\n", b"30,\xff,f,2,yes,x", 40, False),
+        (b"\n", b"30,a,f,2,yes,\xff", 40, False),
+        (b"\n", b"1,a,f", 40, False),
+        (b"\n", b"30,a,f,2,yes,x,,,,\n1,a", 40, False),
+        (b"\n", b"", 40, True),
+        (b"\n", b" , ,,, , ", 40, False),
+        (b"\n", b"30,a,f,2,yes," + b"x" * (csv.field_size_limit() + 1), 40,
+         False),
+        (b"\n", b"30,a,f,2,?,x", 15, True)],
         ids=["quote", "lone CR", "CRLF", "NUL", "invalid UTF-8 in a used "
              "column", "invalid UTF-8 in the unused column", "short row",
              "long then short row", "blank row", "all-blank row",
              "field over the limit", "all rows dropped"])
     def test_a_window_the_numpy_reader_leaves_gives_the_csv_path_result(
-            self, tmp_path, end, row_30, drop_from):
+            self, tmp_path, end, row_30, drop_from, plain):
         rows = [row.encode() for row in self._rows(40)]
         rows[drop_from:] = [row.replace(b",yes,", b",?,").replace(
             b",no,", b",?,") for row in rows[drop_from:]]
@@ -1050,19 +1051,24 @@ class TestIngestParts:
         real, calls = data.load_csv, []
 
         def recorded(*args):
-            calls.append(args[2:])
+            calls.append(args)
             return real(*args)
 
         with pytest.MonkeyPatch.context() as mp:
             cut_in_process(mp, path, 2)
             windows = data.byte_parts(path, sys.maxsize)
-            assert ingested(lambda: cli._ingest(path, PART_SCHEMA)) == one
-            lo, hi = next((lo, hi) for lo, hi in windows
-                          if lo <= at < (hi or path.stat().st_size))
+            assert len(windows) == 2
+            codes = [data.row_codes(path, PART_SCHEMA, lo, hi)
+                     for lo, hi in windows]
             mp.setattr(data, "load_csv", recorded)
-            with contextlib.suppress(DataError):
-                data.row_codes(path, PART_SCHEMA, lo, hi)
-        assert calls == [(lo, hi)]
+            assert ingested(lambda: cli._ingest(path, PART_SCHEMA)) == one
+        if plain:
+            assert None not in codes and calls == []
+        else:
+            window = next(i for i, (lo, hi) in enumerate(windows)
+                          if lo <= at < (hi or path.stat().st_size))
+            assert codes[window] is None
+            assert calls == [(path, PART_SCHEMA)]
 
     def test_bad_count_in_the_last_part_names_its_line_in_the_file(
             self, tmp_path):
@@ -1097,13 +1103,24 @@ class TestIngestParts:
         assert error is DataError and "is not UTF-8 text" in message
 
     def test_quoted_newline_is_one_part_and_the_same_table(self, tmp_path):
-        rows = [row.split(",") for row in self._rows(40)]
-        rows[25][5] = "two\nlines"
+        # the first row whose quoted field a cut into 4 parts lands in
         path = tmp_path / "quoted.csv"
-        write_csv(path, PART_HEADER.split(","), rows)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data, "PART_BYTES", 1)
-            assert data.byte_parts(path, 4) == [(0, None)]
+        for r in range(40):
+            rows = [row.split(",") for row in self._rows(40)]
+            rows[r][5] = "two\nlines"
+            write_csv(path, PART_HEADER.split(","), rows)
+            raw = path.read_bytes()
+            inside = raw.index(b"two\n") + len(b"two\n")
+            with pytest.MonkeyPatch.context() as mp:
+                cut_in_process(mp, path, 4)
+                windows = data.byte_parts(path, sys.maxsize)
+            if any(lo == inside for lo, _ in windows):
+                break
+        else:
+            pytest.fail("no cut lands in the quoted field")
+        assert [lo for lo, hi in windows
+                if data.row_codes(path, PART_SCHEMA, lo, hi) is None] == [
+            lo for lo, hi in windows if b'"' in raw[lo:hi]]
         assert isinstance(self._same_as_one_part(path, 4)[0], list)
 
     # the audit's stdout from two ingest workers, and the part count on

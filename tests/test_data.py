@@ -160,30 +160,6 @@ class TestByteParts:
         monkeypatch.setattr(data, "PART_BYTES", path.stat().st_size // 3)
         assert len(byte_parts(path, 8)) == 3
 
-    def test_a_quote_anywhere_makes_one_part(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(data, "PART_BYTES", 1)
-        rows = [row[:] for row in self.ROWS]
-        rows[30][1] = "a\nb"  # written quoted, over two lines
-        assert byte_parts(small_csv(tmp_path, rows), 4) == [(0, None)]
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_part_tables_concatenate_to_the_whole(self, tmp_path,
-                                                  monkeypatch, n):
-        monkeypatch.setattr(data, "PART_BYTES", 1)
-        rows = [row[:] for row in self.ROWS]
-        rows[9][0] = rows[21][2] = "?"
-        path = tmp_path / "crlf.csv"
-        path.write_bytes(b"\xef\xbb\xbf" + "\r\n".join(
-            ["amount,kind,grp,outcome", ""]
-            + [",".join(row) for row in rows] + [""]).encode())
-        whole = load_csv(path, SCHEMA)
-        tables = [load_csv(path, SCHEMA, lo, hi)
-                  for lo, hi in byte_parts(path, n)]
-        assert len(tables) == n
-        for name, cells in whole.columns.items():
-            assert sum((t.columns[name] for t in tables), []) == cells
-        assert sum(t.n_dropped for t in tables) == whole.n_dropped == 2
-
 
 class TestEncode:
     def table(self, tmp_path, rows):
