@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
-from fairmlp import audit, data
+from fairmlp import audit, cli, data
 from fairmlp.data import (Encoder, RawTable, SchemaConfig, adult_schema,
                           byte_parts, encode, epoch_batches, extract_labels,
                           holdout_split, kfold, load_csv, resolve_schema)
@@ -159,6 +159,55 @@ class TestByteParts:
         path = small_csv(tmp_path, self.ROWS)
         monkeypatch.setattr(data, "PART_BYTES", path.stat().st_size // 3)
         assert len(byte_parts(path, 8)) == 3
+
+    def test_a_quote_anywhere_makes_one_part(self, tmp_path, monkeypatch):
+        # the window holding the quoted cell is not plain, so the ingest
+        # drops every window and reads the file once, whole
+        monkeypatch.setattr(data, "PART_BYTES", 1)
+        monkeypatch.setattr(cli, "_fork_map",
+                            lambda fn, tasks: list(map(fn, tasks)))
+        real = data.load_csv
+        for at in (0, 15, 30, 39):
+            rows = [row[:] for row in self.ROWS]
+            rows[at][1] = "a\nb"  # written quoted, over two lines
+            path = small_csv(tmp_path, rows)
+            whole = real(path, SCHEMA)
+            assert whole.columns["kind"][at] == "a\nb"
+            windows = byte_parts(path, 4)
+            assert len(windows) == 4
+            assert None in [data.row_codes(path, SCHEMA, lo, hi)
+                            for lo, hi in windows]
+            calls = []
+            monkeypatch.setattr(data, "load_csv",
+                                lambda *args: calls.append(args) or real(*args))
+            ds = cli._ingest(path, SCHEMA)
+            monkeypatch.setattr(data, "load_csv", real)
+            assert calls == [(path, SCHEMA)]
+            one = encode(whole, SCHEMA)
+            for name in ("num", "cols", "a", "y"):
+                assert np.array_equal(getattr(ds, name), getattr(one, name))
+            assert ds.encoder == one.encoder
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_part_tables_concatenate_to_the_whole(self, tmp_path,
+                                                  monkeypatch, n):
+        monkeypatch.setattr(data, "PART_BYTES", 1)
+        rows = [row[:] for row in self.ROWS]
+        rows[9][0] = rows[21][2] = "?"
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + "\r\n".join(
+            ["amount,kind,grp,outcome", ""]
+            + [",".join(row) for row in rows] + [""]).encode())
+        whole = load_csv(path, SCHEMA)
+        assert whole.n_dropped == 2
+        parts = [data.row_codes(path, SCHEMA, lo, hi)
+                 for lo, hi in byte_parts(path, n)]
+        assert len(parts) == n and None not in parts
+        assert sum(len(part.a) for part in parts) == len(whole) == 38
+        joined, one = data.encode_parts(parts, SCHEMA), encode(whole, SCHEMA)
+        for name in ("num", "cols", "a", "y"):
+            assert np.array_equal(getattr(joined, name), getattr(one, name))
+        assert joined.encoder == one.encoder
 
 
 class TestEncode:
