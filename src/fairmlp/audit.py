@@ -11,9 +11,13 @@ is forwarded in near-equal row blocks: each block's rows are densified
 and run through the hidden layers a fixed-size sub-block at a time, and
 its output layer in one call, through buffers allocated once, so that
 only one sub-block's dense rows and first-layer activations and one
-block's second-layer activations are alive at a time. The bound
-calculator works in log space: raw covering numbers overflow for
-any realistic parameter count.
+block's second-layer activations are alive at a time. ``evaluate`` is
+``probabilities`` (the forward) then ``score`` (every metric), and
+``score`` needs only p, a and y: the ``audit`` command drops the
+encoded features between the two, so it holds only p, a and y past the
+forward, whose block buffers (~18 MB for a ~32k-row block at h1 = 100,
+h2 = 50) then set its peak. The bound calculator works in log space:
+raw covering numbers overflow for any realistic parameter count.
 """
 
 from __future__ import annotations
@@ -111,7 +115,7 @@ def _soft_terms(whole: Batch, idx: np.ndarray) -> np.ndarray:
                      np.sqrt(u * u + v * v)])
 
 
-def _probabilities(params: MlpParams, dataset: Dataset) -> np.ndarray:
+def probabilities(params: MlpParams, dataset: Dataset) -> np.ndarray:
     """p of every row, forwarded in near-equal row blocks. Each block's
     sub-blocks are densified into the leading rows of one input buffer
     and run through the hidden layers into one a1 buffer and the block's
@@ -136,24 +140,29 @@ def _probabilities(params: MlpParams, dataset: Dataset) -> np.ndarray:
     return p
 
 
-def evaluate(params: MlpParams, dataset: Dataset, S: int,
-             seed: int = 0) -> MetricsReport:
-    """Full metrics report; deterministic given (params, dataset, S, seed).
-
-    ``S`` is the batch size for the soft multi-batch gap estimates; it is
-    clamped to the dataset size, so small evaluation sets degrade to a
-    single whole-set batch.
-    """
-    a, y = dataset.a, dataset.y
+def check_labels(a: np.ndarray, y: np.ndarray) -> None:
+    """Raise DataError unless ``a`` holds both sensitive groups and ``y``
+    both label classes, which every rate of the report divides by."""
     if a.sum() < 1 or (1 - a).sum() < 1:
         raise DataError("evaluation set must contain both sensitive groups")
     if y.sum() < 1 or (1 - y).sum() < 1:
         raise DataError("evaluation set must contain both label classes")
 
-    p = _probabilities(params, dataset)
+
+def score(p: np.ndarray, a: np.ndarray, y: np.ndarray, S: int,
+          seed: int = 0) -> MetricsReport:
+    """Full metrics report of the probabilities ``p`` of rows with
+    attribute ``a`` and label ``y``; deterministic given (p, a, y, S,
+    seed).
+
+    ``S`` is the batch size for the soft multi-batch gap estimates; it is
+    clamped to the row count, so small evaluation sets degrade to a
+    single whole-set batch.
+    """
+    check_labels(a, y)
     yhat = predict_hard(p)
 
-    s_eff = min(S, dataset.n)
+    s_eff = min(S, a.size)
     batches = epoch_batches(a, y, s_eff, Rng(seed), need_classes=True)
     # every row lands in some audit batch, so validating the whole set
     # checks every batch's rows
@@ -184,10 +193,18 @@ def evaluate(params: MlpParams, dataset: Dataset, S: int,
         di_ratio=float(di_ratio),
         p_percent=float(100.0 * di_ratio),
         q_mean=float(np.mean(q)),
-        n=dataset.n,
+        n=a.size,
         n_group1=int(g1.sum()),
         n_group0=int(g0.sum()),
     )
+
+
+def evaluate(params: MlpParams, dataset: Dataset, S: int,
+             seed: int = 0) -> MetricsReport:
+    """``score`` of the dataset's ``probabilities``: the full metrics
+    report of ``params`` on ``dataset``."""
+    return score(probabilities(params, dataset), dataset.a, dataset.y, S,
+                 seed)
 
 
 # ---------------------------------------------------------------------------

@@ -164,19 +164,25 @@ def _ingest(path, schema: data.SchemaConfig,
     """``data.encode(data.load_csv(path, schema), schema, encoder)``, with
     the file read in line-aligned windows of about ``data.PART_BYTES``
     (``data.byte_parts``), spread over the workers, and only their row
-    codes held here. numpy reads each window (``data.row_codes``); if any
-    is not plain (a '"', a lone '\\r' or NUL byte, a short or
-    whitespace-only line, text that is not UTF-8, ...), the csv module
-    reads the whole file instead, and raises any load error as the
-    one-part read does. The Dataset, and any error, is the same for any
-    window count and either reader."""
+    codes held here. numpy reads each window (``data.row_codes``); at the
+    first that is not plain (a '"', a lone '\\r' or NUL byte, a short or
+    whitespace-only line, text that is not UTF-8, ...), the windows not
+    yet started are cancelled and the csv module reads the whole file
+    instead, and raises any load error as the one-part read does. The
+    Dataset, and any error, is the same for any window count and either
+    reader."""
     tasks = [(path, schema, lo, hi)
              for lo, hi in data.byte_parts(path, sys.maxsize)]
-    parts = _fork_map(_ingest_part, tasks)
-    if any(codes is None for codes in parts):
-        del parts  # no window's codes live through the whole-file read
-        return data.encode(data.load_csv(path, schema), schema, encoder)
-    return data.encode_parts(parts, schema, encoder)
+    parts = []
+    with contextlib.closing(_fork_map(_ingest_part, tasks)) as results:
+        for codes in results:
+            if codes is None:
+                break
+            parts.append(codes)
+    if len(parts) == len(tasks):
+        return data.encode_parts(parts, schema, encoder)
+    del parts  # no window's codes live through the whole-file read
+    return data.encode(data.load_csv(path, schema), schema, encoder)
 
 
 def _load_folds(cfg: RunConfig) -> tuple[data.Dataset, list[np.ndarray]]:
@@ -226,15 +232,17 @@ def _workers(tasks: int) -> int:
     return max(1, min(tasks, cpus // threads))
 
 
-def _fork_map(fn, tasks: list) -> list:
-    """``fn`` of each task, in task order. With more than one worker the
-    tasks run in forked processes; a failing task raises what the serial
-    loop would, the first failure in task order, a worker that ends
-    without a result (killed, say) raises ChildProcessError, and no
-    worker outlives the call."""
+def _fork_map(fn, tasks: list):
+    """Yield ``fn`` of each task, in task order. With more than one
+    worker the tasks run in forked processes; a failing task raises what
+    the serial loop would, the first failure in task order, and a worker
+    that ends without a result (killed, say) raises ChildProcessError.
+    Closing the generator early cancels the tasks not yet started; no
+    worker outlives its exhaustion, a raise or that close."""
     workers = _workers(len(tasks))
     if workers == 1:
-        return list(map(fn, tasks))
+        yield from map(fn, tasks)
+        return
     # imported here, as the pool's modules add ~2 MB resident that a
     # command with one worker does not pay
     import multiprocessing
@@ -249,8 +257,8 @@ def _fork_map(fn, tasks: list) -> list:
                 workers,
                 mp_context=multiprocessing.get_context("fork")) as pool:
             try:
-                return list(pool.map(fn, tasks))
-            except BaseException:
+                yield from pool.map(fn, tasks)
+            except BaseException:  # GeneratorExit on an early close too
                 pool.shutdown(cancel_futures=True)
                 raise
     except BrokenProcessPool:
@@ -265,7 +273,7 @@ def _run_folds(tasks: list[tuple[RunConfig, int]], dataset: data.Dataset,
     global _FOLD_INPUTS
     _FOLD_INPUTS = dataset, folds
     try:
-        return _fork_map(_fold, tasks)
+        return list(_fork_map(_fold, tasks))
     finally:
         _FOLD_INPUTS = None
 
@@ -350,10 +358,16 @@ def cmd_audit(args) -> int:
     if width != params.dims[0]:
         raise SchemaError(f"checkpoint expects {params.dims[0]} features but "
                           f"the data encodes to {width}")
-    # what ingest freed has its pages released before the evaluation
+    # the pages ingest freed are released before the forward, and the
+    # encoded features' before the scoring, which needs only p, a and y
     dataset = _ingest(args.data, schema, encoder)
+    a, y = dataset.a, dataset.y
+    audit.check_labels(a, y)  # score would, but only after the forward
     _release_freed_heap()
-    report = audit.evaluate(params, dataset, args.batch_size, seed=args.seed)
+    p = audit.probabilities(params, dataset)
+    del dataset
+    _release_freed_heap()
+    report = audit.score(p, a, y, args.batch_size, seed=args.seed)
     print(json.dumps(asdict(report), indent=1, sort_keys=True))
     return 0
 

@@ -511,7 +511,7 @@ def row_codes(path, schema: SchemaConfig, lo: int = 0,
     def flags(col, value):
         distinct, inverse = texts[col]
         return np.array([t == value for t in distinct],
-                        np.int64)[inverse[keep]]
+                        np.int8)[inverse[keep]]
 
     return RowCodes(numeric, categorical,
                     flags(schema.sensitive, schema.protected_value),
@@ -625,11 +625,13 @@ def encode(table: RawTable, schema: SchemaConfig,
 
 
 def extract_labels(table: RawTable, schema: SchemaConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(a, y) binary vectors straight from the raw cells, no encoding."""
+    """(a, y) binary vectors straight from the raw cells, no encoding, one
+    byte a row: every use compares them, sums them into an int64 or
+    casts them to float64."""
     a = np.asarray([1 if v == schema.protected_value else 0
-                    for v in table.columns[schema.sensitive]], dtype=np.int64)
+                    for v in table.columns[schema.sensitive]], dtype=np.int8)
     y = np.asarray([1 if v == schema.positive_label else 0
-                    for v in table.columns[schema.label]], dtype=np.int64)
+                    for v in table.columns[schema.label]], dtype=np.int8)
     return a, y
 
 

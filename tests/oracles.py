@@ -501,9 +501,9 @@ def loop_encode(table: RowTable, schema: SchemaConfig,
 def loop_extract_labels(table: RowTable, schema: SchemaConfig) -> tuple[np.ndarray, np.ndarray]:
     """(a, y) binary vectors straight from the raw cells, no encoding."""
     a = np.asarray([1 if v == schema.protected_value else 0
-                    for v in table.column(schema.sensitive)], dtype=np.int64)
+                    for v in table.column(schema.sensitive)], dtype=np.int8)
     y = np.asarray([1 if v == schema.positive_label else 0
-                    for v in table.column(schema.label)], dtype=np.int64)
+                    for v in table.column(schema.label)], dtype=np.int8)
     return a, y
 
 

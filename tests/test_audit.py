@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +11,8 @@ import oracles
 from fairmlp import audit, fairloss
 from fairmlp.audit import (BoundInputs, bound_sweep, covering_number,
                            di_counterexample, evaluate, full_bound, omega)
-from fairmlp.data import UNSEEN, Dataset, Encoder, epoch_batches
+from fairmlp.data import (UNSEEN, Dataset, Encoder, SchemaConfig, encode,
+                          epoch_batches, load_csv)
 from fairmlp.errors import DataError, ParameterError
 from fairmlp.lagrange import TrainConfig, fit
 from fairmlp.model import MlpParams, forward, init_params
@@ -288,6 +289,11 @@ class TestBlockedEvaluate:
         assert [start(p) - start(p0) for _, _, p in output] == [
             0, 21846 * 8, 2 * 21846 * 8]
 
+    def test_evaluate_is_score_of_probabilities(self, case):
+        params, ds = case
+        assert asdict(evaluate(params, ds, S=500, seed=2)) == asdict(
+            audit.score(audit.probabilities(params, ds), ds.a, ds.y, 500, 2))
+
     @classmethod
     def rows_off_one_forward_per_block(cls, h1: int, h2: int) -> int:
         """Rows whose p differs in any bit from one forward call per
@@ -297,7 +303,7 @@ class TestBlockedEvaluate:
         expect = np.concatenate([
             forward(params, ds.densify(rows, np.empty((rows.size, cls.D)))).p
             for rows in np.array_split(np.arange(ds.n), 3)])
-        got = audit._probabilities(params, ds)
+        got = audit.probabilities(params, ds)
         return int((got.view(np.int64) != expect.view(np.int64)).sum())
 
     @pytest.mark.parametrize("h1,h2", [(2, 2), (16, 8), (100, 50),
@@ -314,6 +320,30 @@ class TestBlockedEvaluate:
             f".rows_off_one_forward_per_block({h1}, {h2}))"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0\n"
+
+
+class TestLabelWidth:
+    SCHEMA = SchemaConfig(numeric=["f1", "f2"], categorical=["shade"],
+                          label="outcome", positive_label="yes",
+                          sensitive="grp", protected_value="f")
+
+    @pytest.mark.parametrize("constraint,objective", [("dp", "ce"),
+                                                      ("eo-max", "qmean")])
+    def test_int8_and_int64_labels_train_and_score_alike(
+            self, biased_csv, constraint, objective):
+        narrow = encode(load_csv(biased_csv, self.SCHEMA), self.SCHEMA)
+        assert narrow.a.dtype == narrow.y.dtype == np.int8
+        wide = replace(narrow, a=narrow.a.astype(np.int64),
+                       y=narrow.y.astype(np.int64))
+        cfg = TrainConfig(constraint=constraint, epsilon=0.05,
+                          objective=objective, h1=8, h2=4, batch_size=64,
+                          max_epochs=3, seed=5)
+        (p8, log8), (p64, log64) = fit(narrow, cfg), fit(wide, cfg)
+        assert p8.flatten().tobytes() == p64.flatten().tobytes()
+        assert ([replace(r, wall_ms=0) for r in log8]
+                == [replace(r, wall_ms=0) for r in log64])
+        assert asdict(evaluate(p8, narrow, 64, seed=5)) == asdict(
+            evaluate(p8, wide, 64, seed=5))
 
 
 BOUND_EXAMPLE = dict(R=2, D=3, W=0.5, L=1.0, S=10, B=10 ** 4,

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import weakref
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -407,20 +408,60 @@ class TestAuditCommand:
         audited = json.loads(capsys.readouterr().out)
         assert audited == report["folds"][0]
 
+    def audit_argv(self, trained, schema_json):
+        return ["audit", "--model", str(trained / "model.json"),
+                "--data", str(trained / "test_split.csv"),
+                "--schema", str(schema_json),
+                "--encoder", str(trained / "encoder.json")]
+
     def test_freed_heap_released_between_encode_and_evaluate(
             self, trained, biased_schema_json, monkeypatch, capsys):
         order = []
-        for mod, name in ((cli, "_ingest"), (audit, "evaluate"),
-                          (cli, "_release_freed_heap")):
+        for mod, name in ((cli, "_ingest"), (audit, "probabilities"),
+                          (audit, "score"), (cli, "_release_freed_heap")):
             def logged(*args, _f=getattr(mod, name), _name=name, **kwargs):
                 order.append(_name)
                 return _f(*args, **kwargs)
             monkeypatch.setattr(mod, name, logged)
-        assert main(["audit", "--model", str(trained / "model.json"),
-                     "--data", str(trained / "test_split.csv"),
-                     "--schema", str(biased_schema_json),
-                     "--encoder", str(trained / "encoder.json")]) == 0
-        assert order == ["_ingest", "_release_freed_heap", "evaluate"]
+        assert main(self.audit_argv(trained, biased_schema_json)) == 0
+        assert order == ["_ingest", "_release_freed_heap", "probabilities",
+                         "_release_freed_heap", "score"]
+
+    def test_encoded_features_are_freed_before_scoring(
+            self, trained, biased_schema_json, monkeypatch, capsys):
+        num, alive = [], []
+
+        def ingest(*args, _real=cli._ingest):
+            dataset = _real(*args)
+            num.append(weakref.ref(dataset.num))
+            return dataset
+
+        def score(*args, _real=audit.score, **kwargs):
+            alive.append(num[0]() is not None)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_ingest", ingest)
+        monkeypatch.setattr(audit, "score", score)
+        assert main(self.audit_argv(trained, biased_schema_json)) == 0
+        assert alive == [False]
+
+    def test_a_set_without_both_groups_fails_before_the_forward(
+            self, trained, biased_schema_json, monkeypatch, capsys):
+        rows = self._test_split_rows(trained)
+        grp = rows[0].index("grp")
+        for row in rows[1:]:
+            row[grp] = rows[1][grp]
+        write_csv(trained / "one_group.csv", rows[0], rows[1:])
+
+        def forward(*args):
+            raise AssertionError("the forward ran")
+
+        monkeypatch.setattr(audit, "probabilities", forward)
+        argv = self.audit_argv(trained, biased_schema_json)
+        argv[argv.index("--data") + 1] = str(trained / "one_group.csv")
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: evaluation set must contain both sensitive groups\n")
 
     def test_record_ingest_sees_a_good_audit(self, trained,
                                              biased_schema_json, monkeypatch,
@@ -975,7 +1016,7 @@ def cut_in_process(mp, path, parts):
     parts, exactly that many when it has parts**2 bytes and the lines to
     cut at, and read them in this process, in order."""
     mp.setattr(data, "PART_BYTES", max(1, path.stat().st_size // parts))
-    mp.setattr(cli, "_fork_map", lambda fn, tasks: list(map(fn, tasks)))
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0})  # one worker
 
 
 class TestIngestParts:
@@ -1122,6 +1163,45 @@ class TestIngestParts:
                 if data.row_codes(path, PART_SCHEMA, lo, hi) is None] == [
             lo for lo, hi in windows if b'"' in raw[lo:hi]]
         assert isinstance(self._same_as_one_part(path, 4)[0], list)
+
+    def _quoted_in_window_0(self, tmp_path, monkeypatch):
+        """A CSV cut into at least 3 windows whose first holds a '"', its
+        one-part Dataset, and the end of window 0."""
+        rows = self._rows(60)
+        rows[2] = rows[2].replace(",a,", ',"a",', 1)
+        path = self._write(tmp_path, rows)
+        one = ingested(lambda: data.encode(data.load_csv(path, PART_SCHEMA),
+                                           PART_SCHEMA))
+        monkeypatch.setattr(data, "PART_BYTES", path.stat().st_size // 3)
+        windows = data.byte_parts(path, sys.maxsize)
+        raw = path.read_bytes()
+        assert len(windows) >= 3 and raw.index(b'"') < windows[0][1]
+        return path, one, windows[0][1]
+
+    def test_one_worker_stops_at_the_first_window_numpy_leaves(
+            self, tmp_path, monkeypatch):
+        path, one, hi = self._quoted_in_window_0(tmp_path, monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        calls = []
+        for name in ("row_codes", "load_csv"):
+            def recorded(*args, _real=getattr(data, name), _name=name):
+                calls.append((_name, *args))
+                return _real(*args)
+            monkeypatch.setattr(data, name, recorded)
+        assert ingested(lambda: cli._ingest(path, PART_SCHEMA)) == one
+        assert calls == [("row_codes", path, PART_SCHEMA, 0, hi),
+                         ("load_csv", path, PART_SCHEMA)]
+
+    def test_two_workers_stop_early_and_leave_no_worker(self, tmp_path,
+                                                        monkeypatch):
+        import multiprocessing
+
+        path, one, _ = self._quoted_in_window_0(tmp_path, monkeypatch)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert cli._workers(3) == 2
+        assert ingested(lambda: cli._ingest(path, PART_SCHEMA)) == one
+        assert multiprocessing.active_children() == []
 
     # the audit's stdout from two ingest workers, and the part count on
     # stderr; then from encode(load_csv(...)) in this process

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -164,8 +165,7 @@ class TestByteParts:
         # the window holding the quoted cell is not plain, so the ingest
         # drops every window and reads the file once, whole
         monkeypatch.setattr(data, "PART_BYTES", 1)
-        monkeypatch.setattr(cli, "_fork_map",
-                            lambda fn, tasks: list(map(fn, tasks)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         real = data.load_csv
         for at in (0, 15, 30, 39):
             rows = [row[:] for row in self.ROWS]
@@ -310,6 +310,19 @@ class TestEncode:
         ds = encode(table, SCHEMA)
         np.testing.assert_array_equal(a, ds.a)
         np.testing.assert_array_equal(y, ds.y)
+
+    def test_both_readers_and_subset_keep_labels_in_one_byte(self, tmp_path):
+        path = small_csv(tmp_path, [["1", "a", "m", "yes"],
+                                    ["3", "b", "f", "no"],
+                                    ["2", "a", "f", "yes"]])
+        csv_read = encode(load_csv(path, SCHEMA), SCHEMA)
+        numpy_read = data.encode_parts([data.row_codes(path, SCHEMA)], SCHEMA)
+        for ds in (csv_read, numpy_read, numpy_read.subset([2, 0])):
+            assert ds.a.dtype == ds.y.dtype == np.int8
+        assert extract_labels(load_csv(path, SCHEMA), SCHEMA)[0].dtype == np.int8
+        for name in ("a", "y"):
+            assert (getattr(csv_read, name).tobytes()
+                    == getattr(numpy_read, name).tobytes())
 
 
 ENC_SCHEMA = SchemaConfig(numeric=["n1", "n2"], categorical=["c1", "c2"],
