@@ -13,11 +13,10 @@ its output layer in one call, through buffers allocated once, so that
 only one sub-block's dense rows and first-layer activations and one
 block's second-layer activations are alive at a time. ``evaluate`` is
 ``probabilities`` (the forward) then ``score`` (every metric), and
-``score`` needs only p, a and y: the ``audit`` command drops the
-encoded features between the two, so it holds only p, a and y past the
-forward, whose block buffers (~18 MB for a ~32k-row block at h1 = 100,
-h2 = 50) then set its peak. The bound calculator works in log space:
-raw covering numbers overflow for any realistic parameter count.
+``score`` needs only p, a and y: the ``audit`` command forwards each
+window of its CSV where the window is read, and holds only the
+windows' p, a and y. The bound calculator works in log space: raw
+covering numbers overflow for any realistic parameter count.
 """
 
 from __future__ import annotations
@@ -48,7 +47,23 @@ RATE_FLOOR = 1e-7
 # round with the call's row count: at 1 BLAS thread on the audit-200k
 # input, the blocked p equalled one whole-set forward on every row at
 # h1 = 100, h2 = 50, but at h1 = 300, h2 = 200 differed in 2 of the
-# first 70,001 rows.
+# first 70,001 rows. A set read in windows (the ``audit`` of a CSV of
+# more than one ``data.byte_parts`` window) is forwarded with ``pad``,
+# window by window or, on the whole-file read, whole: a call on fewer
+# rows takes zero rows after its own, up to 10^6 / (2 * h2) + 1 rows
+# for the output layer and 10^6 / (h1 * min(d, h2)) + 1 for the hidden
+# layers, so that no matmul of any window or block takes the
+# small-matrix kernel. A network that keeps one hidden-layer call per
+# block (see SUB_ROWS) pads its output layer only, as its hidden calls
+# would need more than SUB_ROWS rows of input: at h1 = h2 = 2, p of a
+# 65,537-row set forwarded in windows of 5 to 40,000 rows differed from
+# the whole set's in 629 rows, all in windows of at most 3,000 rows. On
+# the audit-200k input (20 windows of ~9.3k rows, 1 BLAS thread) the
+# windows' p equalled one whole-set forward's on all 185,303 rows at
+# h1/h2 = 100/50, 64/32, 20/10, 16/8, 8/8, 8/4 and 2/2 (unpadded,
+# 79,294 rows differed at 100/50, and so did 1 to 8 rows of 5- to
+# 150-row windows, in their hidden layers), and differed in 10 rows at
+# 300/200, from the hidden layers.
 EVAL_ROWS = 32768
 # Rows of one hidden-layer call: each block is cut from its first row
 # into SUB_ROWS-row sub-blocks, the last one taking the remainder, so a
@@ -115,38 +130,46 @@ def _soft_terms(whole: Batch, idx: np.ndarray) -> np.ndarray:
                      np.sqrt(u * u + v * v)])
 
 
-def probabilities(params: MlpParams, dataset: Dataset) -> np.ndarray:
+def probabilities(params: MlpParams, dataset: Dataset,
+                  pad: bool = False) -> np.ndarray:
     """p of every row, forwarded in near-equal row blocks. Each block's
     sub-blocks are densified into the leading rows of one input buffer
     and run through the hidden layers into one a1 buffer and the block's
     rows of one a2 buffer; the block's output layer then writes its p in
-    place into the result. The buffers are freed on return."""
+    place into the result. With ``pad``, a call on too few rows for its
+    matmuls to leave OpenBLAS's small-matrix kernel takes zero rows
+    after its own until none takes it (see EVAL_ROWS). The buffers are
+    freed on return."""
     d, h1, h2 = params.dims
     blocks = np.array_split(np.arange(dataset.n), -(-dataset.n // EVAL_ROWS))
     big = blocks[0].size  # the first block is the largest
-    step = SUB_ROWS if SUB_ROWS * h1 * min(d, h2) > SMALL_GEMM else big
-    x = np.empty((min(big, 2 * step - 1), d))
+    sub_blocks = SUB_ROWS * h1 * min(d, h2) > SMALL_GEMM
+    step = SUB_ROWS if sub_blocks else big
+    # the fewest rows of a hidden-layer call, at most SUB_ROWS, and of an
+    # output-layer call
+    low_hidden = (SMALL_GEMM // (h1 * min(d, h2)) + 1
+                  if pad and sub_blocks else 0)
+    low_out = SMALL_GEMM // (2 * h2) + 1 if pad else 0
+    x = np.empty((max(min(big, 2 * step - 1), low_hidden), d))
     a1 = np.empty((x.shape[0], h1))
-    a2, probs = np.empty((big, h2)), np.empty((big, 2))
-    p = np.empty(dataset.n)
+    rows_out = max(big, low_hidden, low_out)
+    a2, probs = np.empty((rows_out, h2)), np.empty((rows_out, 2))
+    # the last block's padded rows run past the set's own
+    p = np.empty(dataset.n + max(0, low_out - blocks[-1].size))
     for rows in blocks:
         m, lo = rows.size, rows[0]
         k = max(1, m // step)  # the last sub-block takes the remainder
         cuts = [*range(0, k * step, step), m]
         for i, j in zip(cuts, cuts[1:]):
-            hidden_layers(params, dataset.densify(rows[i:j], x[:j - i]),
-                          a1[:j - i], a2[i:j])
-        output_layer(params, a2[:m], probs[:m], p[lo:lo + m])
-    return p
-
-
-def check_labels(a: np.ndarray, y: np.ndarray) -> None:
-    """Raise DataError unless ``a`` holds both sensitive groups and ``y``
-    both label classes, which every rate of the report divides by."""
-    if a.sum() < 1 or (1 - a).sum() < 1:
-        raise DataError("evaluation set must contain both sensitive groups")
-    if y.sum() < 1 or (1 - y).sum() < 1:
-        raise DataError("evaluation set must contain both label classes")
+            # only a block's one sub-block can be short of low_hidden
+            r = max(j - i, low_hidden)
+            dataset.densify(rows[i:j], x[:j - i])
+            x[j - i:r] = 0.0
+            hidden_layers(params, x[:r], a1[:r], a2[i:i + r])
+        r = max(m, low_out)
+        a2[m:r] = 0.0
+        output_layer(params, a2[:r], probs[:r], p[lo:lo + r])
+    return p[:dataset.n]
 
 
 def score(p: np.ndarray, a: np.ndarray, y: np.ndarray, S: int,
@@ -159,7 +182,10 @@ def score(p: np.ndarray, a: np.ndarray, y: np.ndarray, S: int,
     clamped to the row count, so small evaluation sets degrade to a
     single whole-set batch.
     """
-    check_labels(a, y)
+    if a.sum() < 1 or (1 - a).sum() < 1:
+        raise DataError("evaluation set must contain both sensitive groups")
+    if y.sum() < 1 or (1 - y).sum() < 1:
+        raise DataError("evaluation set must contain both label classes")
     yhat = predict_hard(p)
 
     s_eff = min(S, a.size)

@@ -4,10 +4,11 @@ counterexample.
 Run configuration lives in a JSON file; command-line flags override
 individual keys. All outputs are deterministic given the seed and the
 BLAS thread count, with wall-clock data confined to a separate metadata
-field. crossval, sweep and audit read a large CSV in byte-range parts,
-and crossval and sweep train their folds, in forked worker processes
-when the BLAS threads leave more than one usable CPU free (see
-``_workers``); the outputs do not depend on how many.
+field. crossval, sweep and audit read a large CSV in byte-range windows
+(``_map_windows``), audit also encoding and forwarding each window
+where it is read, and crossval and sweep train their folds, in forked
+worker processes when the BLAS threads leave more than one usable CPU
+free (see ``_workers``); the outputs do not depend on how many.
 
 Exit codes: 0 success, 2 config/parameter/io or out of memory,
 3 schema/data, 4 numeric failure.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -26,7 +28,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import get_type_hints
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -152,37 +154,72 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _ingest_part(task: tuple) -> data.RowCodes | None:
-    """The row codes of bytes [lo, hi) of a CSV, one ingest task, or None
-    for a window numpy does not read (``data.row_codes``)."""
-    path, schema, lo, hi = task
-    return data.row_codes(path, schema, lo, hi)
+# while _map_windows runs: the schema, and the function that a window task
+# applies to its window's row codes; forked workers inherit them, so they
+# are never pickled
+_WINDOW_INPUTS: tuple[data.SchemaConfig, Callable] | None = None
+
+
+def _window(task: tuple[str, int, int | None]):
+    """The window function of the row codes of bytes [lo, hi) of a CSV,
+    one window task, or None for a window that numpy does not read
+    (``data.row_codes``) or whose function raises DataError."""
+    path, lo, hi = task
+    schema, fn = _WINDOW_INPUTS
+    codes = data.row_codes(path, schema, lo, hi)
+    if codes is None:
+        return None
+    try:
+        return fn(codes)
+    except DataError:  # the whole-file read raises it as one part would
+        return None
+
+
+def _map_windows(fn, path, schema: data.SchemaConfig,
+                 windows: list[tuple[int, int | None]]) -> list:
+    """``fn`` of the row codes of each of the line-aligned ``windows`` of
+    the CSV at ``path`` (``data.byte_parts``), in window order, spread
+    over the workers, so that only what ``fn`` returns comes back here.
+    numpy reads each window (``data.row_codes``); at the first that is
+    not plain (a '"', a lone '\\r' or NUL byte, a short or
+    whitespace-only line, text that is not UTF-8, ...) or whose ``fn``
+    raises DataError, the windows not yet started are cancelled and the
+    result is ``[fn(codes)]`` of the whole file read as one part by the
+    csv module, which raises any load or encode error as the one-part
+    read does."""
+    global _WINDOW_INPUTS
+    tasks = [(path, lo, hi) for lo, hi in windows]
+    results = []
+    _WINDOW_INPUTS = schema, fn
+    try:
+        with contextlib.closing(_fork_map(_window, tasks)) as out:
+            for result in out:
+                if result is None:
+                    break
+                results.append(result)
+    finally:
+        _WINDOW_INPUTS = None
+    if len(results) == len(tasks):
+        return results
+    del results  # no window's result lives through the whole-file read
+    return [fn(data.encode_rows(data.load_csv(path, schema), schema))]
+
+
+def _row_codes(codes: data.RowCodes) -> data.RowCodes:
+    """The window function of ``_ingest``: the row codes themselves."""
+    return codes
 
 
 def _ingest(path, schema: data.SchemaConfig,
             encoder: data.Encoder | None = None) -> data.Dataset:
     """``data.encode(data.load_csv(path, schema), schema, encoder)``, with
-    the file read in line-aligned windows of about ``data.PART_BYTES``
-    (``data.byte_parts``), spread over the workers, and only their row
-    codes held here. numpy reads each window (``data.row_codes``); at the
-    first that is not plain (a '"', a lone '\\r' or NUL byte, a short or
-    whitespace-only line, text that is not UTF-8, ...), the windows not
-    yet started are cancelled and the csv module reads the whole file
-    instead, and raises any load error as the one-part read does. The
-    Dataset, and any error, is the same for any window count and either
+    the file read in windows of about ``data.PART_BYTES``
+    (``_map_windows``) and only their row codes held here. The Dataset,
+    and any error, is the same for any window count and either
     reader."""
-    tasks = [(path, schema, lo, hi)
-             for lo, hi in data.byte_parts(path, sys.maxsize)]
-    parts = []
-    with contextlib.closing(_fork_map(_ingest_part, tasks)) as results:
-        for codes in results:
-            if codes is None:
-                break
-            parts.append(codes)
-    if len(parts) == len(tasks):
-        return data.encode_parts(parts, schema, encoder)
-    del parts  # no window's codes live through the whole-file read
-    return data.encode(data.load_csv(path, schema), schema, encoder)
+    parts = _map_windows(_row_codes, path, schema,
+                         data.byte_parts(path, sys.maxsize))
+    return data.encode_parts(parts, schema, encoder)
 
 
 def _load_folds(cfg: RunConfig) -> tuple[data.Dataset, list[np.ndarray]]:
@@ -212,7 +249,7 @@ def _fold(task: tuple[RunConfig, int]
 
 
 def _workers(tasks: int) -> int:
-    """How many processes run ``tasks`` tasks, folds or ingest parts: one
+    """How many processes run ``tasks`` tasks, folds or CSV windows: one
     per usable CPU that the BLAS threads leave free, and at most one per
     task. The BLAS thread count is the first of OPENBLAS_NUM_THREADS and
     OMP_NUM_THREADS that holds a positive integer, as numpy's OpenBLAS
@@ -344,6 +381,17 @@ def _release_freed_heap() -> None:
         pass
 
 
+def _audit_window(params: model.MlpParams, schema: data.SchemaConfig,
+                  encoder: data.Encoder, pad: bool, codes: data.RowCodes):
+    """The window function of ``audit``: p, a and y of the rows of
+    ``codes``, encoded with the run's encoder and forwarded
+    (``audit.probabilities``, padded when ``pad``)."""
+    if not codes.a.size:  # every row dropped
+        return np.empty(0), codes.a, codes.y
+    dataset = data.encode_parts([codes], schema, encoder)
+    return audit.probabilities(params, dataset, pad), dataset.a, dataset.y
+
+
 def cmd_audit(args) -> int:
     # what RunConfig rejects on the run commands, before any file is read
     if args.batch_size < 2:
@@ -358,14 +406,19 @@ def cmd_audit(args) -> int:
     if width != params.dims[0]:
         raise SchemaError(f"checkpoint expects {params.dims[0]} features but "
                           f"the data encodes to {width}")
-    # the pages ingest freed are released before the forward, and the
-    # encoded features' before the scoring, which needs only p, a and y
-    dataset = _ingest(args.data, schema, encoder)
-    a, y = dataset.a, dataset.y
-    audit.check_labels(a, y)  # score would, but only after the forward
-    _release_freed_heap()
-    p = audit.probabilities(params, dataset)
-    del dataset
+    # each window is encoded and forwarded where it is read, and only its
+    # p, a and y come back; with more than one window, no matmul, the
+    # whole-file read's neither, takes OpenBLAS's small-matrix kernel, so
+    # p does not depend on the windows
+    windows = data.byte_parts(args.data, sys.maxsize)
+    fn = functools.partial(_audit_window, params, schema, encoder,
+                           len(windows) > 1)
+    p, a, y = map(np.concatenate,
+                  zip(*_map_windows(fn, args.data, schema, windows)))
+    if not a.size:  # every row dropped: what encoding no rows raises
+        raise DataError("cannot encode an empty table")
+    # what the windows' results freed stays resident otherwise: on the
+    # audit-200k input, 1.6 MB of the peak, which scoring sets
     _release_freed_heap()
     report = audit.score(p, a, y, args.batch_size, seed=args.seed)
     print(json.dumps(asdict(report), indent=1, sort_keys=True))

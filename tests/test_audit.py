@@ -322,6 +322,45 @@ class TestBlockedEvaluate:
         assert proc.stdout == "0\n"
 
 
+    def test_pad_keeps_every_matmul_off_the_small_matrix_kernel(
+            self, case, monkeypatch):
+        params, ds = case
+        calls = self.record_layers(monkeypatch)
+        few = ds.subset(np.arange(5))
+        p = audit.probabilities(params, few, pad=True)
+        # 201 rows: 201 * 100 * min(103, 50) > SMALL_GEMM >= 200 * ...
+        assert self.rows_per_block(calls) == [(10_001, [201])]
+        assert p.shape == (5,) and p.base is not None
+        del calls[:]
+        audit.probabilities(params, ds, pad=True)
+        # a set this large has no call short of either least row count
+        assert self.rows_per_block(calls) == list(
+            zip([21846, 21846, 21845], self.HIDDEN_ROWS))
+
+    @classmethod
+    def rows_off_the_whole_set_in_windows(cls, h1: int, h2: int) -> int:
+        """Rows whose p differs in any bit from the whole set's when the
+        set is forwarded in padded windows of 5 to 40,000 rows."""
+        ds = cls.dataset()
+        params = init_params(cls.D, h1, h2, Rng(3))
+        cuts = [0, 5, 155, 3155, 43155, ds.n]
+        got = np.concatenate([
+            audit.probabilities(params, ds.subset(np.arange(lo, hi)),
+                                pad=True) for lo, hi in zip(cuts, cuts[1:])])
+        expect = audit.probabilities(params, ds)
+        return int((got.view(np.int64) != expect.view(np.int64)).sum())
+
+    @pytest.mark.parametrize("h1,h2", [(16, 8), (100, 50)])
+    def test_padded_windows_give_the_whole_set_p(self, h1, h2):
+        # at one BLAS thread, as the audit pads the windows of a CSV; not
+        # at h1 = h2 = 2, whose hidden layers are not padded (EVAL_ROWS)
+        proc = run_cli([], "1", script=(
+            f"import sys; sys.path.insert(0, {TESTS!r}); import test_audit; "
+            f"print(test_audit.TestBlockedEvaluate"
+            f".rows_off_the_whole_set_in_windows({h1}, {h2}))"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
 class TestLabelWidth:
     SCHEMA = SchemaConfig(numeric=["f1", "f2"], categorical=["shade"],
                           label="outcome", positive_label="yes",

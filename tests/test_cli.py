@@ -53,11 +53,11 @@ def strip_metadata(report_path) -> str:
 
 
 def record_ingest(monkeypatch) -> list:
-    """Patch both ways a command reads its CSV, ``cli._ingest`` (crossval,
-    sweep and audit) and ``data.load_csv`` (train), to record the name of
-    each call before making it; returns the list of names."""
+    """Patch both ways a command reads its CSV, ``cli._map_windows``
+    (crossval, sweep and audit) and ``data.load_csv`` (train), to record
+    the name of each call before making it; returns the list of names."""
     calls = []
-    for owner, name in ((cli, "_ingest"), (data, "load_csv")):
+    for owner, name in ((cli, "_map_windows"), (data, "load_csv")):
         def recorded(*args, _real=getattr(owner, name), _name=name, **kw):
             calls.append(_name)
             return _real(*args, **kw)
@@ -414,49 +414,45 @@ class TestAuditCommand:
                 "--schema", str(schema_json),
                 "--encoder", str(trained / "encoder.json")]
 
-    def test_freed_heap_released_between_encode_and_evaluate(
+    def test_freed_heap_released_between_the_forward_and_scoring(
             self, trained, biased_schema_json, monkeypatch, capsys):
         order = []
-        for mod, name in ((cli, "_ingest"), (audit, "probabilities"),
+        for mod, name in ((cli, "_map_windows"), (audit, "probabilities"),
                           (audit, "score"), (cli, "_release_freed_heap")):
             def logged(*args, _f=getattr(mod, name), _name=name, **kwargs):
                 order.append(_name)
                 return _f(*args, **kwargs)
             monkeypatch.setattr(mod, name, logged)
+        # one window, forwarded in this process
         assert main(self.audit_argv(trained, biased_schema_json)) == 0
-        assert order == ["_ingest", "_release_freed_heap", "probabilities",
+        assert order == ["_map_windows", "probabilities",
                          "_release_freed_heap", "score"]
 
     def test_encoded_features_are_freed_before_scoring(
             self, trained, biased_schema_json, monkeypatch, capsys):
         num, alive = [], []
 
-        def ingest(*args, _real=cli._ingest):
+        def encode_parts(*args, _real=data.encode_parts):
             dataset = _real(*args)
             num.append(weakref.ref(dataset.num))
             return dataset
 
         def score(*args, _real=audit.score, **kwargs):
-            alive.append(num[0]() is not None)
+            alive.append([ref() is not None for ref in num])
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "_ingest", ingest)
+        monkeypatch.setattr(data, "encode_parts", encode_parts)
         monkeypatch.setattr(audit, "score", score)
         assert main(self.audit_argv(trained, biased_schema_json)) == 0
-        assert alive == [False]
+        assert alive == [[False]]
 
-    def test_a_set_without_both_groups_fails_before_the_forward(
-            self, trained, biased_schema_json, monkeypatch, capsys):
+    def test_a_set_without_both_groups_exits_three(
+            self, trained, biased_schema_json, capsys):
         rows = self._test_split_rows(trained)
         grp = rows[0].index("grp")
         for row in rows[1:]:
             row[grp] = rows[1][grp]
         write_csv(trained / "one_group.csv", rows[0], rows[1:])
-
-        def forward(*args):
-            raise AssertionError("the forward ran")
-
-        monkeypatch.setattr(audit, "probabilities", forward)
         argv = self.audit_argv(trained, biased_schema_json)
         argv[argv.index("--data") + 1] = str(trained / "one_group.csv")
         assert main(argv) == 3
@@ -472,7 +468,7 @@ class TestAuditCommand:
                      "--data", str(trained / "test_split.csv"),
                      "--schema", str(biased_schema_json),
                      "--encoder", str(trained / "encoder.json")]) == 0
-        assert loads == ["_ingest"]
+        assert loads == ["_map_windows"]
 
     @pytest.fixture(scope="class")
     def trained(self, tmp_path_factory, biased_csv, biased_schema_json):
@@ -1203,8 +1199,8 @@ class TestIngestParts:
         assert ingested(lambda: cli._ingest(path, PART_SCHEMA)) == one
         assert multiprocessing.active_children() == []
 
-    # the audit's stdout from two ingest workers, and the part count on
-    # stderr; then from encode(load_csv(...)) in this process
+    # the audit's stdout from two window workers, and the part count on
+    # stderr; then from the whole-file read, as numpy reads no window
     FORKED = ("import sys\n"
               "from fairmlp import cli, data\n"
               "cut = data.byte_parts\n"
@@ -1216,8 +1212,7 @@ class TestIngestParts:
               "sys.exit(cli.main(sys.argv[1:]))")
     SERIAL = ("import sys\n"
               "from fairmlp import cli, data\n"
-              "cli._ingest = lambda path, schema, encoder: data.encode(\n"
-              "    data.load_csv(path, schema), schema, encoder)\n"
+              "data.row_codes = lambda *window: None\n"
               "sys.exit(cli.main(sys.argv[1:]))")
 
     @pytest.mark.skipif(not two_cpus(), reason="the ingest pool needs 2 "
@@ -1244,6 +1239,147 @@ class TestIngestParts:
         assert forked.stderr == "2\n"
         assert json.loads(serial.stdout)["n"] > 20_000
         assert forked.stdout == serial.stdout
+
+    # the audit of a CSV cut into windows of about PART_BYTES, the first
+    # argument, with p's SHA-256 on stderr
+    HASHED = ("import hashlib, sys\n"
+              "from fairmlp import audit, cli, data\n"
+              "data.PART_BYTES = int(sys.argv.pop(1))\n"
+              "score = audit.score\n"
+              "def hashed(p, *args, **kwargs):\n"
+              "    print(hashlib.sha256(p.tobytes()).hexdigest(),\n"
+              "          file=sys.stderr)\n"
+              "    return score(p, *args, **kwargs)\n"
+              "audit.score = hashed\n"
+              "sys.exit(cli.main(sys.argv[1:]))")
+    # the same from audit.probabilities of the whole Dataset: the model,
+    # CSV and encoder paths are the arguments
+    WHOLE_DATASET = (
+        "import hashlib, json, sys\n"
+        "from dataclasses import asdict\n"
+        "from fairmlp import audit, data, model\n"
+        "model_path, path, encoder_path = sys.argv[1:]\n"
+        "schema = data.adult_schema()\n"
+        "dataset = data.encode(data.load_csv(path, schema), schema,\n"
+        "                      data.Encoder.from_json(encoder_path))\n"
+        "p = audit.probabilities(model.load_checkpoint(model_path), dataset)\n"
+        "print(hashlib.sha256(p.tobytes()).hexdigest(), file=sys.stderr)\n"
+        "print(json.dumps(asdict(audit.score(p, dataset.a, dataset.y, 500,\n"
+        "                                    seed=0)), indent=1,\n"
+        "                 sort_keys=True))")
+
+    @pytest.mark.skipif(not two_cpus(), reason="the window pool needs 2 "
+                        "usable CPUs")
+    def test_windows_forward_to_the_whole_dataset_p(self, tmp_path,
+                                                    monkeypatch):
+        # at the default widths, with more kept rows than one output-layer
+        # call of the whole set needs to leave OpenBLAS's small-matrix
+        # kernel: each ~3.7k-row window's output layer is padded past it
+        gen = str(Path(__file__).resolve().parent.parent / "perfbench"
+                  / "gen_adult.py")
+        for name, rows, seed in (("train.csv", 3000, 1),
+                                 ("audit.csv", 12_000, 2)):
+            subprocess.run([sys.executable, gen, str(rows), str(seed),
+                            str(tmp_path / name)], check=True)
+        path = tmp_path / "audit.csv"
+        part_bytes = path.stat().st_size // 3
+        monkeypatch.setattr(data, "PART_BYTES", part_bytes)
+        assert len(data.byte_parts(path, sys.maxsize)) == 3
+        cfg = run_config(tmp_path, tmp_path / "train.csv", "adult",
+                         max_epochs=1, h1=lagrange.TrainConfig.h1,
+                         h2=lagrange.TrainConfig.h2)
+        assert main(["train", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        argv = ["audit", "--model", str(out / "model.json"),
+                "--data", str(path), "--schema", "adult",
+                "--encoder", str(out / "encoder.json"),
+                "--batch-size", "500", "--seed", "0"]
+        runs = [run_cli([str(part_bytes), *argv], "1", one_cpu,
+                        script=self.HASHED) for one_cpu in (False, True)]
+        runs.append(run_cli([str(out / "model.json"), str(path),
+                             str(out / "encoder.json")], "1",
+                            script=self.WHOLE_DATASET))
+        assert [r.returncode for r in runs] == [0, 0, 0], runs[0].stderr
+        assert len({r.stderr for r in runs}) == 1
+        assert len({r.stdout for r in runs}) == 1
+        h2 = lagrange.TrainConfig.h2
+        assert json.loads(runs[0].stdout)["n"] > audit.SMALL_GEMM // (2 * h2)
+
+    # the audit of the CSV cut into windows of about PART_BYTES, the first
+    # argument; with "whole" second, numpy reads no window, so the csv
+    # module reads the file as one part, and with "numpy" it must not
+    CUT = ("import sys\n"
+           "from fairmlp import cli, data\n"
+           "data.PART_BYTES = int(sys.argv.pop(1))\n"
+           "how = sys.argv.pop(1)\n"
+           "if how == 'whole':\n"
+           "    data.row_codes = lambda *window: None\n"
+           "if how == 'numpy':\n"
+           "    data.load_csv = None\n"
+           "sys.exit(cli.main(sys.argv[1:]))")
+
+    @staticmethod
+    def _non_numeric(rows, col):
+        # f1 comes before f2 in the schema, so window 1's f1 is the error
+        rows[2][col("f2")] = "abc"
+        rows[len(rows) * 3 // 8][col("f1")] = "xyz"
+
+    @staticmethod
+    def _window_dropped(rows, col):
+        n = len(rows)
+        for row in rows[n // 4 - 8:n // 2 + 8]:
+            row[col("outcome")] = "?"
+
+    @staticmethod
+    def _all_dropped(rows, col):
+        for row in rows:
+            row[col("outcome")] = "?"
+
+    @staticmethod
+    def _one_group(rows, col):
+        for row in rows:
+            row[col("grp")] = rows[0][col("grp")]
+
+    @pytest.mark.parametrize("case,code,err", [
+        ("non_numeric", 3, "error: non-numeric value in column 'f1': could "
+         "not convert string to float: 'xyz'\n"),
+        ("window_dropped", 0, ""),
+        ("all_dropped", 3, "error: cannot encode an empty table\n"),
+        ("one_group", 3, "error: evaluation set must contain both sensitive "
+         "groups\n")],
+        ids=["non-numeric in window 0 and an earlier column in window 1",
+             "one window all dropped", "every row dropped",
+             "one sensitive group"])
+    def test_windowed_audit_is_the_whole_file_audit(
+            self, trained, biased_schema_json, monkeypatch, case, code,
+            err):
+        with open(trained / "test_split.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        getattr(self, f"_{case}")(rows, header.index)
+        path = trained.parent / "windows.csv"
+        write_csv(path, header, rows)
+        part_bytes = path.stat().st_size // 4
+        monkeypatch.setattr(data, "PART_BYTES", part_bytes)
+        windows = data.byte_parts(path, sys.maxsize)
+        assert len(windows) == 4
+        if case == "non_numeric":
+            raw, (_, end_0), (_, end_1) = path.read_bytes(), *windows[:2]
+            assert raw.index(b"abc") < end_0 < raw.index(b"xyz") < end_1
+        if case == "window_dropped":
+            schema = data.resolve_schema(str(biased_schema_json))
+            assert [data.row_codes(path, schema, lo, hi).a.size == 0
+                    for lo, hi in windows] == [False, True, False, False]
+        argv = ["audit", "--model", str(trained / "model.json"),
+                "--data", str(path), "--schema", str(biased_schema_json),
+                "--encoder", str(trained / "encoder.json")]
+        # only window 0's encode error sends the file to the csv module
+        how = "windows" if case == "non_numeric" else "numpy"
+        windowed, whole = (run_cli([str(part_bytes), read, *argv], "1",
+                                   script=self.CUT)
+                           for read in (how, "whole"))
+        assert (windowed.returncode, windowed.stderr) == (code, err)
+        assert (whole.returncode, whole.stdout, whole.stderr) == (
+            windowed.returncode, windowed.stdout, windowed.stderr)
 
     @pytest.fixture(scope="class")
     def trained(self, tmp_path_factory, biased_csv, biased_schema_json):
@@ -1619,7 +1755,8 @@ class TestBadHyperparameters:
         cfg = run_config(tmp_path, biased_csv, biased_schema_json,
                          max_epochs=1, sweep=[0.05])
         assert main([command, "--config", str(cfg)]) == 0
-        assert loads[0] == ("load_csv" if command == "train" else "_ingest")
+        assert loads[0] == ("load_csv" if command == "train"
+                            else "_map_windows")
 
     @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
     @pytest.mark.parametrize("key,value", [
