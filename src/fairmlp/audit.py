@@ -11,7 +11,9 @@ is forwarded in near-equal row blocks: each block's rows are densified
 and run through the hidden layers a fixed-size sub-block at a time, and
 its output layer in one call, through buffers allocated once, so that
 only one sub-block's dense rows and first-layer activations and one
-block's second-layer activations are alive at a time. ``evaluate`` is
+block's second-layer activations are alive at a time; a layer's call on
+too few rows is padded with zero rows, so that p of a row does not
+depend on the other rows forwarded with it. ``evaluate`` is
 ``probabilities`` (the forward) then ``score`` (every metric), and
 ``score`` needs only p, a and y: the ``audit`` command forwards each
 window of its CSV where the window is read, and holds only the
@@ -32,38 +34,23 @@ from .errors import DataError, ParameterError
 from .fairloss import Batch
 # forward is no longer called here, but perfbench's traced runs wrap it
 # under this module's name
-from .model import (MlpParams, forward, hidden_layers,
-                    output_layer, predict_hard)
+from .model import (MlpParams, forward, output_layer, predict_hard,
+                    relu_layer)
 from .numcore import Rng
 
 RATE_FLOOR = 1e-7
 # Most rows one output-layer call takes. A larger set is split into
-# near-equal blocks of more than EVAL_ROWS / 2 rows, not fixed blocks and
-# a short tail: OpenBLAS 0.3.31 takes its small-matrix kernel, which
-# rounds differently, on calls of M * N * K <= SMALL_GEMM, so the h2 -> 2
-# output matmul must not run on blocks of at most 10^6 / (2 * h2) rows
-# (10,000 at h2 = 50). For h2 >= 31 every block thus rounds its output
-# layer as one whole-set call would; the hidden layers' matmuls still
-# round with the call's row count: at 1 BLAS thread on the audit-200k
-# input, the blocked p equalled one whole-set forward on every row at
-# h1 = 100, h2 = 50, but at h1 = 300, h2 = 200 differed in 2 of the
-# first 70,001 rows. A set read in windows (the ``audit`` of a CSV of
-# more than one ``data.byte_parts`` window) is forwarded with ``pad``,
-# window by window or, on the whole-file read, whole: a call on fewer
-# rows takes zero rows after its own, up to 10^6 / (2 * h2) + 1 rows
-# for the output layer and 10^6 / (h1 * min(d, h2)) + 1 for the hidden
-# layers, so that no matmul of any window or block takes the
-# small-matrix kernel. A network that keeps one hidden-layer call per
-# block (see SUB_ROWS) pads its output layer only, as its hidden calls
-# would need more than SUB_ROWS rows of input: at h1 = h2 = 2, p of a
-# 65,537-row set forwarded in windows of 5 to 40,000 rows differed from
-# the whole set's in 629 rows, all in windows of at most 3,000 rows. On
-# the audit-200k input (20 windows of ~9.3k rows, 1 BLAS thread) the
-# windows' p equalled one whole-set forward's on all 185,303 rows at
-# h1/h2 = 100/50, 64/32, 20/10, 16/8, 8/8, 8/4 and 2/2 (unpadded,
-# 79,294 rows differed at 100/50, and so did 1 to 8 rows of 5- to
-# 150-row windows, in their hidden layers), and differed in 10 rows at
-# 300/200, from the hidden layers.
+# near-equal blocks of more than EVAL_ROWS / 2 rows. The one rule of the
+# forward: p of a row does not depend on the other rows of its call.
+# OpenBLAS 0.3.31 takes its small-matrix kernel, which rounds
+# differently, on calls of M * N * K <= SMALL_GEMM, so a layer's call on
+# fewer rows takes zero rows after its own, up to SMALL_GEMM // (K * N)
+# + 1 rows: at d = 103, h1 = 100, h2 = 50, 98 rows of x, 201 of a1 and
+# 10,001 of a2. At one BLAS thread, a 65,537-row set cut into pieces at
+# fixed or random rows gave the whole set's p bit for bit at h1/h2 = 2/2,
+# 4/3, 8/4, 16/8 and 100/50; at 300/200 a few rows differed in their
+# last bits, from the hidden layers, which a wide network rounds with
+# the call's row count.
 EVAL_ROWS = 32768
 # Rows of one hidden-layer call: each block is cut from its first row
 # into SUB_ROWS-row sub-blocks, the last one taking the remainder, so a
@@ -130,45 +117,51 @@ def _soft_terms(whole: Batch, idx: np.ndarray) -> np.ndarray:
                      np.sqrt(u * u + v * v)])
 
 
-def probabilities(params: MlpParams, dataset: Dataset,
-                  pad: bool = False) -> np.ndarray:
+def _padded(buffer: np.ndarray, rows: int, low: int) -> np.ndarray:
+    """The leading max(rows, low) rows of ``buffer``, those past ``rows``
+    zeroed: a layer's input of ``rows`` rows, padded to ``low``."""
+    r = max(rows, low)
+    buffer[rows:r] = 0.0
+    return buffer[:r]
+
+
+def probabilities(params: MlpParams, dataset: Dataset) -> np.ndarray:
     """p of every row, forwarded in near-equal row blocks. Each block's
     sub-blocks are densified into the leading rows of one input buffer
-    and run through the hidden layers into one a1 buffer and the block's
+    and run through the ReLU layers into one a1 buffer and the block's
     rows of one a2 buffer; the block's output layer then writes its p in
-    place into the result. With ``pad``, a call on too few rows for its
-    matmuls to leave OpenBLAS's small-matrix kernel takes zero rows
-    after its own until none takes it (see EVAL_ROWS). The buffers are
-    freed on return."""
+    place into the result. Each layer's input is padded with zero rows
+    until its matmul leaves OpenBLAS's small-matrix kernel (see
+    EVAL_ROWS). The buffers are freed on return."""
     d, h1, h2 = params.dims
     blocks = np.array_split(np.arange(dataset.n), -(-dataset.n // EVAL_ROWS))
     big = blocks[0].size  # the first block is the largest
-    sub_blocks = SUB_ROWS * h1 * min(d, h2) > SMALL_GEMM
-    step = SUB_ROWS if sub_blocks else big
-    # the fewest rows of a hidden-layer call, at most SUB_ROWS, and of an
-    # output-layer call
-    low_hidden = (SMALL_GEMM // (h1 * min(d, h2)) + 1
-                  if pad and sub_blocks else 0)
-    low_out = SMALL_GEMM // (2 * h2) + 1 if pad else 0
-    x = np.empty((max(min(big, 2 * step - 1), low_hidden), d))
-    a1 = np.empty((x.shape[0], h1))
-    rows_out = max(big, low_hidden, low_out)
+    step = SUB_ROWS if SUB_ROWS * h1 * min(d, h2) > SMALL_GEMM else big
+    # the fewest rows of a call of each layer; a SUB_ROWS-row sub-block
+    # has more, so only a block of one sub-block pads its hidden layers
+    low1, low2, low_out = (SMALL_GEMM // (h1 * d) + 1,
+                           SMALL_GEMM // (h1 * h2) + 1,
+                           SMALL_GEMM // (2 * h2) + 1)
+    x = np.empty((max(min(big, 2 * step - 1), low1), d))
+    a1 = np.empty((max(x.shape[0], low2), h1))
+    rows_out = max(big, low2, low_out)
     a2, probs = np.empty((rows_out, h2)), np.empty((rows_out, 2))
-    # the last block's padded rows run past the set's own
-    p = np.empty(dataset.n + max(0, low_out - blocks[-1].size))
+    # a block's padded rows run into the next block's, which overwrites
+    # them, and the last block's past the set's own
+    p = np.empty(max(dataset.n, blocks[-1][0] + low_out))
     for rows in blocks:
         m, lo = rows.size, rows[0]
         k = max(1, m // step)  # the last sub-block takes the remainder
         cuts = [*range(0, k * step, step), m]
         for i, j in zip(cuts, cuts[1:]):
-            # only a block's one sub-block can be short of low_hidden
-            r = max(j - i, low_hidden)
             dataset.densify(rows[i:j], x[:j - i])
-            x[j - i:r] = 0.0
-            hidden_layers(params, x[:r], a1[:r], a2[i:i + r])
-        r = max(m, low_out)
-        a2[m:r] = 0.0
-        output_layer(params, a2[:r], probs[:r], p[lo:lo + r])
+            x_in = _padded(x, j - i, low1)
+            relu_layer(x_in, params.w1, params.b1, a1[:len(x_in)])
+            a1_in = _padded(a1, j - i, low2)
+            relu_layer(a1_in, params.w2, params.b2, a2[i:i + len(a1_in)])
+        a2_in = _padded(a2, m, low_out)
+        output_layer(params, a2_in, probs[:len(a2_in)],
+                     p[lo:lo + len(a2_in)])
     return p[:dataset.n]
 
 

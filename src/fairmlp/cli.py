@@ -217,8 +217,7 @@ def _ingest(path, schema: data.SchemaConfig,
     (``_map_windows``) and only their row codes held here. The Dataset,
     and any error, is the same for any window count and either
     reader."""
-    parts = _map_windows(_row_codes, path, schema,
-                         data.byte_parts(path, sys.maxsize))
+    parts = _map_windows(_row_codes, path, schema, data.byte_parts(path))
     return data.encode_parts(parts, schema, encoder)
 
 
@@ -382,14 +381,14 @@ def _release_freed_heap() -> None:
 
 
 def _audit_window(params: model.MlpParams, schema: data.SchemaConfig,
-                  encoder: data.Encoder, pad: bool, codes: data.RowCodes):
+                  encoder: data.Encoder, codes: data.RowCodes):
     """The window function of ``audit``: p, a and y of the rows of
     ``codes``, encoded with the run's encoder and forwarded
-    (``audit.probabilities``, padded when ``pad``)."""
+    (``audit.probabilities``)."""
     if not codes.a.size:  # every row dropped
         return np.empty(0), codes.a, codes.y
     dataset = data.encode_parts([codes], schema, encoder)
-    return audit.probabilities(params, dataset, pad), dataset.a, dataset.y
+    return audit.probabilities(params, dataset), dataset.a, dataset.y
 
 
 def cmd_audit(args) -> int:
@@ -407,14 +406,10 @@ def cmd_audit(args) -> int:
         raise SchemaError(f"checkpoint expects {params.dims[0]} features but "
                           f"the data encodes to {width}")
     # each window is encoded and forwarded where it is read, and only its
-    # p, a and y come back; with more than one window, no matmul, the
-    # whole-file read's neither, takes OpenBLAS's small-matrix kernel, so
-    # p does not depend on the windows
-    windows = data.byte_parts(args.data, sys.maxsize)
-    fn = functools.partial(_audit_window, params, schema, encoder,
-                           len(windows) > 1)
-    p, a, y = map(np.concatenate,
-                  zip(*_map_windows(fn, args.data, schema, windows)))
+    # p, a and y come back
+    fn = functools.partial(_audit_window, params, schema, encoder)
+    p, a, y = map(np.concatenate, zip(*_map_windows(
+        fn, args.data, schema, data.byte_parts(args.data))))
     if not a.size:  # every row dropped: what encoding no rows raises
         raise DataError("cannot encode an empty table")
     # what the windows' results freed stays resident otherwise: on the

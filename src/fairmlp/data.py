@@ -132,15 +132,14 @@ class RawTable:
 PART_BYTES = 1 << 20
 
 
-def byte_parts(path, n: int) -> list[tuple[int, int | None]]:
+def byte_parts(path) -> list[tuple[int, int | None]]:
     """Cut the file at ``path`` into byte ranges [lo, hi), for
-    ``row_codes`` to read one each: at most ``n`` of them and at most one
-    per PART_BYTES of the file, of about equal size, the first from byte
-    0 and each ending just after a '\\n' byte. A file too short to cut
-    is one part, (0, None)."""
+    ``row_codes`` to read one each: at most one per PART_BYTES of the
+    file, of about equal size, the first from byte 0 and each ending just
+    after a '\\n' byte. A file too short to cut is one part, (0, None)."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        n = min(n, size // PART_BYTES)
+        n = size // PART_BYTES
         if n < 2:
             return [(0, None)]
         cuts = [0]

@@ -151,21 +151,19 @@ def forward(params: MlpParams, x: np.ndarray,
         raise ShapeError(
             f"trace holds {out.p.shape[0]} rows, the batch {x.shape[0]}")
     out.x = x
-    hidden_layers(params, x, out.a1, out.a2)
+    relu_layer(x, params.w1, params.b1, out.a1)
+    relu_layer(out.a1, params.w2, params.b2, out.a2)
     output_layer(params, out.a2, out.probs, out.p)
     return out
 
 
-def hidden_layers(params: MlpParams, x: np.ndarray, a1: np.ndarray,
-                  a2: np.ndarray) -> None:
-    """The two ReLU layers of ``forward``, written in place into the
-    (S, h1) ``a1`` and the (S, h2) ``a2``."""
-    np.matmul(x, params.w1, out=a1)
-    a1 += params.b1
-    np.maximum(a1, 0.0, out=a1)
-    np.matmul(a1, params.w2, out=a2)
-    a2 += params.b2
-    np.maximum(a2, 0.0, out=a2)
+def relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+               out: np.ndarray) -> None:
+    """One ReLU layer of ``forward``, max(x @ w + b, 0), written in place
+    into ``out``."""
+    np.matmul(x, w, out=out)
+    out += b
+    np.maximum(out, 0.0, out=out)
 
 
 def output_layer(params: MlpParams, a2: np.ndarray, probs: np.ndarray,

@@ -201,36 +201,55 @@ class TestBlockedEvaluate:
 
     @staticmethod
     def record_layers(monkeypatch) -> list:
-        """Patch both forward steps to record each call as ("hidden", x,
-        a1, a2) or ("output", a2, probs, p) before making it."""
+        """Patch the forward's layers to record each call as ("relu",
+        input, output) or ("output", a2, probs, p) before making it."""
         calls = []
-        for name in ("hidden_layers", "output_layer"):
-            def recorded(params, *arrays, _real=getattr(audit, name),
-                         _tag=name.split("_")[0]):
-                calls.append((_tag, *arrays))
-                return _real(params, *arrays)
-            monkeypatch.setattr(audit, name, recorded)
+
+        def relu(x, w, b, out, _real=audit.relu_layer):
+            calls.append(("relu", x, out))
+            return _real(x, w, b, out)
+
+        def output(params, a2, probs, p, _real=audit.output_layer):
+            calls.append(("output", a2, probs, p))
+            return _real(params, a2, probs, p)
+
+        monkeypatch.setattr(audit, "relu_layer", relu)
+        monkeypatch.setattr(audit, "output_layer", output)
         return calls
+
+    @staticmethod
+    def hidden_calls(calls) -> list:
+        """(x, a1, a2) of each sub-block's two ReLU-layer calls."""
+        relu = [arrays for tag, *arrays in calls if tag == "relu"]
+        return [(x, a1, a2)
+                for (x, a1), (_, a2) in zip(relu[::2], relu[1::2])]
 
     @classmethod
     def rows_per_block(cls, calls) -> list:
-        """[(output rows, [hidden-layer rows, ...]), ...], one per block."""
+        """[(output rows, [(layer-1 rows, layer-2 rows), ...]), ...], one
+        per block: the rows of each layer's calls."""
         blocks, hidden = [], []
         for tag, *arrays in calls:
-            if tag == "hidden":
+            if tag == "relu":
                 hidden.append(arrays[0].shape[0])
             else:
-                blocks.append((arrays[2].shape[0], hidden))
+                blocks.append((arrays[0].shape[0],
+                               list(zip(hidden[::2], hidden[1::2]))))
                 hidden = []
         assert hidden == []
         return blocks
+
+    @classmethod
+    def unpadded(cls) -> list:
+        """rows_per_block of the set: no call of it is padded."""
+        return [(m, [(r, r) for r in hidden]) for m, hidden in
+                zip([21846, 21846, 21845], cls.HIDDEN_ROWS)]
 
     def test_report_equals_whole_set_forward(self, case, monkeypatch):
         params, ds = case
         calls = self.record_layers(monkeypatch)
         blocked = evaluate(params, ds, S=500, seed=2)
-        assert self.rows_per_block(calls) == list(
-            zip([21846, 21846, 21845], self.HIDDEN_ROWS))
+        assert self.rows_per_block(calls) == self.unpadded()
         del calls[:]
         monkeypatch.setattr(audit, "EVAL_ROWS", ds.n)
         whole = evaluate(params, ds, S=500, seed=2)
@@ -244,7 +263,7 @@ class TestBlockedEvaluate:
         params, ds = case
         calls = self.record_layers(monkeypatch)
         report = evaluate(params, ds, S=S, seed=2)
-        blocks = [p.copy() for tag, _, _, p in calls if tag == "output"]
+        blocks = [c[3].copy() for c in calls if c[0] == "output"]
         assert len(blocks) == 3
         batches = epoch_batches(ds.a, ds.y, S, Rng(2), need_classes=True)
         assert len(batches) > audit.GATHER_CELLS // S
@@ -271,7 +290,7 @@ class TestBlockedEvaluate:
         def start(array):
             return array.__array_interface__["data"][0]
 
-        hidden = [arrays for tag, *arrays in calls if tag == "hidden"]
+        hidden = self.hidden_calls(calls)
         output = [arrays for tag, *arrays in calls if tag == "output"]
         assert len(hidden) == 3 * 14 and len(output) == 3
         # every sub-block shares one input and one a1 buffer
@@ -297,13 +316,18 @@ class TestBlockedEvaluate:
     @classmethod
     def rows_off_one_forward_per_block(cls, h1: int, h2: int) -> int:
         """Rows whose p differs in any bit from one forward call per
-        block, the blocking's reference."""
+        block, the blocking's reference; each call takes zero rows after
+        the block's, as many as the most that a layer is padded to."""
         ds = cls.dataset()
         params = init_params(cls.D, h1, h2, Rng(3))
-        expect = np.concatenate([
-            forward(params, ds.densify(rows, np.empty((rows.size, cls.D)))).p
-            for rows in np.array_split(np.arange(ds.n), 3)])
+        low = audit.SMALL_GEMM // min(h1 * cls.D, h1 * h2, 2 * h2) + 1
+        expect = []
+        for rows in np.array_split(np.arange(ds.n), 3):
+            x = np.zeros((max(rows.size, low), cls.D))
+            ds.densify(rows, x[:rows.size])
+            expect.append(forward(params, x).p[:rows.size])
         got = audit.probabilities(params, ds)
+        expect = np.concatenate(expect)
         return int((got.view(np.int64) != expect.view(np.int64)).sum())
 
     @pytest.mark.parametrize("h1,h2", [(2, 2), (16, 8), (100, 50),
@@ -321,45 +345,54 @@ class TestBlockedEvaluate:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0\n"
 
-
     def test_pad_keeps_every_matmul_off_the_small_matrix_kernel(
             self, case, monkeypatch):
         params, ds = case
         calls = self.record_layers(monkeypatch)
         few = ds.subset(np.arange(5))
-        p = audit.probabilities(params, few, pad=True)
-        # 201 rows: 201 * 100 * min(103, 50) > SMALL_GEMM >= 200 * ...
-        assert self.rows_per_block(calls) == [(10_001, [201])]
+        p = audit.probabilities(params, few)
+        # the least rows past SMALL_GEMM of each layer: 98 * 100 * 103,
+        # 201 * 50 * 100 and 10,001 * 2 * 50
+        assert self.rows_per_block(calls) == [(10_001, [(98, 201)])]
         assert p.shape == (5,) and p.base is not None
         del calls[:]
-        audit.probabilities(params, ds, pad=True)
-        # a set this large has no call short of either least row count
-        assert self.rows_per_block(calls) == list(
-            zip([21846, 21846, 21845], self.HIDDEN_ROWS))
+        audit.probabilities(params, ds)
+        # a set this large has no call short of any least row count
+        assert self.rows_per_block(calls) == self.unpadded()
 
     @classmethod
-    def rows_off_the_whole_set_in_windows(cls, h1: int, h2: int) -> int:
-        """Rows whose p differs in any bit from the whole set's when the
-        set is forwarded in padded windows of 5 to 40,000 rows."""
+    def check_pieces_give_the_whole_set_p(cls, h1: int, h2: int) -> None:
+        """Cut the set at random rows and forward each piece in a call
+        of its own: the pieces' p must be the whole set's, bit for bit."""
         ds = cls.dataset()
         params = init_params(cls.D, h1, h2, Rng(3))
-        cuts = [0, 5, 155, 3155, 43155, ds.n]
-        got = np.concatenate([
-            audit.probabilities(params, ds.subset(np.arange(lo, hi)),
-                                pad=True) for lo, hi in zip(cuts, cuts[1:])])
-        expect = audit.probabilities(params, ds)
-        return int((got.view(np.int64) != expect.view(np.int64)).sum())
+        whole = audit.probabilities(params, ds).view(np.int64)
 
-    @pytest.mark.parametrize("h1,h2", [(16, 8), (100, 50)])
-    def test_padded_windows_give_the_whole_set_p(self, h1, h2):
-        # at one BLAS thread, as the audit pads the windows of a CSV; not
-        # at h1 = h2 = 2, whose hidden layers are not padded (EVAL_ROWS)
+        # pieces of a few rows, of a few thousand and of more than one
+        # block
+        @settings(max_examples=12, deadline=None, database=None)
+        @given(st.lists(st.one_of(st.integers(1, 300),
+                                  st.integers(1, 3 * audit.SUB_ROWS),
+                                  st.integers(1, 2 * audit.EVAL_ROWS)),
+                        min_size=1, max_size=8))
+        def pieces_give_the_whole_set_p(sizes):
+            cuts = [0, *(c for c in np.cumsum(sizes) if c < ds.n), ds.n]
+            got = np.concatenate([
+                audit.probabilities(params, ds.subset(np.arange(lo, hi)))
+                for lo, hi in zip(cuts, cuts[1:])])
+            assert np.array_equal(got.view(np.int64), whole)
+
+        pieces_give_the_whole_set_p()
+
+    @pytest.mark.parametrize("h1,h2", [(2, 2), (16, 8), (100, 50)])
+    def test_p_of_a_row_does_not_depend_on_the_other_rows(self, h1, h2):
+        # at one BLAS thread; at 300/200 a few rows differ (EVAL_ROWS)
         proc = run_cli([], "1", script=(
             f"import sys; sys.path.insert(0, {TESTS!r}); import test_audit; "
-            f"print(test_audit.TestBlockedEvaluate"
-            f".rows_off_the_whole_set_in_windows({h1}, {h2}))"))
+            f"test_audit.TestBlockedEvaluate"
+            f".check_pieces_give_the_whole_set_p({h1}, {h2})"))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "0\n"
+
 
 class TestLabelWidth:
     SCHEMA = SchemaConfig(numeric=["f1", "f2"], categorical=["shade"],

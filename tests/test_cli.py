@@ -956,7 +956,7 @@ class TestRowCodes:
             path.write_bytes(raw)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(data, "PART_BYTES", max(1, len(raw) // parts))
-                windows = data.byte_parts(path, sys.maxsize)
+                windows = data.byte_parts(path)
 
             def unread(*args):
                 raise AssertionError("row_codes called load_csv")
@@ -1093,7 +1093,7 @@ class TestIngestParts:
 
         with pytest.MonkeyPatch.context() as mp:
             cut_in_process(mp, path, 2)
-            windows = data.byte_parts(path, sys.maxsize)
+            windows = data.byte_parts(path)
             assert len(windows) == 2
             codes = [data.row_codes(path, PART_SCHEMA, lo, hi)
                      for lo, hi in windows]
@@ -1122,8 +1122,8 @@ class TestIngestParts:
         rows[30] += ",extra"
         path = self._write(tmp_path, rows)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data, "PART_BYTES", 1)
-            (_, hi), _ = data.byte_parts(path, 2)
+            mp.setattr(data, "PART_BYTES", path.stat().st_size // 2)
+            (_, hi), _ = data.byte_parts(path)
         raw = path.read_bytes()
         assert raw.index(b"abc,") < hi < raw.index(b",extra")
         assert self._same_as_one_part(path, 2) == (
@@ -1150,7 +1150,7 @@ class TestIngestParts:
             inside = raw.index(b"two\n") + len(b"two\n")
             with pytest.MonkeyPatch.context() as mp:
                 cut_in_process(mp, path, 4)
-                windows = data.byte_parts(path, sys.maxsize)
+                windows = data.byte_parts(path)
             if any(lo == inside for lo, _ in windows):
                 break
         else:
@@ -1169,7 +1169,7 @@ class TestIngestParts:
         one = ingested(lambda: data.encode(data.load_csv(path, PART_SCHEMA),
                                            PART_SCHEMA))
         monkeypatch.setattr(data, "PART_BYTES", path.stat().st_size // 3)
-        windows = data.byte_parts(path, sys.maxsize)
+        windows = data.byte_parts(path)
         raw = path.read_bytes()
         assert len(windows) >= 3 and raw.index(b'"') < windows[0][1]
         return path, one, windows[0][1]
@@ -1204,8 +1204,8 @@ class TestIngestParts:
     FORKED = ("import sys\n"
               "from fairmlp import cli, data\n"
               "cut = data.byte_parts\n"
-              "def counted(path, n):\n"
-              "    parts = cut(path, n)\n"
+              "def counted(path):\n"
+              "    parts = cut(path)\n"
               "    print(len(parts), file=sys.stderr)\n"
               "    return parts\n"
               "data.byte_parts = counted\n"
@@ -1284,7 +1284,7 @@ class TestIngestParts:
         path = tmp_path / "audit.csv"
         part_bytes = path.stat().st_size // 3
         monkeypatch.setattr(data, "PART_BYTES", part_bytes)
-        assert len(data.byte_parts(path, sys.maxsize)) == 3
+        assert len(data.byte_parts(path)) == 3
         cfg = run_config(tmp_path, tmp_path / "train.csv", "adult",
                          max_epochs=1, h1=lagrange.TrainConfig.h1,
                          h2=lagrange.TrainConfig.h2)
@@ -1360,7 +1360,7 @@ class TestIngestParts:
         write_csv(path, header, rows)
         part_bytes = path.stat().st_size // 4
         monkeypatch.setattr(data, "PART_BYTES", part_bytes)
-        windows = data.byte_parts(path, sys.maxsize)
+        windows = data.byte_parts(path)
         assert len(windows) == 4
         if case == "non_numeric":
             raw, (_, end_0), (_, end_1) = path.read_bytes(), *windows[:2]
@@ -1387,6 +1387,34 @@ class TestIngestParts:
         cfg = run_config(tmp_path, biased_csv, biased_schema_json, max_epochs=1)
         assert main(["train", "--config", str(cfg)]) == 0
         return tmp_path / "out"
+
+    @pytest.mark.parametrize("h1,h2", [(100, 50), (2, 2)])
+    def test_train_report_is_the_audit_of_its_test_split_in_windows(
+            self, tmp_path, monkeypatch, h1, h2):
+        # train forwards its test split in one call, the audit in three
+        # windows; at one BLAS thread, p of a row is the same in both
+        gen = str(Path(__file__).resolve().parent.parent / "perfbench"
+                  / "gen_adult.py")
+        subprocess.run([sys.executable, gen, "3000", "1",
+                        str(tmp_path / "train.csv")], check=True)
+        cfg = run_config(tmp_path, tmp_path / "train.csv", "adult", h1=h1,
+                         h2=h2, max_epochs=2, batch_size=200, seed=1)
+        trained = run_cli(["train", "--config", str(cfg)], "1")
+        assert trained.returncode == 0, trained.stderr
+        out = tmp_path / "out"
+        split = out / "test_split.csv"
+        part_bytes = split.stat().st_size // 3
+        monkeypatch.setattr(data, "PART_BYTES", part_bytes)
+        assert len(data.byte_parts(split)) == 3
+        argv = ["audit", "--model", str(out / "model.json"),
+                "--data", str(split), "--schema", "adult",
+                "--encoder", str(out / "encoder.json"),
+                "--batch-size", "200", "--seed", "1"]
+        audited = run_cli([str(part_bytes), "numpy", *argv], "1",
+                          script=self.CUT)
+        assert audited.returncode == 0, audited.stderr
+        report = json.loads((out / "report.json").read_text())
+        assert json.loads(audited.stdout) == report["folds"][0]
 
     @pytest.mark.skipif(not two_cpus(), reason="the ingest pool needs 2 "
                         "usable CPUs")

@@ -132,18 +132,23 @@ class TestByteParts:
     ROWS = [[str(i), "ab"[i % 2], "mf"[i % 3 % 2], ("yes", "no")[i % 5 % 2]]
             for i in range(40)]
 
+    @staticmethod
+    def cut(monkeypatch, path, n):
+        """Make ``byte_parts`` cut the file at ``path`` into n parts."""
+        monkeypatch.setattr(data, "PART_BYTES", path.stat().st_size // n)
+
     def test_a_file_under_part_bytes_is_one_part(self, tmp_path):
         path = small_csv(tmp_path, self.ROWS)
         assert path.stat().st_size < data.PART_BYTES
-        assert byte_parts(path, 4) == [(0, None)]
+        assert byte_parts(path) == [(0, None)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
     def test_parts_tile_the_file_and_end_after_a_newline(self, tmp_path,
                                                          monkeypatch, n):
-        monkeypatch.setattr(data, "PART_BYTES", 1)
         path = small_csv(tmp_path, self.ROWS)
+        self.cut(monkeypatch, path, n)
         raw = path.read_bytes()
-        parts = byte_parts(path, n)
+        parts = byte_parts(path)
         if n == 1:
             assert parts == [(0, None)]
             return
@@ -159,12 +164,13 @@ class TestByteParts:
     def test_at_most_one_part_per_part_bytes(self, tmp_path, monkeypatch):
         path = small_csv(tmp_path, self.ROWS)
         monkeypatch.setattr(data, "PART_BYTES", path.stat().st_size // 3)
-        assert len(byte_parts(path, 8)) == 3
+        assert len(byte_parts(path)) == 3
+        monkeypatch.setattr(data, "PART_BYTES", path.stat().st_size // 3 + 1)
+        assert len(byte_parts(path)) == 2
 
     def test_a_quote_anywhere_makes_one_part(self, tmp_path, monkeypatch):
         # the window holding the quoted cell is not plain, so the ingest
         # drops every window and reads the file once, whole
-        monkeypatch.setattr(data, "PART_BYTES", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         real = data.load_csv
         for at in (0, 15, 30, 39):
@@ -173,7 +179,8 @@ class TestByteParts:
             path = small_csv(tmp_path, rows)
             whole = real(path, SCHEMA)
             assert whole.columns["kind"][at] == "a\nb"
-            windows = byte_parts(path, 4)
+            self.cut(monkeypatch, path, 4)
+            windows = byte_parts(path)
             assert len(windows) == 4
             assert None in [data.row_codes(path, SCHEMA, lo, hi)
                             for lo, hi in windows]
@@ -191,7 +198,6 @@ class TestByteParts:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_part_tables_concatenate_to_the_whole(self, tmp_path,
                                                   monkeypatch, n):
-        monkeypatch.setattr(data, "PART_BYTES", 1)
         rows = [row[:] for row in self.ROWS]
         rows[9][0] = rows[21][2] = "?"
         path = tmp_path / "crlf.csv"
@@ -200,8 +206,9 @@ class TestByteParts:
             + [",".join(row) for row in rows] + [""]).encode())
         whole = load_csv(path, SCHEMA)
         assert whole.n_dropped == 2
+        self.cut(monkeypatch, path, n)
         parts = [data.row_codes(path, SCHEMA, lo, hi)
-                 for lo, hi in byte_parts(path, n)]
+                 for lo, hi in byte_parts(path)]
         assert len(parts) == n and None not in parts
         assert sum(len(part.a) for part in parts) == len(whole) == 38
         joined, one = data.encode_parts(parts, SCHEMA), encode(whole, SCHEMA)
