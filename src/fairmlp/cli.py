@@ -154,19 +154,12 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-# while _map_windows runs: the schema, and the function that a window task
-# applies to its window's row codes; forked workers inherit them, so they
-# are never pickled
-_WINDOW_INPUTS: tuple[data.SchemaConfig, Callable] | None = None
-
-
-def _window(task: tuple[str, int, int | None]):
-    """The window function of the row codes of bytes [lo, hi) of a CSV,
+def _window(path, schema: data.SchemaConfig, fn,
+            window: tuple[int, int | None]):
+    """``fn`` of the row codes of bytes [lo, hi) of the CSV at ``path``,
     one window task, or None for a window that numpy does not read
-    (``data.row_codes``) or whose function raises DataError."""
-    path, lo, hi = task
-    schema, fn = _WINDOW_INPUTS
-    codes = data.row_codes(path, schema, lo, hi)
+    (``data.row_codes``) or whose ``fn`` raises DataError."""
+    codes = data.row_codes(path, schema, *window)
     if codes is None:
         return None
     try:
@@ -175,31 +168,25 @@ def _window(task: tuple[str, int, int | None]):
         return None
 
 
-def _map_windows(fn, path, schema: data.SchemaConfig,
-                 windows: list[tuple[int, int | None]]) -> list:
-    """``fn`` of the row codes of each of the line-aligned ``windows`` of
-    the CSV at ``path`` (``data.byte_parts``), in window order, spread
-    over the workers, so that only what ``fn`` returns comes back here.
-    numpy reads each window (``data.row_codes``); at the first that is
-    not plain (a '"', a lone '\\r' or NUL byte, a short or
-    whitespace-only line, text that is not UTF-8, ...) or whose ``fn``
-    raises DataError, the windows not yet started are cancelled and the
-    result is ``[fn(codes)]`` of the whole file read as one part by the
-    csv module, which raises any load or encode error as the one-part
-    read does."""
-    global _WINDOW_INPUTS
-    tasks = [(path, lo, hi) for lo, hi in windows]
+def _map_windows(fn, path, schema: data.SchemaConfig) -> list:
+    """``fn`` of the row codes of each line-aligned window of the CSV at
+    ``path`` (``data.byte_parts``), in window order, spread over the
+    workers, so that only what ``fn`` returns comes back here. numpy
+    reads each window (``data.row_codes``); at the first that is not
+    plain (a '"', a lone '\\r' or NUL byte, a short or whitespace-only
+    line, text that is not UTF-8, ...) or whose ``fn`` raises DataError,
+    the windows not yet started are cancelled and the result is
+    ``[fn(codes)]`` of the whole file read as one part by the csv module,
+    which raises any load or encode error as the one-part read does."""
+    windows = data.byte_parts(path)
     results = []
-    _WINDOW_INPUTS = schema, fn
-    try:
-        with contextlib.closing(_fork_map(_window, tasks)) as out:
-            for result in out:
-                if result is None:
-                    break
-                results.append(result)
-    finally:
-        _WINDOW_INPUTS = None
-    if len(results) == len(tasks):
+    with contextlib.closing(_fork_map(
+            functools.partial(_window, path, schema, fn), windows)) as out:
+        for result in out:
+            if result is None:
+                break
+            results.append(result)
+    if len(results) == len(windows):
         return results
     del results  # no window's result lives through the whole-file read
     return [fn(data.encode_rows(data.load_csv(path, schema), schema))]
@@ -210,35 +197,21 @@ def _row_codes(codes: data.RowCodes) -> data.RowCodes:
     return codes
 
 
-def _ingest(path, schema: data.SchemaConfig,
-            encoder: data.Encoder | None = None) -> data.Dataset:
-    """``data.encode(data.load_csv(path, schema), schema, encoder)``, with
-    the file read in windows of about ``data.PART_BYTES``
-    (``_map_windows``) and only their row codes held here. The Dataset,
-    and any error, is the same for any window count and either
-    reader."""
-    parts = _map_windows(_row_codes, path, schema, data.byte_parts(path))
-    return data.encode_parts(parts, schema, encoder)
+def _ingest(path, schema: data.SchemaConfig) -> data.Dataset:
+    """``data.encode(data.load_csv(path, schema), schema)``, with the file
+    read in windows of about ``data.PART_BYTES`` (``_map_windows``) and
+    only their row codes held here. The Dataset, and any error, is the
+    same for any window count and either reader."""
+    return data.encode_parts(_map_windows(_row_codes, path, schema), schema)
 
 
-def _load_folds(cfg: RunConfig) -> tuple[data.Dataset, list[np.ndarray]]:
-    """The encoded dataset and its k folds; these depend on the seed but
-    not on the constraint, so a sweep builds them once."""
-    dataset = _ingest(cfg.data, data.resolve_schema(cfg.schema))
-    return dataset, data.kfold(dataset, cfg.folds, cfg.seed)
-
-
-# the encoded dataset and its folds while _run_folds runs; forked workers
-# inherit them, so they are never pickled
-_FOLD_INPUTS: tuple[data.Dataset, list[np.ndarray]] | None = None
-
-
-def _fold(task: tuple[RunConfig, int]
+def _fold(dataset: data.Dataset, folds: list[np.ndarray],
+          task: tuple[RunConfig, int]
           ) -> tuple[audit.MetricsReport, list[lagrange.LogRow]]:
-    """Train fold i of ``cfg`` at ``seed + i`` on the other folds' rows
-    and audit it on its own; returns the MetricsReport and the log."""
+    """Train fold i of ``folds`` with ``cfg`` at ``seed + i`` on the
+    other folds' rows and audit it on its own; returns the MetricsReport
+    and the log."""
     cfg, i = task
-    dataset, folds = _FOLD_INPUTS
     in_test = np.zeros(dataset.n, dtype=bool)
     in_test[folds[i]] = True
     params, log = lagrange.fit(dataset.subset(np.flatnonzero(~in_test)),
@@ -268,13 +241,29 @@ def _workers(tasks: int) -> int:
     return max(1, min(tasks, cpus // threads))
 
 
+# the function that a forked worker of _fork_map applies to each task,
+# set when the worker starts
+_WORKER_FN: Callable | None = None
+
+
+def _start_worker(fn) -> None:
+    global _WORKER_FN
+    _WORKER_FN = fn
+
+
+def _task(task):
+    return _WORKER_FN(task)
+
+
 def _fork_map(fn, tasks: list):
-    """Yield ``fn`` of each task, in task order. With more than one
-    worker the tasks run in forked processes; a failing task raises what
-    the serial loop would, the first failure in task order, and a worker
-    that ends without a result (killed, say) raises ChildProcessError.
-    Closing the generator early cancels the tasks not yet started; no
-    worker outlives its exhaustion, a raise or that close."""
+    """Yield ``fn`` of each task, in task order; ``fn`` may be any
+    callable, as only the tasks and their results are pickled. With more
+    than one worker the tasks run in forked processes; a failing task
+    raises what the serial loop would, the first failure in task order,
+    and a worker that ends without a result (killed, say) raises
+    ChildProcessError. Closing the generator early cancels the tasks not
+    yet started; no worker outlives its exhaustion, a raise or that
+    close."""
     workers = _workers(len(tasks))
     if workers == 1:
         yield from map(fn, tasks)
@@ -285,15 +274,16 @@ def _fork_map(fn, tasks: list):
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    # fork, so the workers inherit module state such as _FOLD_INPUTS,
-    # numpy's errstate and the BLAS settings; OpenBLAS stops its own
-    # threads before a fork
+    # fork, so each worker inherits fn, and the data it holds, through
+    # the initializer's arguments, and numpy's errstate and the BLAS
+    # settings; the pool pickles only _task, by name. OpenBLAS stops its
+    # own threads before a fork
     try:
         with ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork")) as pool:
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_start_worker, initargs=(fn,)) as pool:
             try:
-                yield from pool.map(fn, tasks)
+                yield from pool.map(_task, tasks)
             except BaseException:  # GeneratorExit on an early close too
                 pool.shutdown(cancel_futures=True)
                 raise
@@ -303,23 +293,21 @@ def _fork_map(fn, tasks: list):
                                 "result (for example, killed for memory)")
 
 
-def _run_folds(tasks: list[tuple[RunConfig, int]], dataset: data.Dataset,
-               folds: list[np.ndarray]) -> list:
-    """``_fold`` of each task, in task order, through ``_fork_map``."""
-    global _FOLD_INPUTS
-    _FOLD_INPUTS = dataset, folds
-    try:
-        return list(_fork_map(_fold, tasks))
-    finally:
-        _FOLD_INPUTS = None
+def _fold_results(cfg: RunConfig, configs: list[RunConfig]) -> list:
+    """Ingest the CSV of ``cfg`` and cut its folds once, then train and
+    audit each of them with each of ``configs`` (``_fold``) through
+    ``_fork_map``; returns the (MetricsReport, log) of every fold of the
+    first config, then of the next, and so on."""
+    dataset = _ingest(cfg.data, data.resolve_schema(cfg.schema))
+    folds = data.kfold(dataset, cfg.folds, cfg.seed)
+    return list(_fork_map(functools.partial(_fold, dataset, folds),
+                          [(c, i) for c in configs for i in range(cfg.folds)]))
 
 
 def _crossval_reports(cfg: RunConfig):
     """Ingest the CSV, then train and audit each fold; returns the
     fold reports and the training logs."""
-    dataset, folds = _load_folds(cfg)
-    results = _run_folds([(cfg, i) for i in range(cfg.folds)], dataset,
-                         folds)
+    results = _fold_results(cfg, [cfg])
     return [r for r, _ in results], [log for _, log in results]
 
 
@@ -342,12 +330,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entry = CONSTRAINTS[cfg.constraint]
-    dataset, folds = _load_folds(cfg)
     # every fold of every value in one pool; rows first, so a failed
     # sweep leaves no partial tradeoff.csv
-    tasks = [(replace(cfg, **{entry.param: value}), i)
-             for value in cfg.sweep for i in range(cfg.folds)]
-    results = _run_folds(tasks, dataset, folds)
+    results = _fold_results(cfg, [replace(cfg, **{entry.param: value})
+                                  for value in cfg.sweep])
     rows = []
     for j, value in enumerate(cfg.sweep):
         agg = _aggregate([r for r, _ in
@@ -408,8 +394,7 @@ def cmd_audit(args) -> int:
     # each window is encoded and forwarded where it is read, and only its
     # p, a and y come back
     fn = functools.partial(_audit_window, params, schema, encoder)
-    p, a, y = map(np.concatenate, zip(*_map_windows(
-        fn, args.data, schema, data.byte_parts(args.data))))
+    p, a, y = map(np.concatenate, zip(*_map_windows(fn, args.data, schema)))
     if not a.size:  # every row dropped: what encoding no rows raises
         raise DataError("cannot encode an empty table")
     # what the windows' results freed stays resident otherwise: on the

@@ -1,7 +1,9 @@
 import argparse
+import contextlib
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -21,7 +23,7 @@ from fairmlp.audit import MetricsReport
 from fairmlp.errors import DataError, SchemaError
 from fairmlp.cli import RunConfig, _crossval_reports, build_parser, main
 from fairmlp.fairloss import CONSTRAINTS, OBJECTIVES
-from conftest import run_cli, write_csv
+from conftest import SRC, run_cli, write_csv
 
 
 def run_config(tmp_path, csv_path, schema_path, **overrides):
@@ -388,6 +390,47 @@ class TestFoldWorkers:
         assert json.loads(proc.stdout.splitlines()[-1]) == [2, 0]
         assert proc.stderr == ("error: a fold or ingest worker ended without "
                                "a result (for example, killed for memory)\n")
+
+    # maps a closure over a lock, which cannot be pickled, and over an
+    # object watched by a weakref; prints the results, whether the object
+    # is freed once the map is done, and the workers still alive
+    CLOSURE = ("import json, multiprocessing, threading, weakref\n"
+               "from fairmlp import cli\n"
+               "class Box:\n"
+               "    offset = 100\n"
+               "def mapped(tasks):\n"
+               "    lock, box = threading.Lock(), Box()\n"
+               "    def fn(i):\n"
+               "        with lock:\n"
+               "            return i * i + box.offset\n"
+               "    return list(cli._fork_map(fn, tasks)), weakref.ref(box)\n"
+               "results, box = mapped(list(range(8)))\n"
+               "print(json.dumps([results, box() is None,\n"
+               "                  len(multiprocessing.active_children())]))\n")
+
+    @pytest.mark.skipif(not two_cpus(), reason="the fold pool needs 2 usable "
+                        "CPUs")
+    def test_any_callable_maps_in_task_order_and_is_freed(self, tmp_path):
+        # stdout goes to a file and the child leads its own process group:
+        # a worker left behind would hold a pipe open past the timeout
+        out = tmp_path / "out.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        with open(out, "w") as fh:
+            proc = subprocess.Popen([sys.executable, "-c", self.CLOSURE],
+                                    stdout=fh, stderr=subprocess.STDOUT,
+                                    env=env, start_new_session=True)
+            try:
+                rc = proc.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                rc = None
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+        assert rc == 0, out.read_text() or "timed out"
+        assert json.loads(out.read_text().splitlines()[-1]) == [
+            [i * i + 100 for i in range(8)], True, 0]
 
 
 class TestAuditCommand:
@@ -1022,8 +1065,9 @@ class TestIngestParts:
                                            PART_SCHEMA, encoder))
         with pytest.MonkeyPatch.context() as mp:
             cut_in_process(mp, path, parts)
-            assert ingested(lambda: cli._ingest(path, PART_SCHEMA,
-                                                encoder)) == one
+            assert ingested(lambda: data.encode_parts(
+                cli._map_windows(cli._row_codes, path, PART_SCHEMA),
+                PART_SCHEMA, encoder)) == one
         return one
 
     # a saved encoder's std can scale a cell past the largest double
