@@ -4,7 +4,7 @@ counterexample.
 Run configuration lives in a JSON file; command-line flags override
 individual keys. All outputs are deterministic given the seed and the
 BLAS thread count, with wall-clock data confined to a separate metadata
-field. crossval, sweep and audit read a large CSV in byte-range windows
+field. Every command that reads a CSV reads it in byte-range windows
 (``_map_windows``), audit also encoding and forwarding each window
 where it is read, and crossval and sweep train their folds, in forked
 worker processes when the BLAS threads leave more than one usable CPU
@@ -137,19 +137,18 @@ def cmd_train(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     schema = data.resolve_schema(cfg.schema)
-    table = data.load_csv(cfg.data, schema)
-    a, y = data.extract_labels(table, schema)
-    train_idx, test_idx = data.holdout_split(a, y, cfg.holdout_fraction,
-                                             cfg.seed)
-    test_table = table.take(test_idx)
-    ds_train = data.encode(table.take(train_idx), schema)
-    ds_test = data.encode(test_table, schema, ds_train.encoder)
+    parts = _map_windows(_row_codes, cfg.data, schema)
+    train_idx, test_idx = data.holdout_split(*data.a_and_y(parts, schema),
+                                             cfg.holdout_fraction, cfg.seed)
+    test = data.take(parts, test_idx)
+    ds_train = data.encode_parts(data.take(parts, train_idx), schema)
+    ds_test = data.encode_parts(test, schema, ds_train.encoder)
 
     params, log = lagrange.fit(ds_train, cfg)
     report = audit.evaluate(params, ds_test, cfg.batch_size, seed=cfg.seed)
     model.save_checkpoint(out / "model.json", params, cfg.seed)
     ds_train.encoder.to_json(out / "encoder.json")
-    test_table.to_csv(out / "test_split.csv")
+    data.write_csv(test, schema, out / "test_split.csv")
     _report_run(cfg, "train", [report], [log], t0, 1)
     return 0
 
@@ -189,11 +188,12 @@ def _map_windows(fn, path, schema: data.SchemaConfig) -> list:
     if len(results) == len(windows):
         return results
     del results  # no window's result lives through the whole-file read
-    return [fn(data.encode_rows(data.load_csv(path, schema), schema))]
+    return [fn(data.load_csv(path, schema))]
 
 
 def _row_codes(codes: data.RowCodes) -> data.RowCodes:
-    """The window function of ``_ingest``: the row codes themselves."""
+    """The window function of ``_ingest`` and ``train``: the row codes
+    themselves."""
     return codes
 
 
@@ -371,8 +371,8 @@ def _audit_window(params: model.MlpParams, schema: data.SchemaConfig,
     """The window function of ``audit``: p, a and y of the rows of
     ``codes``, encoded with the run's encoder and forwarded
     (``audit.probabilities``)."""
-    if not codes.a.size:  # every row dropped
-        return np.empty(0), codes.a, codes.y
+    if not len(codes):  # every row dropped
+        return (np.empty(0), *data.a_and_y([codes], schema))
     dataset = data.encode_parts([codes], schema, encoder)
     return audit.probabilities(params, dataset), dataset.a, dataset.y
 

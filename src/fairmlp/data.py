@@ -15,7 +15,9 @@ tokenizes a plain window in numpy, LF or CRLF lines without quotes,
 lone carriage returns, NULs, short or whitespace-only lines or text
 that is not UTF-8, and hands each distinct value of a used column to
 Python once; it gives None for any other window, and then the csv
-module reads the whole file (``load_csv``), to the same codes.
+module reads the whole file (``load_csv``), to the same codes: the
+one row representation, ``RowCodes``, which ``encode_parts`` encodes,
+``take`` selects rows of and ``write_csv`` writes back as a CSV.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ import csv
 import json
 import math
 import os
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -59,8 +63,13 @@ class SchemaConfig:
                               "sensitive column")
 
     @property
+    def text_columns(self) -> list[str]:
+        """The categorical columns, the label and the sensitive column."""
+        return self.categorical + [self.label, self.sensitive]
+
+    @property
     def used_columns(self) -> list[str]:
-        return self.numeric + self.categorical + [self.label, self.sensitive]
+        return self.numeric + self.text_columns
 
     @classmethod
     def from_json(cls, path) -> "SchemaConfig":
@@ -99,31 +108,6 @@ def resolve_schema(name_or_path: str) -> SchemaConfig:
     if name_or_path in BUILTIN_SCHEMAS:
         return BUILTIN_SCHEMAS[name_or_path]()
     return SchemaConfig.from_json(name_or_path)
-
-
-@dataclass
-class RawTable:
-    """Parsed CSV restricted to the schema's columns, missing rows dropped:
-    one list of cell strings per column, keyed by column name in
-    ``SchemaConfig.used_columns`` order."""
-
-    columns: dict[str, list[str]]
-    n_dropped: int = 0
-
-    def __len__(self) -> int:
-        return len(next(iter(self.columns.values())))
-
-    def take(self, idx) -> "RawTable":
-        """The rows at ``idx``, in that order."""
-        idx = np.asarray(idx).tolist()
-        return RawTable({name: [cells[i] for i in idx]
-                         for name, cells in self.columns.items()})
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(self.columns))
-            writer.writerows(zip(*self.columns.values()))
 
 
 # the size of an ingest window, which bounds the reader's temporaries: a
@@ -170,12 +154,11 @@ def _header(reader, path, schema: SchemaConfig) -> list[str]:
     return header
 
 
-def load_csv(path, schema: SchemaConfig) -> RawTable:
-    """Read a header CSV, keeping schema columns and dropping any row that
-    has the missing-value token in a used column. Each column holds one
-    shared string per distinct value, however many rows repeat it. A used
-    column the header repeats, or a non-blank row whose cell count is not
-    the header's, is an error."""
+def load_csv(path, schema: SchemaConfig) -> RowCodes:
+    """The row codes of a whole header CSV, read by the csv module: its
+    cells stripped, and any row dropped that has the missing-value token
+    in a used column. A used column the header repeats, or a non-blank
+    row whose cell count is not the header's, is an error."""
     names = list(dict.fromkeys(schema.used_columns))
     try:
         # utf-8-sig drops the byte-order mark a spreadsheet may write
@@ -183,8 +166,9 @@ def load_csv(path, schema: SchemaConfig) -> RawTable:
             reader = csv.reader(fh)
             header = _header(reader, path, schema)
             idx, width = [header.index(c) for c in names], len(header)
-            columns, n_dropped = [[] for _ in names], 0
-            distinct = [{} for _ in names]
+            # each row's code for each cell: 0, 1, ... as first seen
+            columns = [[] for _ in names]
+            distinct = [defaultdict(count().__next__) for _ in names]
             for raw in reader:
                 if not raw or all(not cell.strip() for cell in raw):
                     continue
@@ -193,15 +177,20 @@ def load_csv(path, schema: SchemaConfig) -> RawTable:
                                     f"cells, the header has {width}")
                 cells = [raw[j].strip() for j in idx]
                 if schema.missing_token in cells:
-                    n_dropped += 1
                     continue
                 for column, seen, cell in zip(columns, distinct, cells):
-                    column.append(seen.setdefault(cell, cell))
+                    column.append(seen[cell])
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc}")
     except csv.Error as exc:  # e.g. a cell over the csv field size limit
         raise DataError(f"{path} line {reader.line_num}: {exc}")
-    return RawTable(dict(zip(names, columns)), n_dropped)
+    n = len(columns[0])
+    coded = {name: (list(seen), np.fromiter(column, np.intp, n))
+             for name, column, seen in zip(names, columns, distinct)}
+    return _codes([(np.zeros(n), np.arange(n), *coded[col])
+                   for col in schema.numeric],
+                  [coded[col] for col in schema.text_columns],
+                  np.ones(n, bool))
 
 
 @dataclass
@@ -345,36 +334,63 @@ class Dataset:
 
 @dataclass
 class RowCodes:
-    """The row-local half of encoding one part of a table: what needs no
-    other part. ``numeric`` holds each numeric column as float64, or the
-    ValueError of its first non-numeric cell; ``categorical`` holds each
-    categorical column as its sorted distinct values and each row's index
-    into them; ``a`` and ``y`` are as ``extract_labels`` gives them."""
+    """The kept rows of one part of a table, coded from that part alone.
+    ``numeric`` holds each numeric column as float64, or the ValueError of
+    its first non-numeric cell; ``text`` holds each of the schema's
+    ``text_columns`` as its sorted distinct values and each row's index
+    into them, in the smallest unsigned type that holds them."""
 
     numeric: list[np.ndarray | ValueError]
-    categorical: list[tuple[list[str], np.ndarray]]
-    a: np.ndarray
-    y: np.ndarray
+    text: list[tuple[list[str], np.ndarray]]
+
+    def __len__(self) -> int:
+        return len(self.text[-1][1])
 
 
-def encode_rows(table: RawTable, schema: SchemaConfig) -> RowCodes:
-    """The row-local half of ``encode``, on one part of a table."""
-    n = len(table)
-    numeric = []
-    for col in schema.numeric:
-        try:
-            numeric.append(np.fromiter(map(float, table.columns[col]),
-                                       np.float64, n))
-        except ValueError as exc:
-            numeric.append(exc)
-    categorical = []
-    for col in schema.categorical:
-        cells = table.columns[col]
-        values = sorted(set(cells))
-        at = {v: i for i, v in enumerate(values)}
-        categorical.append((values, np.fromiter(
-            map(at.__getitem__, cells), np.min_scalar_type(len(values)), n)))
-    return RowCodes(numeric, categorical, *extract_labels(table, schema))
+def take(parts: list[RowCodes], idx: np.ndarray) -> list[RowCodes]:
+    """The rows at ``idx``, indices into the parts' rows in part order,
+    as one part per part, in row order. Each text column keeps only the
+    values its rows use, so that ``encode_parts`` fits the rows as if
+    they were read alone; a numeric column's error is kept, rows or not."""
+    taken, start = [], 0
+    for part in parts:
+        keep = np.zeros(len(part), bool)
+        keep[idx[(idx >= start) & (idx < start + len(part))] - start] = True
+        start += len(part)
+        taken.append(RowCodes([x if isinstance(x, ValueError) else x[keep]
+                               for x in part.numeric],
+                              _codes([], part.text, keep).text))
+    return taken
+
+
+def a_and_y(parts: list[RowCodes],
+            schema: SchemaConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The parts' rows' sensitive attribute (1: the protected value) and
+    label (1: the positive one), one byte a row: every use compares them,
+    sums them into an int64 or casts them to float64."""
+    def flags(k, value):
+        return np.concatenate([
+            np.array([v == value for v in part.text[k][0]], np.int8)[
+                part.text[k][1]] for part in parts])
+    return flags(-1, schema.protected_value), flags(-2, schema.positive_label)
+
+
+def write_csv(parts: list[RowCodes], schema: SchemaConfig, path) -> None:
+    """Write the parts' rows as a CSV of the used columns, in
+    ``used_columns`` order: each text cell as it was read, stripped, and
+    each numeric cell as the repr of its value without a whole number's
+    '.0', which reads back to the same float."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(dict.fromkeys(schema.used_columns))
+        for part in parts:
+            # a sensitive column that is also categorical is written once
+            columns = dict(zip(schema.used_columns, [
+                *([t[:-2] if t.endswith(".0") else t
+                   for t in map(repr, x.tolist())] for x in part.numeric),
+                *([values[c] for c in codes.tolist()]
+                  for values, codes in part.text)]))
+            writer.writerows(zip(*columns.values()))
 
 
 # the low r bytes of a little-endian word, for r = 0..8
@@ -388,7 +404,7 @@ _BARE_DIGITS = 15
 
 def row_codes(path, schema: SchemaConfig, lo: int = 0,
               hi: int | None = None) -> RowCodes | None:
-    """``encode_rows`` of the rows in bytes [lo, hi) of a CSV, a window
+    """The row codes of the rows in bytes [lo, hi) of a CSV, a window
     from ``byte_parts`` (part 0 also holds the header), or None when the
     window is not plain. It is tokenized in numpy, so that Python meets
     each distinct field of a used column once rather than each cell.
@@ -456,8 +472,7 @@ def row_codes(path, schema: SchemaConfig, lo: int = 0,
     token = schema.missing_token
     missing = np.zeros(ends.size, bool)
     texts = {}
-    for col in dict.fromkeys(schema.categorical
-                             + [schema.label, schema.sensitive]):
+    for col in dict.fromkeys(schema.text_columns):
         found = _distinct_fields(buf, words, *field(col))
         if found is None:
             return None
@@ -478,8 +493,16 @@ def row_codes(path, schema: SchemaConfig, lo: int = 0,
         missing[rest] |= np.array([t == token for t in found[0]],
                                   bool)[found[1]]
         numbers.append((values, rest, *found))
-    keep = ~missing
+    return _codes(numbers, [texts[col] for col in schema.text_columns],
+                  ~missing)
 
+
+def _codes(numbers: list, texts: list, keep: np.ndarray) -> RowCodes:
+    """The RowCodes of the rows at mask ``keep``. ``texts`` holds, for
+    each text column, its distinct cells and each row's index into them;
+    ``numbers`` holds, for each numeric column, its values as far as they
+    are known, the rows ``rest`` whose value is not, and those rows'
+    distinct cells and each one's index into them."""
     numeric = []
     for values, rest, distinct, inverse in numbers:
         parsed, errors = np.zeros(len(distinct)), {}
@@ -495,9 +518,8 @@ def row_codes(path, schema: SchemaConfig, lo: int = 0,
         values[rest] = parsed[inverse]
         numeric.append(errors[int(kept[bad[0]])] if bad.size
                        else values[keep])
-    categorical = []
-    for col in schema.categorical:
-        distinct, inverse = texts[col]
+    text = []
+    for distinct, inverse in texts:
         kept = inverse[keep]
         used = np.zeros(len(distinct), bool)
         used[kept] = True
@@ -505,16 +527,8 @@ def row_codes(path, schema: SchemaConfig, lo: int = 0,
         at = {v: i for i, v in enumerate(values)}
         codes = np.array([at.get(t, 0) for t in distinct],
                          np.min_scalar_type(len(values)))
-        categorical.append((values, codes[kept]))
-
-    def flags(col, value):
-        distinct, inverse = texts[col]
-        return np.array([t == value for t in distinct],
-                        np.int8)[inverse[keep]]
-
-    return RowCodes(numeric, categorical,
-                    flags(schema.sensitive, schema.protected_value),
-                    flags(schema.label, schema.positive_label))
+        text.append((values, codes[kept]))
+    return RowCodes(numeric, text)
 
 
 def _distinct_fields(buf: np.ndarray, words: np.ndarray, starts: np.ndarray,
@@ -556,18 +570,19 @@ def _bare_numbers(buf: np.ndarray, starts: np.ndarray,
 
 def encode_parts(parts: list[RowCodes], schema: SchemaConfig,
                  encoder: Encoder | None = None) -> Dataset:
-    """The whole-set half of ``encode``: the Dataset of the parts' rows,
-    in part order. Fits the encoder on those rows unless one is supplied.
-    The first bad numeric column in schema order, and its first bad row,
-    is the error, as if the parts were one table."""
-    n = sum(len(part.a) for part in parts)
+    """The Dataset of the parts' rows, in part order: the z-scored
+    numeric columns and the dense column of each categorical cell's one.
+    Fits the encoder on those rows unless one (from the training split)
+    is supplied. The first bad numeric column in schema order, and its
+    first bad row, is the error, as if the parts were one table."""
+    n = sum(map(len, parts))
     if n == 0:
         raise DataError("cannot encode an empty table")
     fit = encoder is None
     if fit:
         # numeric_stats are filled in below, as each column is checked
-        vocabulary = {col: sorted(set().union(*(part.categorical[k][0]
-                                                for part in parts)))
+        vocabulary = {col: sorted(set().union(*(part.text[k][0]
+                                               for part in parts)))
                       for k, col in enumerate(schema.categorical)}
         names = _feature_names(schema, vocabulary)
         encoder = Encoder(vocabulary=vocabulary, feature_names=names)
@@ -603,35 +618,19 @@ def encode_parts(parts: list[RowCodes], schema: SchemaConfig,
         row = 0
         for part in parts:
             # each of the part's values to its dense column, or UNSEEN
-            values, codes = part.categorical[k]
+            values, codes = part.text[k]
             dense = np.fromiter((pos.get(v, UNSEEN) for v in values),
                                 cols.dtype, len(values))
             cols[row:row + len(codes), k] = dense[codes]
             row += len(codes)
         j += len(vocab)
-    return Dataset(num=num, cols=cols,
-                   a=np.concatenate([part.a for part in parts]),
-                   y=np.concatenate([part.y for part in parts]),
-                   encoder=encoder)
+    return Dataset(num, cols, *a_and_y(parts, schema), encoder)
 
 
-def encode(table: RawTable, schema: SchemaConfig,
+def encode(codes: RowCodes, schema: SchemaConfig,
            encoder: Encoder | None = None) -> Dataset:
-    """Encode a table into a Dataset: the z-scored numeric columns and the
-    dense column of each categorical cell's one. Fits the encoder on the
-    table itself unless one (from the training split) is supplied."""
-    return encode_parts([encode_rows(table, schema)], schema, encoder)
-
-
-def extract_labels(table: RawTable, schema: SchemaConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(a, y) binary vectors straight from the raw cells, no encoding, one
-    byte a row: every use compares them, sums them into an int64 or
-    casts them to float64."""
-    a = np.asarray([1 if v == schema.protected_value else 0
-                    for v in table.columns[schema.sensitive]], dtype=np.int8)
-    y = np.asarray([1 if v == schema.positive_label else 0
-                    for v in table.columns[schema.label]], dtype=np.int8)
-    return a, y
+    """``encode_parts`` of one part."""
+    return encode_parts([codes], schema, encoder)
 
 
 def _shuffled_cells(a: np.ndarray, y: np.ndarray, seed: int):

@@ -414,10 +414,11 @@ def loop_epoch_batches(a: np.ndarray, y: np.ndarray, size: int,
     return [np.asarray(b, dtype=np.int64) for b in batches]
 
 
-# The row-based ingest that data.RawTable and data.encode replaced, kept
-# verbatim but for the names and the result type: the columnar encode,
-# densified, must give the same bytes, the same encoder and the same
-# errors.
+# The row-based ingest that the columnar one replaced (data.load_csv,
+# whose RowCodes hold each column's distinct values and one code per
+# row, and data.encode), kept verbatim but for the names and the result
+# type: the columnar encode, densified, must give the same bytes, the
+# same encoder and the same errors.
 @dataclass
 class DenseDataset:
     """What the row-based encode returned: the dense (n, d) matrix."""

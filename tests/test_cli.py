@@ -55,15 +55,15 @@ def strip_metadata(report_path) -> str:
 
 
 def record_ingest(monkeypatch) -> list:
-    """Patch both ways a command reads its CSV, ``cli._map_windows``
-    (crossval, sweep and audit) and ``data.load_csv`` (train), to record
-    the name of each call before making it; returns the list of names."""
-    calls = []
-    for owner, name in ((cli, "_map_windows"), (data, "load_csv")):
-        def recorded(*args, _real=getattr(owner, name), _name=name, **kw):
-            calls.append(_name)
-            return _real(*args, **kw)
-        monkeypatch.setattr(owner, name, recorded)
+    """Patch ``cli._map_windows``, the one way every command reads its
+    CSV, to record the name of each call before making it; returns the
+    list of names."""
+    calls, real = [], cli._map_windows
+
+    def recorded(*args, **kw):
+        calls.append("_map_windows")
+        return real(*args, **kw)
+    monkeypatch.setattr(cli, "_map_windows", recorded)
     return calls
 
 
@@ -97,6 +97,56 @@ class TestTrain:
         assert report["baseline"] is True
         lambdas = [row["lambda"] for row in report["training"][0]]
         assert all(v == 0.0 for v in lambdas)
+
+    def test_test_split_holds_every_source_cell(self, tmp_path, capsys):
+        # numeric cells that are not bare integers, a quoted cell with a
+        # comma (so the csv module reads the file), the sensitive column
+        # also a feature, and labels and groups other than the positive
+        # and protected ones
+        numbers = ["0.1", "1e5", "39.0", "-3", "007"]
+        header = ["n1", "c1", "grp", "outcome", "note"]
+        rows = [[numbers[i % 5], ["a", "Pri, vate", " b "][i % 3],
+                 ["f", "m", "x"][i % 7 % 3], ["yes", "no", "maybe"][i % 11 % 3],
+                 "note"] for i in range(300)]
+        # a category that only a test row holds, which the encoder must
+        # not learn
+        _, test_idx = data.holdout_split(
+            np.array([row[2] == "f" for row in rows], np.int8),
+            np.array([row[3] == "yes" for row in rows], np.int8), 0.2, 5)
+        rows[test_idx[0]][1] = "rare"
+        path = tmp_path / "cells.csv"
+        write_csv(path, header, rows)
+        schema = data.SchemaConfig(numeric=["n1"], categorical=["c1", "grp"],
+                                   label="outcome", positive_label="yes",
+                                   sensitive="grp", protected_value="f")
+        schema_json = tmp_path / "schema.json"
+        schema_json.write_text(json.dumps(asdict(schema)))
+        cfg = run_config(tmp_path, path, schema_json, h1=4, h2=2,
+                         batch_size=32, max_epochs=2)
+        assert main(["train", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        encoder = json.loads((out / "encoder.json").read_text())
+        assert encoder["vocabulary"]["c1"] == ["Pri, vate", "a", "b"]
+        with open(out / "test_split.csv", newline="") as fh:
+            written_header, *written = csv.reader(fh)
+        assert written_header == ["n1", "c1", "grp", "outcome"]
+        assert len(written) == len(test_idx)
+        for row, i in zip(written, test_idx.tolist()):
+            source = [rows[i][header.index(col)].strip()
+                      for col in written_header]
+            assert float(row[0]).hex() == float(source[0]).hex()
+            assert row[1:] == source[1:]
+        assert {row[0] for row in written} == {"0.1", "100000", "39", "-3",
+                                               "7"}
+        assert {row[3] for row in written} == {"yes", "no", "maybe"}
+        report = json.loads((out / "report.json").read_text())
+        capsys.readouterr()
+        assert main(["audit", "--model", str(out / "model.json"),
+                     "--data", str(out / "test_split.csv"),
+                     "--schema", str(schema_json),
+                     "--encoder", str(out / "encoder.json"),
+                     "--batch-size", "32", "--seed", "5"]) == 0
+        assert json.loads(capsys.readouterr().out) == report["folds"][0]
 
 
 class TestCrossval:
@@ -982,8 +1032,7 @@ def code_fields(codes: data.RowCodes):
         return x.dtype.str, x.shape, x.tobytes()
     return ([(type(x), str(x)) if isinstance(x, ValueError) else array(x)
              for x in codes.numeric],
-            [(values, array(c)) for values, c in codes.categorical],
-            array(codes.a), array(codes.y))
+            [(values, array(c)) for values, c in codes.text])
 
 
 class TestRowCodes:
@@ -1008,8 +1057,7 @@ class TestRowCodes:
                 # the window's rows under the header, read by the csv module
                 alone.write_bytes((b"" if lo == 0 else header)
                                   + raw[lo:hi])
-                csv_path = data.encode_rows(data.load_csv(alone, schema),
-                                            schema)
+                csv_path = data.load_csv(alone, schema)
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(data, "load_csv", unread)
                     codes = data.row_codes(path, schema, lo, hi)
@@ -1077,12 +1125,13 @@ class TestIngestParts:
     def test_any_part_count_gives_the_one_part_dataset(self, raw, parts,
                                                        saved):
         encoder = None
-        if saved:
-            fitted = data.RawTable({"n1": ["1", "4"], "n2": ["0", "2"],
-                                    "c1": ["a", "b"], "outcome": ["yes", "no"],
-                                    "grp": ["f", "m"]})
-            encoder = data.encode(fitted, PART_SCHEMA).encoder
         with tempfile.TemporaryDirectory() as tmp:
+            if saved:
+                fitted = Path(tmp) / "fitted.csv"
+                fitted.write_text("n1,c1,grp,n2,outcome\n1,a,f,0,yes\n"
+                                  "4,b,m,2,no\n", encoding="utf-8")
+                encoder = data.encode(data.load_csv(fitted, PART_SCHEMA),
+                                      PART_SCHEMA).encoder
             path = Path(tmp) / "parts.csv"
             path.write_bytes(raw)
             self._same_as_one_part(path, parts, encoder)
@@ -1411,7 +1460,7 @@ class TestIngestParts:
             assert raw.index(b"abc") < end_0 < raw.index(b"xyz") < end_1
         if case == "window_dropped":
             schema = data.resolve_schema(str(biased_schema_json))
-            assert [data.row_codes(path, schema, lo, hi).a.size == 0
+            assert [len(data.row_codes(path, schema, lo, hi)) == 0
                     for lo, hi in windows] == [False, True, False, False]
         argv = ["audit", "--model", str(trained / "model.json"),
                 "--data", str(path), "--schema", str(biased_schema_json),
@@ -1431,6 +1480,60 @@ class TestIngestParts:
         cfg = run_config(tmp_path, biased_csv, biased_schema_json, max_epochs=1)
         assert main(["train", "--config", str(cfg)]) == 0
         return tmp_path / "out"
+
+    def test_train_writes_the_same_files_in_windows_and_whole(
+            self, tmp_path, monkeypatch, capsys):
+        gen = str(Path(__file__).resolve().parent.parent / "perfbench"
+                  / "gen_adult.py")
+        path = tmp_path / "train.csv"
+        subprocess.run([sys.executable, gen, "3000", "1", str(path)],
+                       check=True)
+        monkeypatch.setattr(data, "PART_BYTES", path.stat().st_size // 3)
+        assert len(data.byte_parts(path)) == 3
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        row_codes, load_csv = data.row_codes, data.load_csv
+        outputs = []
+        # two window workers, one, and the whole-file read by the csv
+        # module, as numpy reads no window
+        for name, cpus, windows in (("two", {0, 1}, True),
+                                    ("one", {0}, True),
+                                    ("whole", {0, 1}, False)):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: cpus)
+            assert cli._workers(3) == len(cpus)
+            monkeypatch.setattr(data, "row_codes", row_codes if windows
+                                else lambda *window: None)
+            monkeypatch.setattr(data, "load_csv", None if windows
+                                else load_csv)
+            cfg = run_config(tmp_path, path, "adult", max_epochs=1,
+                             batch_size=200, out_dir=str(tmp_path / name))
+            assert main(["train", "--config", str(cfg)]) == 0
+            out = tmp_path / name
+            outputs.append([(out / file).read_bytes() for file in
+                            ("model.json", "encoder.json", "test_split.csv")]
+                           + [strip_metadata(out / "report.json")])
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("corrupt", [
+        "_ragged_csv", "_row_with_extra_cells", "_repeated_header_column",
+        "_non_numeric_cell", "_oversized_cell", "_undecodable_csv"])
+    def test_train_fails_on_a_bad_file_as_crossval_does(
+            self, trained, biased_schema_json, monkeypatch, capsys,
+            corrupt):
+        bad = getattr(TestAuditCommand, corrupt)(trained)["--data"]
+        monkeypatch.setattr(data, "PART_BYTES", bad.stat().st_size // 3)
+        assert len(data.byte_parts(bad)) == 3
+        failures = []
+        for command in ("train", "crossval"):
+            cfg = run_config(trained.parent, bad, biased_schema_json,
+                             max_epochs=1,
+                             out_dir=str(trained.parent / command))
+            capsys.readouterr()
+            failures.append((main([command, "--config", str(cfg)]),
+                             capsys.readouterr().err))
+        assert failures[0] == failures[1]
+        code, err = failures[0]
+        assert code == 3 and err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("h1,h2", [(100, 50), (2, 2)])
     def test_train_report_is_the_audit_of_its_test_split_in_windows(
@@ -1827,8 +1930,7 @@ class TestBadHyperparameters:
         cfg = run_config(tmp_path, biased_csv, biased_schema_json,
                          max_epochs=1, sweep=[0.05])
         assert main([command, "--config", str(cfg)]) == 0
-        assert loads[0] == ("load_csv" if command == "train"
-                            else "_map_windows")
+        assert loads[0] == "_map_windows"
 
     @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
     @pytest.mark.parametrize("key,value", [

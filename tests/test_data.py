@@ -11,9 +11,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from fairmlp import audit, cli, data
-from fairmlp.data import (Encoder, RawTable, SchemaConfig, adult_schema,
-                          byte_parts, encode, epoch_batches, extract_labels,
-                          holdout_split, kfold, load_csv, resolve_schema)
+from fairmlp.data import (RowCodes, SchemaConfig, adult_schema, byte_parts,
+                          encode, epoch_batches, holdout_split, kfold,
+                          load_csv, resolve_schema)
 from fairmlp.errors import DataError, ParameterError, SchemaError, ShapeError
 from fairmlp.fairloss import Batch
 from fairmlp.numcore import Rng
@@ -30,18 +30,39 @@ def small_csv(tmp_path, rows, header=("amount", "kind", "grp", "outcome")):
     return path
 
 
+def cells(codes, col):
+    """The kept rows' cells of column ``col`` of ``codes``: floats for a
+    numeric column, strings for a text one."""
+    if col in SCHEMA.numeric:
+        return codes.numeric[SCHEMA.numeric.index(col)].tolist()
+    values, index = codes.text[SCHEMA.text_columns.index(col)]
+    return [values[i] for i in index.tolist()]
+
+
+def code_fields(codes):
+    """Everything a RowCodes holds, dtypes included, with each numeric
+    column's error as its type and message."""
+    def array(x):
+        return x.dtype.str, x.shape, x.tobytes()
+    return ([(type(x), str(x)) if isinstance(x, ValueError) else array(x)
+             for x in codes.numeric],
+            [(values, array(index)) for values, index in codes.text])
+
+
 class TestLoadCsv:
     def test_two_rows(self, tmp_path):
         path = small_csv(tmp_path, [["1", "a", "m", "yes"], ["3", "b", "f", "no"]])
-        table = load_csv(path, SCHEMA)
-        assert len(table) == 2
-        assert table.n_dropped == 0
+        codes = load_csv(path, SCHEMA)
+        assert len(codes) == 2
+        assert cells(codes, "amount") == [1.0, 3.0]
+        assert cells(codes, "outcome") == ["yes", "no"]
 
     def test_missing_token_dropped(self, tmp_path):
         path = small_csv(tmp_path, [["1", "a", "m", "yes"], ["?", "b", "f", "no"]])
-        table = load_csv(path, SCHEMA)
-        assert len(table) == 1
-        assert table.n_dropped == 1
+        codes = load_csv(path, SCHEMA)
+        assert len(codes) == 1
+        # the dropped row's values are gone with it
+        assert [values for values, _ in codes.text] == [["a"], ["yes"], ["m"]]
 
     def test_missing_column_is_schema_error(self, tmp_path):
         path = small_csv(tmp_path, [["1", "a", "m"]], header=("amount", "kind", "grp"))
@@ -49,20 +70,13 @@ class TestLoadCsv:
             load_csv(path, SCHEMA)
 
     def test_cells_are_stripped(self, tmp_path):
-        path = small_csv(tmp_path, [[" 1 ", " a", "f ", " yes"]])
-        table = load_csv(path, SCHEMA)
-        assert table.columns["amount"] == ["1"]
-        assert table.columns["grp"] == ["f"]
-        assert table.columns["outcome"] == ["yes"]
-
-    def test_one_string_object_per_distinct_value(self, tmp_path):
-        rows = [["10", "red", "m", "yes"], ["20", " red", "f", "no"],
-                ["10 ", "blue", "f", "yes"], ["20", "red ", "m", "no"]]
-        table = load_csv(small_csv(tmp_path, rows), SCHEMA)
-        assert table.columns["kind"] == ["red", "red", "blue", "red"]
-        assert table.columns["outcome"] == ["yes", "no", "yes", "no"]
-        for col in table.columns.values():
-            assert len({id(cell) for cell in col}) == len(set(col))
+        path = small_csv(tmp_path, [[" 1 ", " a", "f ", " yes"],
+                                    ["2", "a ", " f", "yes"]])
+        codes = load_csv(path, SCHEMA)
+        assert cells(codes, "amount") == [1.0, 2.0]
+        assert cells(codes, "kind") == ["a", "a"]
+        assert cells(codes, "grp") == ["f", "f"]
+        assert cells(codes, "outcome") == ["yes", "yes"]
 
     def test_oversized_cell_is_data_error_naming_the_line(self, tmp_path):
         rows = [["1", "a", "m", "yes"], ["2", "b" * 200_000, "f", "no"]]
@@ -81,7 +95,7 @@ class TestLoadCsv:
         path = small_csv(tmp_path, [["1", "a", "m", "yes", "x", "y"]],
                          header=("amount", "kind", "grp", "outcome", "note",
                                  "note"))
-        assert load_csv(path, SCHEMA).columns["kind"] == ["a"]
+        assert cells(load_csv(path, SCHEMA), "kind") == ["a"]
 
     @pytest.mark.parametrize("row", [["2", "b", "f", "no", "EXTRA"],
                                      ["2", "b", "f"]])
@@ -96,21 +110,26 @@ class TestLoadCsv:
         path = tmp_path / "gaps.csv"
         path.write_text("amount,kind,grp,outcome\n\n1,a,m,yes\n,,,\n"
                         "  \n , , , \n3,b,f,no\n\n", encoding="utf-8")
-        table = load_csv(path, SCHEMA)
-        assert table.columns == {"amount": ["1", "3"], "kind": ["a", "b"],
-                                 "outcome": ["yes", "no"], "grp": ["m", "f"]}
-        assert table.n_dropped == 0
+        codes = load_csv(path, SCHEMA)
+        assert len(codes) == 2
+        assert {col: cells(codes, col) for col in SCHEMA.used_columns} == {
+            "amount": [1.0, 3.0], "kind": ["a", "b"], "outcome": ["yes", "no"],
+            "grp": ["m", "f"]}
 
     def test_header_only_gives_empty_columns(self, tmp_path):
-        table = load_csv(small_csv(tmp_path, []), SCHEMA)
-        assert len(table) == 0
-        assert table.columns == {name: [] for name in SCHEMA.used_columns}
+        codes = load_csv(small_csv(tmp_path, []), SCHEMA)
+        assert len(codes) == 0
+        assert [x.size for x in codes.numeric] == [0]
+        assert [(values, index.size) for values, index in codes.text] == [
+            ([], 0)] * 3
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
         path = small_csv(tmp_path, [["1", "a", "m", "yes"], ["2", "b", "f", "no"]])
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-        assert load_csv(bom, SCHEMA) == load_csv(path, SCHEMA)
+        assert (code_fields(load_csv(bom, SCHEMA))
+                == code_fields(load_csv(path, SCHEMA)))
+        assert cells(load_csv(bom, SCHEMA), "amount") == [1.0, 2.0]
 
     def test_non_utf8_after_byte_order_mark_is_data_error(self, tmp_path):
         path = small_csv(tmp_path, [["1", "a", "m", "yes"]])
@@ -119,13 +138,20 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="is not UTF-8 text"):
             load_csv(path, SCHEMA)
 
-    def test_take_then_to_csv_round_trips(self, tmp_path):
-        path = small_csv(tmp_path, [["1", "a", "m", "yes"], ["2", "b", "f", "no"],
+    def test_take_then_write_csv_round_trips(self, tmp_path):
+        path = small_csv(tmp_path, [["1.5", "a", "m", "yes"],
+                                    ["2", "b", "f", "no"],
                                     ["3", "c", "f", "yes"]])
-        taken = load_csv(path, SCHEMA).take(np.array([2, 0]))
-        assert taken.columns["amount"] == ["3", "1"]
-        taken.to_csv(tmp_path / "taken.csv")
-        assert load_csv(tmp_path / "taken.csv", SCHEMA) == taken
+        taken = data.take([load_csv(path, SCHEMA)], np.array([2, 0]))
+        assert len(taken) == 1
+        # row order, and only the values the rows use
+        assert cells(taken[0], "amount") == [1.5, 3.0]
+        assert taken[0].text[0][0] == ["a", "c"]
+        data.write_csv(taken, SCHEMA, tmp_path / "taken.csv")
+        assert (tmp_path / "taken.csv").read_bytes() == (
+            b"amount,kind,outcome,grp\r\n1.5,a,yes,m\r\n3,c,yes,f\r\n")
+        assert (code_fields(load_csv(tmp_path / "taken.csv", SCHEMA))
+                == code_fields(taken[0]))
 
 
 class TestByteParts:
@@ -178,7 +204,7 @@ class TestByteParts:
             rows[at][1] = "a\nb"  # written quoted, over two lines
             path = small_csv(tmp_path, rows)
             whole = real(path, SCHEMA)
-            assert whole.columns["kind"][at] == "a\nb"
+            assert cells(whole, "kind")[at] == "a\nb"
             self.cut(monkeypatch, path, 4)
             windows = byte_parts(path)
             assert len(windows) == 4
@@ -205,12 +231,12 @@ class TestByteParts:
             ["amount,kind,grp,outcome", ""]
             + [",".join(row) for row in rows] + [""]).encode())
         whole = load_csv(path, SCHEMA)
-        assert whole.n_dropped == 2
+        assert len(whole) == 38  # two rows dropped
         self.cut(monkeypatch, path, n)
         parts = [data.row_codes(path, SCHEMA, lo, hi)
                  for lo, hi in byte_parts(path)]
         assert len(parts) == n and None not in parts
-        assert sum(len(part.a) for part in parts) == len(whole) == 38
+        assert sum(map(len, parts)) == len(whole)
         joined, one = data.encode_parts(parts, SCHEMA), encode(whole, SCHEMA)
         for name in ("num", "cols", "a", "y"):
             assert np.array_equal(getattr(joined, name), getattr(one, name))
@@ -311,9 +337,9 @@ class TestEncode:
                            match=r"^column 'amount' overflows its z-score$"):
             encode(test, SCHEMA, enc)
 
-    def test_extract_labels_matches_encode(self, tmp_path):
+    def test_a_and_y_matches_encode(self, tmp_path):
         table = self.table(tmp_path, [["1", "a", "m", "yes"], ["3", "a", "f", "no"]])
-        a, y = extract_labels(table, SCHEMA)
+        a, y = data.a_and_y([table], SCHEMA)
         ds = encode(table, SCHEMA)
         np.testing.assert_array_equal(a, ds.a)
         np.testing.assert_array_equal(y, ds.y)
@@ -326,7 +352,7 @@ class TestEncode:
         numpy_read = data.encode_parts([data.row_codes(path, SCHEMA)], SCHEMA)
         for ds in (csv_read, numpy_read, numpy_read.subset([2, 0])):
             assert ds.a.dtype == ds.y.dtype == np.int8
-        assert extract_labels(load_csv(path, SCHEMA), SCHEMA)[0].dtype == np.int8
+        assert data.a_and_y([load_csv(path, SCHEMA)], SCHEMA)[0].dtype == np.int8
         for name in ("a", "y"):
             assert (getattr(csv_read, name).tobytes()
                     == getattr(numpy_read, name).tobytes())
@@ -360,11 +386,14 @@ def encode_rows(draw, categories):
 
 
 def both_tables(rows):
-    """The same rows as a columnar RawTable and as the row-based reference
-    table."""
+    """The same rows as the row codes ``load_csv`` reads from them and as
+    the row-based reference table."""
     names = ENC_SCHEMA.used_columns
-    columns = {name: [row[j] for row in rows] for j, name in enumerate(names)}
-    return RawTable(columns), oracles.RowTable(names, rows, 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        write_csv(path, names, rows)
+        codes = load_csv(path, ENC_SCHEMA)
+    return codes, oracles.RowTable(names, rows, 0)
 
 
 def encoder_json(encoder) -> str:
@@ -464,13 +493,14 @@ class TestEncodeMemory:
         schema = adult_schema()
         n = 2 * audit.EVAL_ROWS + 1
         gen = np.random.default_rng(5)
-        columns = {col: [str(v) for v in gen.integers(0, 100, n)]
-                   for col in schema.numeric}
-        for col, size in zip(schema.categorical, sizes):
-            columns[col] = [f"v{v}" for v in gen.integers(0, size, n)]
-        columns[schema.label] = [(">50K", "<=50K")[v] for v in gen.integers(0, 2, n)]
-        columns[schema.sensitive] = [("Female", "Male")[v] for v in gen.integers(0, 2, n)]
-        table = RawTable(columns)
+        numeric = [gen.integers(0, 100, n).astype(np.float64)
+                   for _ in schema.numeric]
+        text = [([f"v{v}" for v in range(size)],
+                 gen.integers(0, size, n).astype(np.uint8))
+                for size in sizes]
+        text += [(["<=50K", ">50K"], gen.integers(0, 2, n).astype(np.uint8)),
+                 (["Female", "Male"], gen.integers(0, 2, n).astype(np.uint8))]
+        table = RowCodes(numeric, text)
         tracemalloc.start()
         try:
             ds = encode(table, schema)

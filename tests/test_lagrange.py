@@ -218,15 +218,20 @@ class TestFit:
         assert params.flatten().tobytes() == ref_params.flatten().tobytes()
 
     def test_compact_dataset_trains_as_its_dense_rows(self, biased_csv,
-                                                      biased_schema_json):
+                                                      biased_schema_json,
+                                                      tmp_path):
         # one-hot columns and an unseen category, densified per batch, train
         # the same network bit for bit as their dense rows given as numbers
         schema = SchemaConfig.from_json(biased_schema_json)
-        table = load_csv(biased_csv, schema)
-        ds = encode(table, schema)
-        shade = table.columns["shade"]
-        shade[:5] = ["violet"] * 5
-        ds = encode(table, schema, ds.encoder)
+        ds = encode(load_csv(biased_csv, schema), schema)
+        header, *rows = biased_csv.read_text().splitlines()
+        for i in range(5):  # the first five rows' shade
+            cells = rows[i].split(",")
+            cells[header.split(",").index("shade")] = "violet"
+            rows[i] = ",".join(cells)
+        unseen = tmp_path / "unseen.csv"
+        unseen.write_text("\n".join([header, *rows, ""]))
+        ds = encode(load_csv(unseen, schema), schema, ds.encoder)
         assert (ds.cols == UNSEEN).sum() == 5
         cfg = toy_config(max_epochs=3, batch_size=48)  # 800 rows: a short batch
         params, log = fit(ds, cfg)
