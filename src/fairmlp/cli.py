@@ -8,7 +8,9 @@ field. Every command that reads a CSV reads it in byte-range windows
 (``_map_windows``), audit also encoding and forwarding each window
 where it is read, and crossval and sweep train their folds, in forked
 worker processes when the BLAS threads leave more than one usable CPU
-free (see ``_workers``); the outputs do not depend on how many.
+free (see ``_workers``); the outputs do not depend on how many. A
+window that numpy does not read (``data.NotPlain``) sends the command
+to the csv module's whole-file read.
 
 Exit codes: 0 success, 2 config/parameter/io or out of memory,
 3 schema/data, 4 numeric failure.
@@ -156,15 +158,9 @@ def cmd_train(cfg: RunConfig) -> int:
 def _window(path, schema: data.SchemaConfig, fn,
             window: tuple[int, int | None]):
     """``fn`` of the row codes of bytes [lo, hi) of the CSV at ``path``,
-    one window task, or None for a window that numpy does not read
-    (``data.row_codes``) or whose ``fn`` raises DataError."""
-    codes = data.row_codes(path, schema, *window)
-    if codes is None:
-        return None
-    try:
-        return fn(codes)
-    except DataError:  # the whole-file read raises it as one part would
-        return None
+    one window task; raises data.NotPlain for a window that numpy does
+    not read (``data.row_codes``)."""
+    return fn(data.row_codes(path, schema, *window))
 
 
 def _map_windows(fn, path, schema: data.SchemaConfig) -> list:
@@ -172,22 +168,18 @@ def _map_windows(fn, path, schema: data.SchemaConfig) -> list:
     ``path`` (``data.byte_parts``), in window order, spread over the
     workers, so that only what ``fn`` returns comes back here. numpy
     reads each window (``data.row_codes``); at the first that is not
-    plain (a '"', a lone '\\r' or NUL byte, a short or whitespace-only
-    line, text that is not UTF-8, ...) or whose ``fn`` raises DataError,
-    the windows not yet started are cancelled and the result is
-    ``[fn(codes)]`` of the whole file read as one part by the csv module,
-    which raises any load or encode error as the one-part read does."""
+    plain (data.NotPlain: a '"', a lone '\\r' or NUL byte, a short or
+    whitespace-only line, a long field, text that is not UTF-8, ...) or
+    whose ``fn`` raises DataError, the windows not yet started are
+    cancelled and the result is ``[fn(codes)]`` of the whole file read
+    as one part by the csv module, which raises any load or encode error
+    as the one-part read does."""
     windows = data.byte_parts(path)
-    results = []
-    with contextlib.closing(_fork_map(
-            functools.partial(_window, path, schema, fn), windows)) as out:
-        for result in out:
-            if result is None:
-                break
-            results.append(result)
-    if len(results) == len(windows):
-        return results
-    del results  # no window's result lives through the whole-file read
+    try:
+        return _fork_map(functools.partial(_window, path, schema, fn),
+                         windows)
+    except (data.NotPlain, DataError):
+        pass  # so no window's result or traceback lives through the read
     return [fn(data.load_csv(path, schema))]
 
 
@@ -255,19 +247,17 @@ def _task(task):
     return _WORKER_FN(task)
 
 
-def _fork_map(fn, tasks: list):
-    """Yield ``fn`` of each task, in task order; ``fn`` may be any
-    callable, as only the tasks and their results are pickled. With more
-    than one worker the tasks run in forked processes; a failing task
-    raises what the serial loop would, the first failure in task order,
-    and a worker that ends without a result (killed, say) raises
-    ChildProcessError. Closing the generator early cancels the tasks not
-    yet started; no worker outlives its exhaustion, a raise or that
-    close."""
+def _fork_map(fn, tasks: list) -> list:
+    """``fn`` of each task, in task order; ``fn`` may be any callable, as
+    only the tasks and their results are pickled. With more than one
+    worker the tasks run in forked processes; a failing task raises what
+    the serial loop would, the first failure in task order, and cancels
+    the tasks not yet started, and a worker that ends without a result
+    (killed, say) raises ChildProcessError. No worker outlives the
+    call."""
     workers = _workers(len(tasks))
     if workers == 1:
-        yield from map(fn, tasks)
-        return
+        return list(map(fn, tasks))
     # imported here, as the pool's modules add ~2 MB resident that a
     # command with one worker does not pay
     import multiprocessing
@@ -282,11 +272,8 @@ def _fork_map(fn, tasks: list):
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"),
                 initializer=_start_worker, initargs=(fn,)) as pool:
-            try:
-                yield from pool.map(_task, tasks)
-            except BaseException:  # GeneratorExit on an early close too
-                pool.shutdown(cancel_futures=True)
-                raise
+            # a raise in the map cancels the tasks not yet started
+            return list(pool.map(_task, tasks))
     except BrokenProcessPool:
         # every worker is joined by now; main exits 2 on an OSError
         raise ChildProcessError("a fold or ingest worker ended without a "
@@ -300,8 +287,8 @@ def _fold_results(cfg: RunConfig, configs: list[RunConfig]) -> list:
     first config, then of the next, and so on."""
     dataset = _ingest(cfg.data, data.resolve_schema(cfg.schema))
     folds = data.kfold(dataset, cfg.folds, cfg.seed)
-    return list(_fork_map(functools.partial(_fold, dataset, folds),
-                          [(c, i) for c in configs for i in range(cfg.folds)]))
+    return _fork_map(functools.partial(_fold, dataset, folds),
+                     [(c, i) for c in configs for i in range(cfg.folds)])
 
 
 def _crossval_reports(cfg: RunConfig):

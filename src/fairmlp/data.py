@@ -14,8 +14,8 @@ A CSV is read in line-aligned windows (``byte_parts``). ``row_codes``
 tokenizes a plain window in numpy, LF or CRLF lines without quotes,
 lone carriage returns, NULs, short or whitespace-only lines or text
 that is not UTF-8, and hands each distinct value of a used column to
-Python once; it gives None for any other window, and then the csv
-module reads the whole file (``load_csv``), to the same codes: the
+Python once; it raises ``NotPlain`` for any other window, and then the
+csv module reads the whole file (``load_csv``), to the same codes: the
 one row representation, ``RowCodes``, which ``encode_parts`` encodes,
 ``take`` selects rows of and ``write_csv`` writes back as a CSV.
 """
@@ -402,37 +402,40 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 _BARE_DIGITS = 15
 
 
+class NotPlain(Exception):
+    """A CSV window that ``row_codes`` does not read: the csv module reads
+    the whole file instead (``load_csv``)."""
+
+
 def row_codes(path, schema: SchemaConfig, lo: int = 0,
-              hi: int | None = None) -> RowCodes | None:
+              hi: int | None = None) -> RowCodes:
     """The row codes of the rows in bytes [lo, hi) of a CSV, a window
-    from ``byte_parts`` (part 0 also holds the header), or None when the
-    window is not plain. It is tokenized in numpy, so that Python meets
-    each distinct field of a used column once rather than each cell.
+    from ``byte_parts`` (part 0 also holds the header); raises NotPlain
+    when the window is not plain. It is tokenized in numpy, so that Python
+    meets each distinct field of a used column once rather than each cell.
     Plain means LF or CRLF line ends and no other '\\r', no '"' or NUL
     byte, valid UTF-8, a row line, each non-empty line holding the
     header's width - 1 commas and a visible ASCII byte other than ',',
-    no field over ``csv.field_size_limit()``, and no two distinct fields
-    of a used column that share a key. Empty lines are skipped, as the
-    csv module skips them."""
+    no field over ``csv.field_size_limit()``, no two distinct fields of a
+    used column that share a key, and, in each used column, rows times
+    its widest field at most the window's bytes. Empty lines are skipped,
+    as the csv module skips them."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             header = _header(csv.reader(fh), path, schema)
             fh.buffer.seek(lo)
             raw = fh.buffer.read(-1 if hi is None else hi - lo)
+        if not raw.isascii():
+            raw.decode("utf-8")  # raises on text that is not UTF-8
     except (UnicodeDecodeError, csv.Error):
-        return None
+        raise NotPlain
     if b"\r" in raw:  # a memchr; replace scans ~1.5 ms a MiB for nothing
         raw = raw.replace(b"\r\n", b"\n")
     if b'"' in raw or b"\r" in raw or b"\0" in raw:
-        return None
-    if not raw.isascii():
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
+        raise NotPlain
     start = raw.find(b"\n") + 1 if lo == 0 else 0  # after part 0's header
     if (lo == 0 and start == 0) or start == len(raw):
-        return None
+        raise NotPlain
     # the rows, a '\n' ending the last, then zeros: every field's words
     # lie in the buffer
     n = len(raw) - start + (raw[-1] != ord("\n"))
@@ -445,11 +448,11 @@ def row_codes(path, schema: SchemaConfig, lo: int = 0,
     rows = ends - after > 1  # the non-empty lines
     ends, after = ends[rows], after[rows]
     if not ends.size:
-        return None
+        raise NotPlain
     commas = np.flatnonzero(text == ord(","))
     width = len(header)
     if commas.size != ends.size * (width - 1):
-        return None
+        raise NotPlain
     # row i's fields lie between bounds[i, j] and bounds[i, j + 1]
     bounds = np.empty((ends.size, width + 1), np.int64)
     bounds[:, 0] = after
@@ -457,11 +460,11 @@ def row_codes(path, schema: SchemaConfig, lo: int = 0,
     bounds[:, -1] = ends
     lengths = np.diff(bounds, axis=1) - 1
     if lengths.min() < 0 or lengths.max() > csv.field_size_limit():
-        return None  # a line without its width - 1 commas, or a long field
+        raise NotPlain  # a line without its width - 1 commas, or a long field
     shifted = text - np.uint8(ord("!"))  # '!' to '~' is 0 to 93, ',' 11
     visible = (shifted < 94) & (shifted != 11)
     if not np.logical_or.reduceat(visible, after + 1).all():
-        return None  # csv reads a line of blank cells as no row
+        raise NotPlain  # csv reads a line of blank cells as no row
     # words[k] is the little-endian word of bytes k to k + 7
     words = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
 
@@ -473,10 +476,7 @@ def row_codes(path, schema: SchemaConfig, lo: int = 0,
     missing = np.zeros(ends.size, bool)
     texts = {}
     for col in dict.fromkeys(schema.text_columns):
-        found = _distinct_fields(buf, words, *field(col))
-        if found is None:
-            return None
-        texts[col] = found
+        texts[col] = found = _distinct_fields(buf, words, *field(col))
         missing |= np.array([t == token for t in found[0]], bool)[found[1]]
     numbers = []
     for col in schema.numeric:
@@ -488,8 +488,6 @@ def row_codes(path, schema: SchemaConfig, lo: int = 0,
             values, bare = _bare_numbers(buf, starts, sizes)
         rest = np.flatnonzero(~bare)
         found = _distinct_fields(buf, words, starts[rest], sizes[rest])
-        if found is None:
-            return None
         missing[rest] |= np.array([t == token for t in found[0]],
                                   bool)[found[1]]
         numbers.append((values, rest, *found))
@@ -532,14 +530,19 @@ def _codes(numbers: list, texts: list, keep: np.ndarray) -> RowCodes:
 
 
 def _distinct_fields(buf: np.ndarray, words: np.ndarray, starts: np.ndarray,
-                     sizes: np.ndarray) -> tuple[list[str], np.ndarray] | None:
+                     sizes: np.ndarray) -> tuple[list[str], np.ndarray]:
     """The distinct fields of ``buf`` at ``starts``/``sizes``, decoded and
     stripped, and each field's index into them. Fields are keyed by their
     size and words, and each is checked word for word against the first
-    field with its key; None when two different fields share a key."""
+    field with its key. Raises NotPlain when two different fields share a
+    key, or when the fields' words, rows times the widest field's bytes,
+    would outgrow ``buf``: one long cell would cost its length per row."""
+    widest = int(sizes.max(initial=0))
+    if sizes.size * widest > buf.size:
+        raise NotPlain
     key = sizes.astype(np.uint64)
     chunks = []
-    for at in range(0, int(sizes.max(initial=0)), 8):
+    for at in range(0, widest, 8):
         chunk = words[np.minimum(starts + at, words.size - 1)]
         chunk &= _LOW_BYTES[np.clip(sizes - at, 0, 8)]
         chunks.append(chunk)
@@ -547,7 +550,7 @@ def _distinct_fields(buf: np.ndarray, words: np.ndarray, starts: np.ndarray,
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     same = first[inverse]
     if not all((x[same] == x).all() for x in [sizes, *chunks]):
-        return None
+        raise NotPlain
     return [buf[s:s + m].tobytes().decode("utf-8").strip()
             for s, m in zip(starts[first].tolist(), sizes[first].tolist())
             ], inverse

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fairmlp import data
 from fairmlp.data import Dataset, Encoder
 from fairmlp.fairloss import Batch, MultiGroupBatch
 
@@ -111,6 +112,22 @@ def separable_rows(n: int, seed: int):
         rows.append([f"{f1:.6f}", f"{f2:.6f}",
                      "f" if a == 1 else "m", "yes" if y == 1 else "no"])
     return header, rows
+
+
+def not_plain(path, schema, lo=0, hi=None) -> bool:
+    """Whether ``data.row_codes`` leaves bytes [lo, hi) of the CSV at
+    ``path`` to the csv module, raising NotPlain."""
+    try:
+        data.row_codes(path, schema, lo, hi)
+    except data.NotPlain:
+        return True
+    return False
+
+
+def no_window(*window):
+    """A ``data.row_codes`` that reads no window, so that every command
+    reads its CSV whole with the csv module."""
+    raise data.NotPlain
 
 
 def write_csv(path, header, rows):

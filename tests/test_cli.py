@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import weakref
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -23,7 +24,7 @@ from fairmlp.audit import MetricsReport
 from fairmlp.errors import DataError, SchemaError
 from fairmlp.cli import RunConfig, _crossval_reports, build_parser, main
 from fairmlp.fairloss import CONSTRAINTS, OBJECTIVES
-from conftest import SRC, run_cli, write_csv
+from conftest import SRC, no_window, not_plain, run_cli, write_csv
 
 
 def run_config(tmp_path, csv_path, schema_path, **overrides):
@@ -1060,14 +1061,21 @@ class TestRowCodes:
                 csv_path = data.load_csv(alone, schema)
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(data, "load_csv", unread)
-                    codes = data.row_codes(path, schema, lo, hi)
-                if codes is None:
-                    # only a window with no row line, such as a part 0
-                    # that holds the header alone
-                    rows = raw[len(header) if lo == 0 else lo:hi]
-                    assert not rows.strip(b"\r\n")
-                else:
-                    assert code_fields(codes) == code_fields(csv_path)
+                    try:
+                        codes = data.row_codes(path, schema, lo, hi)
+                    except data.NotPlain:
+                        # only a window with no row line, such as a part
+                        # 0 that holds the header alone, or one whose rows
+                        # times a used column's widest field outgrow it
+                        rows = raw[len(header) if lo == 0 else lo:hi]
+                        rows = rows.replace(b"\r\n", b"\n")
+                        cells = [line.split(b",")
+                                 for line in rows.split(b"\n") if line]
+                        assert not cells or max(
+                            len(cells) * max(len(c[j]) for c in cells)
+                            for j in range(5)) > len(rows)
+                        continue
+                assert code_fields(codes) == code_fields(csv_path)
 
     def test_fields_that_share_a_key_go_to_the_csv_path(self, tmp_path,
                                                         monkeypatch):
@@ -1080,7 +1088,7 @@ class TestRowCodes:
         one = ingested(lambda: data.encode(data.load_csv(path, PART_SCHEMA),
                                            PART_SCHEMA))
         monkeypatch.setattr(data, "_MIX", np.uint64(0))
-        assert data.row_codes(path, PART_SCHEMA) is None
+        assert not_plain(path, PART_SCHEMA)
         assert ingested(lambda: cli._ingest(path, PART_SCHEMA)) == one
         assert json.loads(one[1])["vocabulary"]["c1"] == ["aaaaaaaaX",
                                                           "bbbbbbbbX"]
@@ -1188,16 +1196,16 @@ class TestIngestParts:
             cut_in_process(mp, path, 2)
             windows = data.byte_parts(path)
             assert len(windows) == 2
-            codes = [data.row_codes(path, PART_SCHEMA, lo, hi)
-                     for lo, hi in windows]
+            left = [not_plain(path, PART_SCHEMA, lo, hi)
+                    for lo, hi in windows]
             mp.setattr(data, "load_csv", recorded)
             assert ingested(lambda: cli._ingest(path, PART_SCHEMA)) == one
         if plain:
-            assert None not in codes and calls == []
+            assert not any(left) and calls == []
         else:
             window = next(i for i, (lo, hi) in enumerate(windows)
                           if lo <= at < (hi or path.stat().st_size))
-            assert codes[window] is None
+            assert left[window]
             assert calls == [(path, PART_SCHEMA)]
 
     def test_bad_count_in_the_last_part_names_its_line_in_the_file(
@@ -1249,7 +1257,7 @@ class TestIngestParts:
         else:
             pytest.fail("no cut lands in the quoted field")
         assert [lo for lo, hi in windows
-                if data.row_codes(path, PART_SCHEMA, lo, hi) is None] == [
+                if not_plain(path, PART_SCHEMA, lo, hi)] == [
             lo for lo, hi in windows if b'"' in raw[lo:hi]]
         assert isinstance(self._same_as_one_part(path, 4)[0], list)
 
@@ -1305,7 +1313,9 @@ class TestIngestParts:
               "sys.exit(cli.main(sys.argv[1:]))")
     SERIAL = ("import sys\n"
               "from fairmlp import cli, data\n"
-              "data.row_codes = lambda *window: None\n"
+              "def whole(*window):\n"
+              "    raise data.NotPlain\n"
+              "data.row_codes = whole\n"
               "sys.exit(cli.main(sys.argv[1:]))")
 
     @pytest.mark.skipif(not two_cpus(), reason="the ingest pool needs 2 "
@@ -1405,8 +1415,10 @@ class TestIngestParts:
            "from fairmlp import cli, data\n"
            "data.PART_BYTES = int(sys.argv.pop(1))\n"
            "how = sys.argv.pop(1)\n"
+           "def whole(*window):\n"
+           "    raise data.NotPlain\n"
            "if how == 'whole':\n"
-           "    data.row_codes = lambda *window: None\n"
+           "    data.row_codes = whole\n"
            "if how == 'numpy':\n"
            "    data.load_csv = None\n"
            "sys.exit(cli.main(sys.argv[1:]))")
@@ -1502,7 +1514,7 @@ class TestIngestParts:
                                 lambda pid, cpus=cpus: cpus)
             assert cli._workers(3) == len(cpus)
             monkeypatch.setattr(data, "row_codes", row_codes if windows
-                                else lambda *window: None)
+                                else no_window)
             monkeypatch.setattr(data, "load_csv", None if windows
                                 else load_csv)
             cfg = run_config(tmp_path, path, "adult", max_epochs=1,
@@ -1513,6 +1525,54 @@ class TestIngestParts:
                             ("model.json", "encoder.json", "test_split.csv")]
                            + [strip_metadata(out / "report.json")])
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_one_long_cell_sends_the_file_to_the_csv_path(
+            self, tmp_path, monkeypatch, capsys):
+        # one 20,000-byte occupation in a kept row of a one-window file:
+        # its rows times that width, ~60 MB of field words, outgrow the
+        # ~0.3 MB window
+        gen = str(Path(__file__).resolve().parent.parent / "perfbench"
+                  / "gen_adult.py")
+        path = tmp_path / "long.csv"
+        subprocess.run([sys.executable, gen, "3000", "3", str(path)],
+                       check=True)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        at = next(i for i, row in enumerate(rows) if "?" not in row)
+        cells = rows[at].split(",")
+        cells[header.split(",").index("occupation")] = "L" * 20_000
+        rows[at] = ",".join(cells)
+        path.write_text("\n".join([header, *rows, ""]), encoding="utf-8")
+        assert data.byte_parts(path) == [(0, None)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(data.NotPlain):
+                data.row_codes(path, data.adult_schema())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        cfg = run_config(tmp_path, path, "adult", max_epochs=1,
+                         batch_size=200)
+        assert main(["train", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        assert "L" * 20_000 in data.Encoder.from_json(
+            out / "encoder.json").vocabulary["occupation"]
+        outputs = []
+        # the numpy reader, then the whole-file read alone
+        for name, reader in (("windows", data.row_codes),
+                             ("whole", no_window)):
+            monkeypatch.setattr(data, "row_codes", reader)
+            cfg = run_config(tmp_path, path, "adult", max_epochs=1,
+                             batch_size=200, out_dir=str(tmp_path / name))
+            assert main(["crossval", "--config", str(cfg)]) == 0
+            capsys.readouterr()
+            assert main(["audit", "--model", str(out / "model.json"),
+                         "--data", str(path), "--schema", "adult",
+                         "--encoder", str(out / "encoder.json")]) == 0
+            outputs.append((strip_metadata(tmp_path / name / "report.json"),
+                            capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("corrupt", [
         "_ragged_csv", "_row_with_extra_cells", "_repeated_header_column",
