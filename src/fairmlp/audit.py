@@ -11,14 +11,14 @@ is forwarded in near-equal row blocks: each block's rows are densified
 and run through the hidden layers a fixed-size sub-block at a time, and
 its output layer in one call, through buffers allocated once, so that
 only one sub-block's dense rows and first-layer activations and one
-block's second-layer activations are alive at a time; a layer's call on
-too few rows is padded with zero rows, so that p of a row does not
-depend on the other rows forwarded with it. ``evaluate`` is
-``probabilities`` (the forward) then ``score`` (every metric), and
-``score`` needs only p, a and y: the ``audit`` command forwards each
-window of its CSV where the window is read, and holds only the
-windows' p, a and y. The bound calculator works in log space: raw
-covering numbers overflow for any realistic parameter count.
+block's second-layer activations are alive at a time; each layer's call
+is padded with zero rows, past the small-matrix kernel and to whole row
+panels, so that p of a row does not depend on the other rows forwarded
+with it. ``evaluate`` is ``probabilities`` (the forward) then ``score``
+(every metric), and ``score`` needs only p, a and y: the ``audit``
+command forwards each window of its CSV where the window is read, and
+holds only the windows' p, a and y. The bound calculator works in log
+space: raw covering numbers overflow for any realistic parameter count.
 """
 
 from __future__ import annotations
@@ -46,22 +46,19 @@ RATE_FLOOR = 1e-7
 # differently, on calls of M * N * K <= SMALL_GEMM, so a layer's call on
 # fewer rows takes zero rows after its own, up to SMALL_GEMM // (K * N)
 # + 1 rows: at d = 103, h1 = 100, h2 = 50, 98 rows of x, 201 of a1 and
-# 10,001 of a2. At one BLAS thread, a 65,537-row set cut into pieces at
-# fixed or random rows gave the whole set's p bit for bit at h1/h2 = 2/2,
-# 4/3, 8/4, 16/8 and 100/50; at 300/200 a few rows differed in their
-# last bits, from the hidden layers, which a wide network rounds with
-# the call's row count.
+# 10,001 of a2; and every call is then rounded up to whole PANELs.
 EVAL_ROWS = 32768
-# Rows of one hidden-layer call: each block is cut from its first row
-# into SUB_ROWS-row sub-blocks, the last one taking the remainder, so a
-# block's dense input and a1 are never alive whole. 1536 is a multiple
-# of the 192-row dgemm panel of OpenBLAS 0.3.31's SkylakeX kernels, and
-# of 256 and 512, so at one BLAS thread every sub-block gives a1 and a2
-# bit for bit as one call over the block does (also on the Haswell,
-# Sandybridge and SapphireRapids kernels; 1024- and 2048-row sub-blocks
-# did not at h1 = 300, h2 = 200). With more threads OpenBLAS rounds a
-# wide network's call by its row count whatever the sub-block size. A
-# network so narrow that a SUB_ROWS-row hidden matmul is a small-matrix
+# Rows of the dgemm row panel of OpenBLAS 0.3.31's SkylakeX kernels: a
+# wide network rounds a row by its place in the panel, so every layer's
+# call takes whole panels. Then, at one BLAS thread, pieces of a 65,537-
+# row set give its p bit for bit at 2/2 to 300/200 on the SkylakeX,
+# Haswell, Sandybridge and Zen kernels. With more threads OpenBLAS rounds
+# a wide network's call by its row count whatever its size.
+PANEL = 192
+# Rows of one hidden-layer call, a multiple of PANEL: each block is cut
+# from its first row into SUB_ROWS-row sub-blocks, the last one taking
+# the remainder, so a block's dense input and a1 are never alive whole.
+# A network so narrow that a SUB_ROWS-row hidden matmul is a small-matrix
 # call keeps one hidden-layer call per block.
 SUB_ROWS = 1536
 SMALL_GEMM = 10 ** 6
@@ -118,9 +115,9 @@ def _soft_terms(whole: Batch, idx: np.ndarray) -> np.ndarray:
 
 
 def _padded(buffer: np.ndarray, rows: int, low: int) -> np.ndarray:
-    """The leading max(rows, low) rows of ``buffer``, those past ``rows``
-    zeroed: a layer's input of ``rows`` rows, padded to ``low``."""
-    r = max(rows, low)
+    """The leading max(rows, low) rows of ``buffer``, rounded up to whole
+    PANELs, those past ``rows`` zeroed: a layer's input of ``rows`` rows."""
+    r = -(-max(rows, low) // PANEL) * PANEL
     buffer[rows:r] = 0.0
     return buffer[:r]
 
@@ -131,8 +128,8 @@ def probabilities(params: MlpParams, dataset: Dataset) -> np.ndarray:
     and run through the ReLU layers into one a1 buffer and the block's
     rows of one a2 buffer; the block's output layer then writes its p in
     place into the result. Each layer's input is padded with zero rows
-    until its matmul leaves OpenBLAS's small-matrix kernel (see
-    EVAL_ROWS). The buffers are freed on return."""
+    until its matmul leaves OpenBLAS's small-matrix kernel, and then to
+    whole PANELs (see EVAL_ROWS). The buffers are freed on return."""
     d, h1, h2 = params.dims
     blocks = np.array_split(np.arange(dataset.n), -(-dataset.n // EVAL_ROWS))
     big = blocks[0].size  # the first block is the largest
@@ -142,13 +139,13 @@ def probabilities(params: MlpParams, dataset: Dataset) -> np.ndarray:
     low1, low2, low_out = (SMALL_GEMM // (h1 * d) + 1,
                            SMALL_GEMM // (h1 * h2) + 1,
                            SMALL_GEMM // (2 * h2) + 1)
-    x = np.empty((max(min(big, 2 * step - 1), low1), d))
-    a1 = np.empty((max(x.shape[0], low2), h1))
-    rows_out = max(big, low2, low_out)
+    x = np.empty((max(min(big, 2 * step - 1), low1) + PANEL, d))
+    a1 = np.empty((max(x.shape[0], low2 + PANEL), h1))
+    rows_out = max(big, low2, low_out) + PANEL
     a2, probs = np.empty((rows_out, h2)), np.empty((rows_out, 2))
     # a block's padded rows run into the next block's, which overwrites
     # them, and the last block's past the set's own
-    p = np.empty(max(dataset.n, blocks[-1][0] + low_out))
+    p = np.empty(max(dataset.n, blocks[-1][0] + low_out) + PANEL)
     for rows in blocks:
         m, lo = rows.size, rows[0]
         k = max(1, m // step)  # the last sub-block takes the remainder
@@ -188,7 +185,7 @@ def score(p: np.ndarray, a: np.ndarray, y: np.ndarray, S: int,
     whole = Batch(p, a, y)
     per = max(1, GATHER_CELLS // s_eff)
     dp, fpr, fnr, q = np.concatenate(
-        [_soft_terms(whole, np.stack(batches[i:i + per]))
+        [_soft_terms(whole, batches[i:i + per])
          for i in range(0, len(batches), per)], axis=1)
 
     g1, g0 = a == 1, a == 0

@@ -140,10 +140,10 @@ def cmd_train(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     schema = data.resolve_schema(cfg.schema)
     parts = _map_windows(_row_codes, cfg.data, schema)
-    train_idx, test_idx = data.holdout_split(*data.a_and_y(parts, schema),
-                                             cfg.holdout_fraction, cfg.seed)
-    test = data.take(parts, test_idx)
-    ds_train = data.encode_parts(data.take(parts, train_idx), schema)
+    held = data.holdout_split(*data.a_and_y(parts, schema),
+                              cfg.holdout_fraction, cfg.seed)
+    test = data.take(parts, held)
+    ds_train = data.encode_parts(data.take(parts, ~held), schema)
     ds_test = data.encode_parts(test, schema, ds_train.encoder)
 
     params, log = lagrange.fit(ds_train, cfg)
@@ -197,18 +197,16 @@ def _ingest(path, schema: data.SchemaConfig) -> data.Dataset:
     return data.encode_parts(_map_windows(_row_codes, path, schema), schema)
 
 
-def _fold(dataset: data.Dataset, folds: list[np.ndarray],
+def _fold(dataset: data.Dataset, folds: np.ndarray,
           task: tuple[RunConfig, int]
           ) -> tuple[audit.MetricsReport, list[lagrange.LogRow]]:
-    """Train fold i of ``folds`` with ``cfg`` at ``seed + i`` on the
-    other folds' rows and audit it on its own; returns the MetricsReport
-    and the log."""
+    """Train fold i, the rows whose entry of ``folds`` is i, with ``cfg``
+    at ``seed + i`` on the other folds' rows and audit it on its own;
+    returns the MetricsReport and the log."""
     cfg, i = task
-    in_test = np.zeros(dataset.n, dtype=bool)
-    in_test[folds[i]] = True
-    params, log = lagrange.fit(dataset.subset(np.flatnonzero(~in_test)),
+    params, log = lagrange.fit(dataset.subset(folds != i),
                                replace(cfg, seed=cfg.seed + i))
-    return audit.evaluate(params, dataset.subset(folds[i]), cfg.batch_size,
+    return audit.evaluate(params, dataset.subset(folds == i), cfg.batch_size,
                           seed=cfg.seed), log
 
 

@@ -9,6 +9,9 @@ only into a buffer the caller passes, one batch or row block at a time.
 Batching is stratified so that every mini-batch contains the sensitive
 groups (and, when requested, label classes) that the active constraint
 needs — the constraint formulas are undefined on single-group batches.
+The splitters return the arrays they build: ``kfold`` each row's fold,
+``holdout_split`` the mask of held-out rows and ``epoch_batches`` one
+(batches, size) index matrix.
 
 A CSV is read in line-aligned windows (``byte_parts``). ``row_codes``
 tokenizes a plain window in numpy, LF or CRLF lines without quotes,
@@ -17,7 +20,7 @@ that is not UTF-8, and hands each distinct value of a used column to
 Python once; it raises ``NotPlain`` for any other window, and then the
 csv module reads the whole file (``load_csv``), to the same codes: the
 one row representation, ``RowCodes``, which ``encode_parts`` encodes,
-``take`` selects rows of and ``write_csv`` writes back as a CSV.
+``take`` cuts to a mask's rows and ``write_csv`` writes back as a CSV.
 """
 
 from __future__ import annotations
@@ -347,20 +350,16 @@ class RowCodes:
         return len(self.text[-1][1])
 
 
-def take(parts: list[RowCodes], idx: np.ndarray) -> list[RowCodes]:
-    """The rows at ``idx``, indices into the parts' rows in part order,
-    as one part per part, in row order. Each text column keeps only the
+def take(parts: list[RowCodes], rows: np.ndarray) -> list[RowCodes]:
+    """The rows at mask ``rows``, over the parts' rows in part order, as
+    one part per part, in row order. Each text column keeps only the
     values its rows use, so that ``encode_parts`` fits the rows as if
     they were read alone; a numeric column's error is kept, rows or not."""
-    taken, start = [], 0
-    for part in parts:
-        keep = np.zeros(len(part), bool)
-        keep[idx[(idx >= start) & (idx < start + len(part))] - start] = True
-        start += len(part)
-        taken.append(RowCodes([x if isinstance(x, ValueError) else x[keep]
-                               for x in part.numeric],
-                              _codes([], part.text, keep).text))
-    return taken
+    cuts = np.cumsum([len(part) for part in parts])[:-1]
+    return [RowCodes([x if isinstance(x, ValueError) else x[keep]
+                      for x in part.numeric],
+                     _codes([], part.text, keep).text)
+            for part, keep in zip(parts, np.split(rows, cuts))]
 
 
 def a_and_y(parts: list[RowCodes],
@@ -648,8 +647,9 @@ def _shuffled_cells(a: np.ndarray, y: np.ndarray, seed: int):
                 np.flatnonzero((a == ga) & (y == gy)))
 
 
-def kfold(dataset: Dataset, k: int, seed: int) -> list[np.ndarray]:
-    """k disjoint, exhaustive folds stratified by the joint (a, y) cell.
+def kfold(dataset: Dataset, k: int, seed: int) -> np.ndarray:
+    """Each row's fold, 0 to k - 1: k disjoint, exhaustive folds
+    stratified by the joint (a, y) cell.
 
     Every nonempty cell must have at least k rows (so each fold receives
     one), which guarantees both groups and both classes in every fold.
@@ -663,14 +663,14 @@ def kfold(dataset: Dataset, k: int, seed: int) -> list[np.ndarray]:
                 f"cell (a={ga}, y={gy}) has {order.size} rows, needs >= {k}")
         # the shuffled rows of each cell are dealt to the folds in turn
         fold_of[order] = np.arange(order.size) % k
-    return [np.flatnonzero(fold_of == f) for f in range(k)]
+    return fold_of
 
 
 def holdout_split(a: np.ndarray, y: np.ndarray, test_fraction: float,
-                  seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stratified (train_idx, test_idx) split by joint (a, y) cell. Takes
-    the raw attribute and label vectors, so a split can be made before
-    encoding."""
+                  seed: int) -> np.ndarray:
+    """The mask of the held-out rows of a split stratified by joint
+    (a, y) cell. Takes the raw attribute and label vectors, so a split
+    can be made before encoding."""
     if not (0.0 < test_fraction < 1.0):
         raise ParameterError("test_fraction must be in (0, 1)")
     test = np.zeros(a.shape[0], dtype=bool)
@@ -682,21 +682,22 @@ def holdout_split(a: np.ndarray, y: np.ndarray, test_fraction: float,
         n_test = max(1, int(round(order.size * test_fraction)))
         n_test = min(n_test, order.size - 1)  # keep at least one row in train
         test[order[:n_test]] = True
-    return np.flatnonzero(~test), np.flatnonzero(test)
+    return test
 
 
 def epoch_batches(a: np.ndarray, y: np.ndarray, size: int,
                   rng: np.random.Generator,
-                  need_classes: bool = False) -> list[np.ndarray]:
-    """One epoch of exactly-``size`` index batches covering all rows.
+                  need_classes: bool = False) -> np.ndarray:
+    """One epoch of exactly-``size`` index batches covering all rows, as
+    an int64 (batches, size) matrix, one batch a row.
 
     Every batch is guaranteed to intersect each required cell: both
     sensitive groups, and both label classes with ``need_classes``. Full
     batches are seeded with one fresh row per cell and then filled in
     shuffled order; when the row count is not a multiple of ``size``,
-    the final batch takes the leftovers and is topped up by resampling
-    (without replacement) rows already placed in earlier batches, with
-    missing cells refilled first.
+    the final batch, the last row, takes the leftovers and is topped up
+    by resampling (without replacement) rows already placed in earlier
+    batches, with missing cells refilled first.
     """
     n = a.shape[0]
     if size < 2:
@@ -706,15 +707,15 @@ def epoch_batches(a: np.ndarray, y: np.ndarray, size: int,
     n_batches = -(-n // size)
     divisible = n % size == 0
     n_seeded = n_batches if divisible else n_batches - 1
-    required = [np.where(a == 1)[0], np.where(a == 0)[0]]
-    if need_classes:
-        required += [np.where(y == 1)[0], np.where(y == 0)[0]]
+    # each required cell as a mask of its rows
+    required = [a == 1, a == 0] + ([y == 1, y == 0] if need_classes else [])
     for cell in required:
-        if cell.size == 0:
+        rows = np.count_nonzero(cell)
+        if rows == 0:
             raise DataError("dataset lacks a group/class the constraint needs")
-        if cell.size < max(n_seeded, 1):
+        if rows < max(n_seeded, 1):
             raise DataError(
-                f"a required cell has {cell.size} rows but {n_batches} batches "
+                f"a required cell has {rows} rows but {n_batches} batches "
                 "are needed; reduce the batch count or rebalance the data")
 
     # seeds[b, k]: the row cell k gave full batch b, or -1 where the batch
@@ -722,14 +723,11 @@ def epoch_batches(a: np.ndarray, y: np.ndarray, size: int,
     # several)
     seeds = np.full((n_seeded, len(required)), -1, dtype=np.int64)
     used = np.zeros(n, dtype=bool)
-    in_cell = np.zeros(n, dtype=bool)
     for k, cell in enumerate(required):
-        order = rng.permutation(cell)
-        in_cell[:] = False
-        in_cell[cell] = True
+        order = rng.permutation(np.flatnonzero(cell))
         placed = seeds[:, :k]
         has = placed >= 0
-        need = np.flatnonzero(~(has & in_cell[placed]).any(axis=1))
+        need = np.flatnonzero(~(has & cell[placed]).any(axis=1))
         free = order[~used[order]]
         # batches are seeded in order, so the first one to fail raises
         too_full = np.flatnonzero(has.sum(axis=1)[need] + 1 > size)
@@ -743,14 +741,14 @@ def epoch_batches(a: np.ndarray, y: np.ndarray, size: int,
 
     # each full batch is its seeds in cell order, then the shuffled pool
     pool = rng.permutation(np.where(~used)[0])
-    full = np.empty((n_seeded, size), dtype=np.int64)
+    batches = np.empty((n_batches, size), dtype=np.int64)
+    full = batches[:n_seeded]
     seeded = seeds >= 0
     n_seeds = seeded.sum(axis=1)
     is_seed = np.arange(size) < n_seeds[:, None]
     full[is_seed] = seeds[seeded]
     at = n_seeded * size - int(n_seeds.sum())
     full[~is_seed] = pool[:at]
-    batches = list(full)
 
     if not divisible:
         # leftovers start the final batch; resample the rest from earlier rows
@@ -760,7 +758,7 @@ def epoch_batches(a: np.ndarray, y: np.ndarray, size: int,
         for cell in required:
             if not in_final[cell].any():
                 # no row of the cell is in the final batch yet
-                fill = int(rng.permutation(cell)[0])
+                fill = int(rng.permutation(np.flatnonzero(cell))[0])
                 final.append(fill)
                 in_final[fill] = True
         short = size - len(final)
@@ -773,6 +771,5 @@ def epoch_batches(a: np.ndarray, y: np.ndarray, size: int,
             candidates = np.flatnonzero(~in_final)
             final.extend(int(r) for r in rng.choice(candidates, size=short,
                                                     replace=False))
-        batches.append(np.asarray(final, dtype=np.int64))
+        batches[-1] = final
     return batches
-

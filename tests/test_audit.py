@@ -241,22 +241,28 @@ class TestBlockedEvaluate:
         assert hidden == []
         return blocks
 
+    @staticmethod
+    def panels(rows: int) -> int:
+        """``rows`` rounded up to whole audit.PANELs."""
+        return -(-rows // audit.PANEL) * audit.PANEL
+
     @classmethod
-    def unpadded(cls) -> list:
-        """rows_per_block of the set: no call of it is padded."""
-        return [(m, [(r, r) for r in hidden]) for m, hidden in
-                zip([21846, 21846, 21845], cls.HIDDEN_ROWS)]
+    def rounded(cls) -> list:
+        """rows_per_block of the set: no call of it is padded past its
+        rows rounded up to whole panels."""
+        return [(cls.panels(m), [(cls.panels(r),) * 2 for r in hidden])
+                for m, hidden in zip([21846, 21846, 21845], cls.HIDDEN_ROWS)]
 
     def test_report_equals_whole_set_forward(self, case, monkeypatch):
         params, ds = case
         calls = self.record_layers(monkeypatch)
         blocked = evaluate(params, ds, S=500, seed=2)
-        assert self.rows_per_block(calls) == self.unpadded()
+        assert self.rows_per_block(calls) == self.rounded()
         del calls[:]
         monkeypatch.setattr(audit, "EVAL_ROWS", ds.n)
         whole = evaluate(params, ds, S=500, seed=2)
         [(rows, _)] = self.rows_per_block(calls)
-        assert rows == ds.n
+        assert rows == 65_664  # 65,537 rounded up to whole panels
         assert asdict(blocked) == asdict(whole)
 
     @pytest.mark.parametrize("S", [500, 64])
@@ -265,7 +271,9 @@ class TestBlockedEvaluate:
         params, ds = case
         calls = self.record_layers(monkeypatch)
         report = evaluate(params, ds, S=S, seed=2)
-        blocks = [c[3].copy() for c in calls if c[0] == "output"]
+        # each output call's p runs past its block's rows into the padding
+        blocks = [c[3][:m].copy() for c, m in zip(
+            [c for c in calls if c[0] == "output"], [21846, 21846, 21845])]
         assert len(blocks) == 3
         batches = epoch_batches(ds.a, ds.y, S, Rng(2), need_classes=True)
         assert len(batches) > audit.GATHER_CELLS // S
@@ -319,13 +327,14 @@ class TestBlockedEvaluate:
     def rows_off_one_forward_per_block(cls, h1: int, h2: int) -> int:
         """Rows whose p differs in any bit from one forward call per
         block, the blocking's reference; each call takes zero rows after
-        the block's, as many as the most that a layer is padded to."""
+        the block's, as many as the most that a layer is padded to,
+        rounded up to whole panels."""
         ds = cls.dataset()
         params = init_params(cls.D, h1, h2, Rng(3))
         low = audit.SMALL_GEMM // min(h1 * cls.D, h1 * h2, 2 * h2) + 1
         expect = []
         for rows in np.array_split(np.arange(ds.n), 3):
-            x = np.zeros((max(rows.size, low), cls.D))
+            x = np.zeros((cls.panels(max(rows.size, low)), cls.D))
             ds.densify(rows, x[:rows.size])
             expect.append(forward(params, x).p[:rows.size])
         got = audit.probabilities(params, ds)
@@ -353,14 +362,14 @@ class TestBlockedEvaluate:
         calls = self.record_layers(monkeypatch)
         few = ds.subset(np.arange(5))
         p = audit.probabilities(params, few)
-        # the least rows past SMALL_GEMM of each layer: 98 * 100 * 103,
-        # 201 * 50 * 100 and 10,001 * 2 * 50
-        assert self.rows_per_block(calls) == [(10_001, [(98, 201)])]
+        # the least rows past SMALL_GEMM of each layer, 98 * 100 * 103,
+        # 201 * 50 * 100 and 10,001 * 2 * 50, rounded up to whole panels
+        assert self.rows_per_block(calls) == [(10_176, [(192, 384)])]
         assert p.shape == (5,) and p.base is not None
         del calls[:]
         audit.probabilities(params, ds)
         # a set this large has no call short of any least row count
-        assert self.rows_per_block(calls) == self.unpadded()
+        assert self.rows_per_block(calls) == self.rounded()
 
     @classmethod
     def check_pieces_give_the_whole_set_p(cls, h1: int, h2: int) -> None:
@@ -386,9 +395,10 @@ class TestBlockedEvaluate:
 
         pieces_give_the_whole_set_p()
 
-    @pytest.mark.parametrize("h1,h2", [(2, 2), (16, 8), (100, 50)])
+    @pytest.mark.parametrize("h1,h2", [(2, 2), (16, 8), (100, 50),
+                                       (300, 200)])
     def test_p_of_a_row_does_not_depend_on_the_other_rows(self, h1, h2):
-        # at one BLAS thread; at 300/200 a few rows differ (EVAL_ROWS)
+        # at one BLAS thread (PANEL)
         proc = run_cli([], "1", script=(
             f"import sys; sys.path.insert(0, {TESTS!r}); import test_audit; "
             f"test_audit.TestBlockedEvaluate"

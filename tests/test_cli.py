@@ -111,9 +111,9 @@ class TestTrain:
                  "note"] for i in range(300)]
         # a category that only a test row holds, which the encoder must
         # not learn
-        _, test_idx = data.holdout_split(
+        test_idx = np.flatnonzero(data.holdout_split(
             np.array([row[2] == "f" for row in rows], np.int8),
-            np.array([row[3] == "yes" for row in rows], np.int8), 0.2, 5)
+            np.array([row[3] == "yes" for row in rows], np.int8), 0.2, 5))
         rows[test_idx[0]][1] = "rare"
         path = tmp_path / "cells.csv"
         write_csv(path, header, rows)

@@ -142,7 +142,8 @@ class TestLoadCsv:
         path = small_csv(tmp_path, [["1.5", "a", "m", "yes"],
                                     ["2", "b", "f", "no"],
                                     ["3", "c", "f", "yes"]])
-        taken = data.take([load_csv(path, SCHEMA)], np.array([2, 0]))
+        taken = data.take([load_csv(path, SCHEMA)],
+                          np.array([True, False, True]))
         assert len(taken) == 1
         # row order, and only the values the rows use
         assert cells(taken[0], "amount") == [1.5, 3.0]
@@ -152,6 +153,57 @@ class TestLoadCsv:
             b"amount,kind,outcome,grp\r\n1.5,a,yes,m\r\n3,c,yes,f\r\n")
         assert (code_fields(load_csv(tmp_path / "taken.csv", SCHEMA))
                 == code_fields(taken[0]))
+
+
+def codes_of(rows):
+    """The RowCodes of rows of SCHEMA's used cells, (amount, kind,
+    outcome, grp), each text column coded over its sorted values."""
+    numeric = [np.array([float(row[0]) for row in rows])]
+    text = []
+    for j in (1, 2, 3):
+        values = sorted({row[j] for row in rows})
+        text.append((values, np.array([values.index(row[j]) for row in rows],
+                                      np.uint8)))
+    return RowCodes(numeric, text)
+
+
+@st.composite
+def parts_and_mask(draw):
+    """Part lengths, one of them 0 (a window whose every row was
+    dropped), the parts' rows and a mask over them."""
+    lengths = draw(st.lists(st.integers(0, 12), min_size=1, max_size=5))
+    lengths.insert(draw(st.integers(0, len(lengths))), 0)
+    n = sum(lengths)
+    rows = draw(st.lists(st.tuples(st.integers(0, 9).map(str),
+                                   st.sampled_from("abc"),
+                                   st.sampled_from(["yes", "no"]),
+                                   st.sampled_from("fm")),
+                         min_size=n, max_size=n))
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return lengths, rows, np.array(mask, bool)
+
+
+class TestTake:
+    @settings(max_examples=200, deadline=None)
+    @given(parts_and_mask())
+    def test_each_part_takes_its_slice_of_the_mask(self, case):
+        lengths, rows, mask = case
+        cuts = np.cumsum([0] + lengths).tolist()
+        parts = [codes_of(rows[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        taken = data.take(parts, mask)
+        assert len(taken) == len(parts)
+        for part, lo, hi in zip(taken, cuts, cuts[1:]):
+            kept = [row for row, keep in zip(rows[lo:hi], mask[lo:hi]) if keep]
+            assert code_fields(part) == code_fields(codes_of(kept))
+        if mask.any():  # the parts encode as the same take of one part
+            joined = data.encode_parts(taken, SCHEMA)
+            [one] = data.take([codes_of(rows)], mask)
+            one = encode(one, SCHEMA)
+            for name in ("num", "cols", "a", "y"):
+                x, y = getattr(joined, name), getattr(one, name)
+                assert (x.dtype, x.shape, x.tobytes()) == (
+                    y.dtype, y.shape, y.tobytes())
+            assert joined.encoder == one.encoder
 
 
 class TestByteParts:
@@ -522,17 +574,17 @@ class TestKfold:
     def test_balanced_fold_sizes(self):
         ds = balanced_dataset(10)
         folds = kfold(ds, 5, seed=0)
-        assert [f.size for f in folds] == [2, 2, 2, 2, 2]
-        all_idx = np.sort(np.concatenate(folds))
-        np.testing.assert_array_equal(all_idx, np.arange(10))
+        assert folds.shape == (10,)
+        assert np.bincount(folds).tolist() == [2, 2, 2, 2, 2]
 
     def test_every_fold_has_all_cells(self):
         gen = np.random.default_rng(3)
         a = gen.integers(0, 2, 200)
         y = gen.integers(0, 2, 200)
         ds = numeric_dataset(gen.normal(size=(200, 2)), a, y)
-        for fold in kfold(ds, 5, seed=1):
-            fa, fy = ds.a[fold], ds.y[fold]
+        folds = kfold(ds, 5, seed=1)
+        for f in range(5):
+            fa, fy = ds.a[folds == f], ds.y[folds == f]
             for ga in (0, 1):
                 for gy in (0, 1):
                     assert np.any((fa == ga) & (fy == gy))
@@ -554,12 +606,11 @@ class TestKfold:
 class TestHoldout:
     def test_disjoint_and_stratified(self):
         ds = balanced_dataset(100, seed=5)
-        train_idx, test_idx = holdout_split(ds.a, ds.y, 0.2, seed=0)
-        assert np.intersect1d(train_idx, test_idx).size == 0
-        assert train_idx.size + test_idx.size == 100
-        for idx in (train_idx, test_idx):
-            assert 0 < ds.a[idx].sum() < idx.size
-            assert 0 < ds.y[idx].sum() < idx.size
+        held = holdout_split(ds.a, ds.y, 0.2, seed=0)
+        assert held.dtype == bool and held.shape == (100,)
+        for rows in (~held, held):
+            assert 0 < ds.a[rows].sum() < rows.sum()
+            assert 0 < ds.y[rows].sum() < rows.sum()
 
 
 @st.composite
@@ -577,20 +628,37 @@ FOLDS = st.integers(1, 6)
 FRACTIONS = st.floats(-0.1, 1.1)
 
 
+def loop_fold_of(dataset, k, seed):
+    """oracles.loop_kfold's folds as each row's fold."""
+    fold_of = np.full(dataset.n, -1)
+    for f, rows in enumerate(oracles.loop_kfold(dataset, k, seed)):
+        fold_of[rows] = f
+    return fold_of
+
+
+def loop_held_out(a, y, fraction, seed):
+    """oracles.loop_holdout_split's test rows as a mask."""
+    held = np.zeros(a.size, bool)
+    held[oracles.loop_holdout_split(a, y, fraction, seed)[1]] = True
+    return held
+
+
 def folds_or_error(kfold_fn, a, y, k, seed):
+    """(dtype, each row's fold as a list), or (error type, message)."""
     try:
         folds = kfold_fn(numeric_dataset(np.zeros((a.size, 1)), a, y), k, seed)
     except (DataError, ParameterError) as exc:
         return type(exc), str(exc)
-    return [(f.dtype, f.tolist()) for f in folds]
+    return folds.dtype, folds.tolist()
 
 
 def split_or_error(split_fn, a, y, fraction, seed):
+    """(dtype, the held-out mask as a list), or (error type, message)."""
     try:
-        parts = split_fn(a, y, fraction, seed)
+        held = split_fn(a, y, fraction, seed)
     except (DataError, ParameterError) as exc:
         return type(exc), str(exc)
-    return [(p.dtype, p.tolist()) for p in parts]
+    return held.dtype, held.tolist()
 
 
 def nonempty_cells(a, y):
@@ -604,41 +672,40 @@ class TestSplitProperties:
     def test_kfold_matches_loop_reference(self, case, k):
         a, y, seed = case
         assert (folds_or_error(kfold, a, y, k, seed)
-                == folds_or_error(oracles.loop_kfold, a, y, k, seed))
+                == folds_or_error(loop_fold_of, a, y, k, seed))
 
     @settings(max_examples=300, deadline=None)
     @given(split_cases(), FRACTIONS)
     def test_holdout_matches_loop_reference(self, case, fraction):
         a, y, seed = case
         assert (split_or_error(holdout_split, a, y, fraction, seed)
-                == split_or_error(oracles.loop_holdout_split, a, y, fraction,
-                                  seed))
+                == split_or_error(loop_held_out, a, y, fraction, seed))
 
     @settings(max_examples=300, deadline=None)
     @given(split_cases(), FOLDS)
     def test_kfold_invariants(self, case, k):
         a, y, seed = case
-        folds = folds_or_error(kfold, a, y, k, seed)
-        assume(isinstance(folds, list))
-        assert len(folds) == k
-        rows = [row for _, fold in folds for row in fold]
-        assert sorted(rows) == list(range(a.size))  # disjoint and exhaustive
-        for dtype, fold in folds:
-            assert dtype == np.int64
-            assert fold == sorted(fold)
+        dtype, folds = folds_or_error(kfold, a, y, k, seed)
+        assume(isinstance(folds, list))  # not an error's message
+        assert dtype == np.int64
+        folds = np.asarray(folds)
+        assert folds.shape == a.shape
+        assert ((folds >= 0) & (folds < k)).all()  # every row in one fold
+        for f in range(k):
+            fold = folds == f
             assert set(a[fold]) == {0, 1} and set(y[fold]) == {0, 1}
 
     @settings(max_examples=300, deadline=None)
     @given(split_cases(), FRACTIONS)
     def test_holdout_invariants(self, case, fraction):
         a, y, seed = case
-        parts = split_or_error(holdout_split, a, y, fraction, seed)
-        assume(isinstance(parts, list))
-        (_, train), (_, test) = parts
-        assert train == sorted(train) and test == sorted(test)
-        assert sorted(train + test) == list(range(a.size))
+        dtype, held = split_or_error(holdout_split, a, y, fraction, seed)
+        assume(isinstance(held, list))  # not an error's message
+        assert dtype == bool
+        held = np.asarray(held, bool)
+        assert held.shape == a.shape
         for cell in nonempty_cells(a, y):
-            assert cell[train].any() and cell[test].any()
+            assert (cell & ~held).any() and (cell & held).any()
 
 
 class TestEpochBatches:
@@ -685,6 +752,14 @@ class TestEpochBatches:
                 assert len(set(idx.tolist())) == 20  # no duplicates in a batch
                 Batch(np.full(20, 0.5), a[idx], y[idx])  # group invariant holds
                 assert 0 < y[idx].sum() < 20
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_one_int64_matrix(self, n):
+        a, y = np.arange(n) % 2, np.arange(n) // 2 % 2
+        batches = epoch_batches(a, y, 500, Rng(0), need_classes=True)
+        assert batches.dtype == np.int64
+        assert batches.shape == (-(-n // 500), 500)
+        assert batches.flags.c_contiguous
 
     def test_oversized_batch_rejected(self):
         with pytest.raises(DataError):
