@@ -7,18 +7,14 @@ stacked pass: the batches form a (B, S) index matrix, and each batch's
 gaps are row sums over it, taken a bounded number of batches at a time;
 the whole set's probabilities and labels are validated once. Hard
 metrics come from 0.5-thresholded predictions over the whole set, which
-is forwarded in near-equal row blocks: each block's rows are densified
-and run through the hidden layers a fixed-size sub-block at a time, and
-its output layer in one call, through buffers allocated once, so that
-only one sub-block's dense rows and first-layer activations and one
-block's second-layer activations are alive at a time; each layer's call
-is padded with zero rows, past the small-matrix kernel and to whole row
-panels, so that p of a row does not depend on the other rows forwarded
-with it. ``evaluate`` is ``probabilities`` (the forward) then ``score``
-(every metric), and ``score`` needs only p, a and y: the ``audit``
-command forwards each window of its CSV where the window is read, and
-holds only the windows' p, a and y. The bound calculator works in log
-space: raw covering numbers overflow for any realistic parameter count.
+is run through ``model.forward`` in fixed TILE-row calls into one reused
+trace, the last tile padded with zero rows, so that p of a row does not
+depend on how the set is cut. ``evaluate`` is ``probabilities`` (the
+forward) then ``score`` (every metric), and ``score`` needs only p, a
+and y: the ``audit`` command forwards each window of its CSV where the
+window is read, and holds only the windows' p, a and y. The bound
+calculator works in log space: raw covering numbers overflow for any
+realistic parameter count.
 """
 
 from __future__ import annotations
@@ -32,36 +28,22 @@ from . import fairloss
 from .data import Dataset, epoch_batches
 from .errors import DataError, ParameterError
 from .fairloss import Batch
-# forward is no longer called here, but perfbench's traced runs wrap it
-# under this module's name
-from .model import (MlpParams, forward, output_layer, predict_hard,
-                    relu_layer)
+from .model import ForwardTrace, MlpParams, forward, predict_hard
 from .numcore import Rng
 
 RATE_FLOOR = 1e-7
-# Most rows one output-layer call takes. A larger set is split into
-# near-equal blocks of more than EVAL_ROWS / 2 rows. The one rule of the
-# forward: p of a row does not depend on the other rows of its call.
-# OpenBLAS 0.3.31 takes its small-matrix kernel, which rounds
-# differently, on calls of M * N * K <= SMALL_GEMM, so a layer's call on
-# fewer rows takes zero rows after its own, up to SMALL_GEMM // (K * N)
-# + 1 rows: at d = 103, h1 = 100, h2 = 50, 98 rows of x, 201 of a1 and
-# 10,001 of a2; and every call is then rounded up to whole PANELs.
-EVAL_ROWS = 32768
-# Rows of the dgemm row panel of OpenBLAS 0.3.31's SkylakeX kernels: a
-# wide network rounds a row by its place in the panel, so every layer's
-# call takes whole panels. Then, at one BLAS thread, pieces of a 65,537-
-# row set give its p bit for bit at 2/2 to 300/200 on the SkylakeX,
-# Haswell, Sandybridge and Zen kernels. With more threads OpenBLAS rounds
-# a wide network's call by its row count whatever its size.
+# Rows of the dgemm row panel of OpenBLAS 0.3.31's SkylakeX kernels, which
+# round a row of a wide network by its place in the panel.
 PANEL = 192
-# Rows of one hidden-layer call, a multiple of PANEL: each block is cut
-# from its first row into SUB_ROWS-row sub-blocks, the last one taking
-# the remainder, so a block's dense input and a1 are never alive whole.
-# A network so narrow that a SUB_ROWS-row hidden matmul is a small-matrix
-# call keeps one hidden-layer call per block.
-SUB_ROWS = 1536
-SMALL_GEMM = 10 ** 6
+# Rows of every forward call of the audit. The one rule of the forward: p
+# of a row does not depend on the other rows of its call. Every call has
+# TILE rows, so each layer's matmul has one shape and OpenBLAS one kernel,
+# and whole panels. Then, at one BLAS thread, pieces of a 65,537-row set
+# give its p bit for bit at 2/2 to 300/200 on the SkylakeX, Haswell,
+# Sandybridge and Zen kernels; with 1,000-row tiles up to 60 rows differed
+# at 300/200. With more threads OpenBLAS rounds a wide network's call by
+# its row count whatever its size.
+TILE = 8 * PANEL
 # Most gathered cells the soft-metric pass holds at once: the (B, S)
 # batch index matrix is taken in chunks of whole batches, so the pass
 # allocates no float array as large as the evaluation set.
@@ -114,52 +96,21 @@ def _soft_terms(whole: Batch, idx: np.ndarray) -> np.ndarray:
                      np.sqrt(u * u + v * v)])
 
 
-def _padded(buffer: np.ndarray, rows: int, low: int) -> np.ndarray:
-    """The leading max(rows, low) rows of ``buffer``, rounded up to whole
-    PANELs, those past ``rows`` zeroed: a layer's input of ``rows`` rows."""
-    r = -(-max(rows, low) // PANEL) * PANEL
-    buffer[rows:r] = 0.0
-    return buffer[:r]
-
-
 def probabilities(params: MlpParams, dataset: Dataset) -> np.ndarray:
-    """p of every row, forwarded in near-equal row blocks. Each block's
-    sub-blocks are densified into the leading rows of one input buffer
-    and run through the ReLU layers into one a1 buffer and the block's
-    rows of one a2 buffer; the block's output layer then writes its p in
-    place into the result. Each layer's input is padded with zero rows
-    until its matmul leaves OpenBLAS's small-matrix kernel, and then to
-    whole PANELs (see EVAL_ROWS). The buffers are freed on return."""
+    """p of every row, forwarded a TILE-row tile at a time: each tile's
+    rows are densified into one trace's input, the last tile's rows past
+    the set's end zeroed, and run through ``forward`` into that trace. The
+    trace is freed on return."""
     d, h1, h2 = params.dims
-    blocks = np.array_split(np.arange(dataset.n), -(-dataset.n // EVAL_ROWS))
-    big = blocks[0].size  # the first block is the largest
-    step = SUB_ROWS if SUB_ROWS * h1 * min(d, h2) > SMALL_GEMM else big
-    # the fewest rows of a call of each layer; a SUB_ROWS-row sub-block
-    # has more, so only a block of one sub-block pads its hidden layers
-    low1, low2, low_out = (SMALL_GEMM // (h1 * d) + 1,
-                           SMALL_GEMM // (h1 * h2) + 1,
-                           SMALL_GEMM // (2 * h2) + 1)
-    x = np.empty((max(min(big, 2 * step - 1), low1) + PANEL, d))
-    a1 = np.empty((max(x.shape[0], low2 + PANEL), h1))
-    rows_out = max(big, low2, low_out) + PANEL
-    a2, probs = np.empty((rows_out, h2)), np.empty((rows_out, 2))
-    # a block's padded rows run into the next block's, which overwrites
-    # them, and the last block's past the set's own
-    p = np.empty(max(dataset.n, blocks[-1][0] + low_out) + PANEL)
-    for rows in blocks:
-        m, lo = rows.size, rows[0]
-        k = max(1, m // step)  # the last sub-block takes the remainder
-        cuts = [*range(0, k * step, step), m]
-        for i, j in zip(cuts, cuts[1:]):
-            dataset.densify(rows[i:j], x[:j - i])
-            x_in = _padded(x, j - i, low1)
-            relu_layer(x_in, params.w1, params.b1, a1[:len(x_in)])
-            a1_in = _padded(a1, j - i, low2)
-            relu_layer(a1_in, params.w2, params.b2, a2[i:i + len(a1_in)])
-        a2_in = _padded(a2, m, low_out)
-        output_layer(params, a2_in, probs[:len(a2_in)],
-                     p[lo:lo + len(a2_in)])
-    return p[:dataset.n]
+    trace = ForwardTrace.empty(np.empty((TILE, d)), h1, h2)
+    p = np.empty(dataset.n)
+    for lo in range(0, dataset.n, TILE):
+        m = min(TILE, dataset.n - lo)
+        dataset.densify(np.arange(lo, lo + m), trace.x[:m])
+        trace.x[m:] = 0.0
+        forward(params, trace.x, out=trace)
+        p[lo:lo + m] = trace.p[:m]
+    return p
 
 
 def score(p: np.ndarray, a: np.ndarray, y: np.ndarray, S: int,

@@ -151,36 +151,29 @@ def forward(params: MlpParams, x: np.ndarray,
         raise ShapeError(
             f"trace holds {out.p.shape[0]} rows, the batch {x.shape[0]}")
     out.x = x
-    relu_layer(x, params.w1, params.b1, out.a1)
-    relu_layer(out.a1, params.w2, params.b2, out.a2)
-    output_layer(params, out.a2, out.probs, out.p)
-    return out
-
-
-def relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-               out: np.ndarray) -> None:
-    """One ReLU layer of ``forward``, max(x @ w + b, 0), written in place
-    into ``out``."""
-    np.matmul(x, w, out=out)
-    out += b
-    np.maximum(out, 0.0, out=out)
-
-
-def output_layer(params: MlpParams, a2: np.ndarray, probs: np.ndarray,
-                 p: np.ndarray) -> None:
-    """The softmax layer of ``forward`` on the hidden activations ``a2``,
-    written in place into the (S, 2) ``probs`` and the (S,) clamped ``p``."""
+    _relu(x, params.w1, params.b1, out.a1)
+    _relu(out.a1, params.w2, params.b2, out.a2)
     # softmax of the logits in probs; p, overwritten last, holds each
     # row's max and then its sum
-    row = p[:, None]
-    np.matmul(a2, params.w_out, out=probs)
+    probs, row = out.probs, out.p[:, None]
+    np.matmul(out.a2, params.w_out, out=probs)
     probs += params.b_out
     np.max(probs, axis=1, keepdims=True, out=row)
     probs -= row
     np.exp(probs, out=probs)
     np.sum(probs, axis=1, keepdims=True, out=row)
     probs /= row
-    np.clip(probs[:, 1], PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
+    np.clip(probs[:, 1], PROB_CLAMP, 1.0 - PROB_CLAMP, out=out.p)
+    return out
+
+
+def _relu(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+          out: np.ndarray) -> None:
+    """A ReLU layer of ``forward``, max(x @ w + b, 0), written in place
+    into ``out``."""
+    np.matmul(x, w, out=out)
+    out += b
+    np.maximum(out, 0.0, out=out)
 
 
 def backward(params: MlpParams, trace: ForwardTrace, dL_dp: np.ndarray,

@@ -72,6 +72,20 @@ class TestEvaluate:
         np.testing.assert_allclose(p, [0.9, 0.8, 0.35, 0.7, 0.2, 0.6],
                                    atol=1e-12)
 
+    def test_tiny_network_forward_allocates_one_small_tile(self):
+        # d = 1, h1 = h2 = 2: one TILE-row trace of a few columns, not
+        # calls padded to hundreds of thousands of rows
+        ds = dataset_with_probs([0.9, 0.8, 0.35, 0.7, 0.2, 0.6],
+                                [1, 1, 1, 0, 0, 0], [1, 0, 1, 0, 1, 0])
+        tracemalloc.start()
+        try:
+            p = audit.probabilities(sigmoid_network(), ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert p.shape == (6,)
+        assert peak < 2 ** 20
+
     def test_perfect_balanced_predictor(self):
         ds = dataset_with_probs([0.95, 0.05, 0.95, 0.05],
                                 [1, 1, 0, 0], [1, 0, 1, 0])
@@ -170,21 +184,17 @@ class TestEvaluate:
 
 
 class TestBlockedEvaluate:
-    """A set of more than EVAL_ROWS rows is forwarded in near-equal row
-    blocks, each block's hidden layers in SUB_ROWS-row sub-blocks, on the
-    benchmark's layout and network dimensions: 6 numeric columns, 7
-    one-hot blocks of 97 columns."""
+    """A set is forwarded through ``model.forward`` in TILE-row calls into
+    one trace, on the benchmark's layout and network dimensions: 6 numeric
+    columns, 7 one-hot blocks of 97 columns."""
 
     SIZES = (8, 16, 7, 14, 6, 5, 41)
     D, H1, H2 = 6 + sum(SIZES), 100, 50
-    # each block's hidden-layer calls: 13 sub-blocks of 1,536 rows, and a
-    # last one that also takes the remainder
-    HIDDEN_ROWS = [[1536] * 13 + [1878], [1536] * 13 + [1878],
-                   [1536] * 13 + [1877]]
+    N = 65_537  # 42 whole tiles and a last one of 1,025 rows
 
     @classmethod
     def dataset(cls) -> Dataset:
-        n = 2 * audit.EVAL_ROWS + 1
+        n = cls.N
         gen = np.random.default_rng(11)
         starts = 6 + np.cumsum((0,) + cls.SIZES[:-1])
         cols = starts + gen.integers(0, cls.SIZES, (n, len(cls.SIZES)))
@@ -203,82 +213,43 @@ class TestBlockedEvaluate:
 
     @staticmethod
     def record_layers(monkeypatch) -> list:
-        """Patch the forward's layers to record each call as ("relu",
-        input, output) or ("output", a2, probs, p) before making it."""
+        """Patch the audit's forward to record each call as (input, trace)
+        before making it."""
         calls = []
 
-        def relu(x, w, b, out, _real=audit.relu_layer):
-            calls.append(("relu", x, out))
-            return _real(x, w, b, out)
+        def recording(params, x, out=None, _real=audit.forward):
+            calls.append((x, out))
+            return _real(params, x, out=out)
 
-        def output(params, a2, probs, p, _real=audit.output_layer):
-            calls.append(("output", a2, probs, p))
-            return _real(params, a2, probs, p)
-
-        monkeypatch.setattr(audit, "relu_layer", relu)
-        monkeypatch.setattr(audit, "output_layer", output)
+        monkeypatch.setattr(audit, "forward", recording)
         return calls
 
     @staticmethod
-    def hidden_calls(calls) -> list:
-        """(x, a1, a2) of each sub-block's two ReLU-layer calls."""
-        relu = [arrays for tag, *arrays in calls if tag == "relu"]
-        return [(x, a1, a2)
-                for (x, a1), (_, a2) in zip(relu[::2], relu[1::2])]
+    def tile_forward(params, ds) -> np.ndarray:
+        """p of one ``forward`` call per TILE-row tile of ``ds``, each on
+        a fresh input of the tile's rows and zero rows after them."""
+        p = []
+        for lo in range(0, ds.n, audit.TILE):
+            rows = np.arange(lo, min(lo + audit.TILE, ds.n))
+            x = np.zeros((audit.TILE, ds.d))
+            ds.densify(rows, x[:rows.size])
+            p.append(forward(params, x).p[:rows.size])
+        return np.concatenate(p)
 
-    @classmethod
-    def rows_per_block(cls, calls) -> list:
-        """[(output rows, [(layer-1 rows, layer-2 rows), ...]), ...], one
-        per block: the rows of each layer's calls."""
-        blocks, hidden = [], []
-        for tag, *arrays in calls:
-            if tag == "relu":
-                hidden.append(arrays[0].shape[0])
-            else:
-                blocks.append((arrays[0].shape[0],
-                               list(zip(hidden[::2], hidden[1::2]))))
-                hidden = []
-        assert hidden == []
-        return blocks
-
-    @staticmethod
-    def panels(rows: int) -> int:
-        """``rows`` rounded up to whole audit.PANELs."""
-        return -(-rows // audit.PANEL) * audit.PANEL
-
-    @classmethod
-    def rounded(cls) -> list:
-        """rows_per_block of the set: no call of it is padded past its
-        rows rounded up to whole panels."""
-        return [(cls.panels(m), [(cls.panels(r),) * 2 for r in hidden])
-                for m, hidden in zip([21846, 21846, 21845], cls.HIDDEN_ROWS)]
-
-    def test_report_equals_whole_set_forward(self, case, monkeypatch):
+    def test_report_equals_whole_set_forward(self, case):
         params, ds = case
-        calls = self.record_layers(monkeypatch)
-        blocked = evaluate(params, ds, S=500, seed=2)
-        assert self.rows_per_block(calls) == self.rounded()
-        del calls[:]
-        monkeypatch.setattr(audit, "EVAL_ROWS", ds.n)
-        whole = evaluate(params, ds, S=500, seed=2)
-        [(rows, _)] = self.rows_per_block(calls)
-        assert rows == 65_664  # 65,537 rounded up to whole panels
-        assert asdict(blocked) == asdict(whole)
+        assert asdict(evaluate(params, ds, S=500, seed=2)) == asdict(
+            audit.score(self.tile_forward(params, ds), ds.a, ds.y, 500, 2))
 
     @pytest.mark.parametrize("S", [500, 64])
-    def test_soft_metrics_equal_per_batch_loop(self, case, monkeypatch, S):
+    def test_soft_metrics_equal_per_batch_loop(self, case, S):
         # 132 batches of 500 or 1,025 of 64: each spans two gather chunks
         params, ds = case
-        calls = self.record_layers(monkeypatch)
         report = evaluate(params, ds, S=S, seed=2)
-        # each output call's p runs past its block's rows into the padding
-        blocks = [c[3][:m].copy() for c, m in zip(
-            [c for c in calls if c[0] == "output"], [21846, 21846, 21845])]
-        assert len(blocks) == 3
         batches = epoch_batches(ds.a, ds.y, S, Rng(2), need_classes=True)
         assert len(batches) > audit.GATHER_CELLS // S
         assert soft_metrics(report) == oracles.loop_soft_metrics(
-            np.concatenate(blocks), ds.a, ds.y, batches)
+            audit.probabilities(params, ds), ds.a, ds.y, batches)
 
     def test_peak_memory_well_below_whole_set_activations(self, case):
         params, ds = case
@@ -288,35 +259,21 @@ class TestBlockedEvaluate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # under half of what one block's dense rows, a1 and a2 would hold:
-        # only a sub-block's dense rows and a1 are alive at a time
+        # under half of what a third of the set's dense rows, a1 and a2
+        # would hold: only one tile's dense rows and activations are alive
         assert peak < 21846 * (self.D + self.H1 + self.H2) * 8 / 2
 
-    def test_blocks_share_one_input_buffer_and_trace(self, case, monkeypatch):
+    @pytest.mark.parametrize("n,tiles", [(5, 1), (N, 43)])
+    def test_every_call_is_one_tile_through_one_trace(self, case,
+                                                      monkeypatch, n, tiles):
         params, ds = case
         calls = self.record_layers(monkeypatch)
-        evaluate(params, ds, S=500, seed=2)
-
-        def start(array):
-            return array.__array_interface__["data"][0]
-
-        hidden = self.hidden_calls(calls)
-        output = [arrays for tag, *arrays in calls if tag == "output"]
-        assert len(hidden) == 3 * 14 and len(output) == 3
-        # every sub-block shares one input and one a1 buffer
-        (x0, a1_0, _), (a2_0, probs0, p0) = hidden[0], output[0]
-        for x, a1, _ in hidden:
-            assert start(x) == start(x0) and start(a1) == start(a1_0)
-        # every block shares one a2 and one probs buffer, its sub-blocks
-        # write their a2 rows in place, and each block's p is written
-        # straight into the whole-set result
-        for k, (a2, probs, _) in enumerate(output):
-            assert start(a2) == start(a2_0) and start(probs) == start(probs0)
-            cuts = np.cumsum([0] + self.HIDDEN_ROWS[k][:-1])
-            assert [start(sub) - start(a2) for _, _, sub in
-                    hidden[14 * k:14 * (k + 1)]] == list(cuts * self.H2 * 8)
-        assert [start(p) - start(p0) for _, _, p in output] == [
-            0, 21846 * 8, 2 * 21846 * 8]
+        p = audit.probabilities(params, ds.subset(np.arange(n)))
+        assert p.shape == (n,) and len(calls) == tiles
+        trace = calls[0][1]
+        for x, out in calls:
+            assert out is trace and x is trace.x
+            assert x.shape == (audit.TILE, self.D)
 
     def test_evaluate_is_score_of_probabilities(self, case):
         params, ds = case
@@ -324,52 +281,27 @@ class TestBlockedEvaluate:
             audit.score(audit.probabilities(params, ds), ds.a, ds.y, 500, 2))
 
     @classmethod
-    def rows_off_one_forward_per_block(cls, h1: int, h2: int) -> int:
+    def rows_off_one_forward_per_tile(cls, h1: int, h2: int) -> int:
         """Rows whose p differs in any bit from one forward call per
-        block, the blocking's reference; each call takes zero rows after
-        the block's, as many as the most that a layer is padded to,
-        rounded up to whole panels."""
+        zero-padded tile, each on an input of its own."""
         ds = cls.dataset()
         params = init_params(cls.D, h1, h2, Rng(3))
-        low = audit.SMALL_GEMM // min(h1 * cls.D, h1 * h2, 2 * h2) + 1
-        expect = []
-        for rows in np.array_split(np.arange(ds.n), 3):
-            x = np.zeros((cls.panels(max(rows.size, low)), cls.D))
-            ds.densify(rows, x[:rows.size])
-            expect.append(forward(params, x).p[:rows.size])
         got = audit.probabilities(params, ds)
-        expect = np.concatenate(expect)
+        expect = cls.tile_forward(params, ds)
         return int((got.view(np.int64) != expect.view(np.int64)).sum())
 
     @pytest.mark.parametrize("h1,h2", [(2, 2), (16, 8), (100, 50),
                                        (300, 200)])
-    def test_p_equals_one_forward_per_block(self, h1, h2):
-        # the sub-blocks round the hidden layers as one call per block
-        # does, and networks whose sub-block calls would take OpenBLAS's
-        # small-matrix kernel keep one call per block. Checked at one BLAS
-        # thread: with more, OpenBLAS rounds h1 = 300, h2 = 200 by the
-        # call's row count whatever the sub-block size.
+    def test_p_equals_one_forward_per_tile(self, h1, h2):
+        # the shared trace and the zeroed rows past the set's end give what
+        # a fresh zero-padded input gives, at one BLAS thread (see
+        # audit.TILE)
         proc = run_cli([], "1", script=(
             f"import sys; sys.path.insert(0, {TESTS!r}); import test_audit; "
             f"print(test_audit.TestBlockedEvaluate"
-            f".rows_off_one_forward_per_block({h1}, {h2}))"))
+            f".rows_off_one_forward_per_tile({h1}, {h2}))"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0\n"
-
-    def test_pad_keeps_every_matmul_off_the_small_matrix_kernel(
-            self, case, monkeypatch):
-        params, ds = case
-        calls = self.record_layers(monkeypatch)
-        few = ds.subset(np.arange(5))
-        p = audit.probabilities(params, few)
-        # the least rows past SMALL_GEMM of each layer, 98 * 100 * 103,
-        # 201 * 50 * 100 and 10,001 * 2 * 50, rounded up to whole panels
-        assert self.rows_per_block(calls) == [(10_176, [(192, 384)])]
-        assert p.shape == (5,) and p.base is not None
-        del calls[:]
-        audit.probabilities(params, ds)
-        # a set this large has no call short of any least row count
-        assert self.rows_per_block(calls) == self.rounded()
 
     @classmethod
     def check_pieces_give_the_whole_set_p(cls, h1: int, h2: int) -> None:
@@ -379,12 +311,11 @@ class TestBlockedEvaluate:
         params = init_params(cls.D, h1, h2, Rng(3))
         whole = audit.probabilities(params, ds).view(np.int64)
 
-        # pieces of a few rows, of a few thousand and of more than one
-        # block
+        # pieces of a few rows, of a few tiles and of up to the whole set
         @settings(max_examples=12, deadline=None, database=None)
         @given(st.lists(st.one_of(st.integers(1, 300),
-                                  st.integers(1, 3 * audit.SUB_ROWS),
-                                  st.integers(1, 2 * audit.EVAL_ROWS)),
+                                  st.integers(1, 3 * audit.TILE),
+                                  st.integers(1, ds.n)),
                         min_size=1, max_size=8))
         def pieces_give_the_whole_set_p(sizes):
             cuts = [0, *(c for c in np.cumsum(sizes) if c < ds.n), ds.n]
@@ -398,7 +329,7 @@ class TestBlockedEvaluate:
     @pytest.mark.parametrize("h1,h2", [(2, 2), (16, 8), (100, 50),
                                        (300, 200)])
     def test_p_of_a_row_does_not_depend_on_the_other_rows(self, h1, h2):
-        # at one BLAS thread (PANEL)
+        # at one BLAS thread (see audit.TILE)
         proc = run_cli([], "1", script=(
             f"import sys; sys.path.insert(0, {TESTS!r}); import test_audit; "
             f"test_audit.TestBlockedEvaluate"

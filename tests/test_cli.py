@@ -1375,9 +1375,9 @@ class TestIngestParts:
                         "usable CPUs")
     def test_windows_forward_to_the_whole_dataset_p(self, tmp_path,
                                                     monkeypatch):
-        # at the default widths, with more kept rows than one output-layer
-        # call of the whole set needs to leave OpenBLAS's small-matrix
-        # kernel: each ~3.7k-row window's output layer is padded past it
+        # at the default widths, with windows of ~3.7k kept rows: each holds
+        # more than one tile and ends in a partial one, so the windows cut
+        # the set into other tiles than the whole set's forward does
         gen = str(Path(__file__).resolve().parent.parent / "perfbench"
                   / "gen_adult.py")
         for name, rows, seed in (("train.csv", 3000, 1),
@@ -1405,8 +1405,11 @@ class TestIngestParts:
         assert [r.returncode for r in runs] == [0, 0, 0], runs[0].stderr
         assert len({r.stderr for r in runs}) == 1
         assert len({r.stdout for r in runs}) == 1
-        h2 = lagrange.TrainConfig.h2
-        assert json.loads(runs[0].stdout)["n"] > audit.SMALL_GEMM // (2 * h2)
+        schema = data.adult_schema()
+        kept = [len(data.row_codes(path, schema, lo, hi))
+                for lo, hi in data.byte_parts(path)]
+        assert all(n > audit.TILE and n % audit.TILE for n in kept), kept
+        assert sum(kept) == json.loads(runs[0].stdout)["n"]
 
     # the audit of the CSV cut into windows of about PART_BYTES, the first
     # argument; with "whole" second, numpy reads no window, so the csv

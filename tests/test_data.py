@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
-from fairmlp import audit, cli, data
+from fairmlp import cli, data
 from fairmlp.data import (RowCodes, SchemaConfig, adult_schema, byte_parts,
                           encode, epoch_batches, holdout_split, kfold,
                           load_csv, resolve_schema)
@@ -539,10 +539,10 @@ class TestEncodeMatchesRowReference:
 class TestEncodeMemory:
     def test_peak_well_below_the_dense_matrix(self):
         # the benchmark's layout: 6 numeric columns, 7 one-hot blocks of 97
-        # columns, over more rows than one audit block
+        # columns, over 65,537 rows
         sizes = (8, 16, 7, 14, 6, 5, 41)
         schema = adult_schema()
-        n = 2 * audit.EVAL_ROWS + 1
+        n = 65_537
         gen = np.random.default_rng(5)
         numeric = [gen.integers(0, 100, n).astype(np.float64)
                    for _ in schema.numeric]
